@@ -9,7 +9,7 @@ maps and fundamental-group presentations, all over exact integers.
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
 from .simplicial import (CellCapExceeded, SSetMap, SimplicialError,
                          TruncatedSimplicialSet, cell_cap, collapse,
-                         compose_maps, apply_map, from_ordered_complex,
+                         compose_maps, from_ordered_complex,
                          identity_map, power, quotient, sub_object)
 from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
                        HomologyError, HomologyGroup, HomologyResult,

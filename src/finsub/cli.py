@@ -15,8 +15,9 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import surface as surf
-from .homology import (HomologyCoordinates, chain_map_matrices, homology,
-                       induced_matrix_from_chain_map, normalized_chains)
+from .homology import (HomologyCoordinates, HomologyError, chain_map_matrices,
+                       homology, induced_matrix_from_chain_map, is_prime,
+                       normalized_chains)
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
 from .verify import catalog, run_suite
 
@@ -40,9 +41,10 @@ def _coeff_mod(coeff: str) -> int | None:
     coeff = coeff.lower()
     if coeff == "z":
         return None
-    if coeff.startswith("f") and coeff[1:].isdigit():
+    if coeff.startswith("f") and coeff[1:].isdigit() and is_prime(int(coeff[1:])):
         return int(coeff[1:])
-    raise ComplexError(f"unknown coefficient ring {coeff!r} (use z, f2, f3, ...)")
+    raise ComplexError(f"unsupported coefficient ring {coeff!r} "
+                       "(use z, or fP for a prime P: f2, f3, f5, ...)")
 
 
 def _homology_groups(args) -> tuple[list, dict]:
@@ -120,6 +122,9 @@ def _cmd_map(args) -> int:
     else:
         raise ComplexError(f"unknown map {args.name!r} "
                            "(use diag, j_n, j, pi, alpha)")
+    if not 0 <= args.degree <= f.source.truncation:
+        raise HomologyError(f"degree {args.degree} out of range "
+                            f"0..{f.source.truncation} for {args.name}")
     src = HomologyCoordinates(normalized_chains(f.source, with_labels=False))
     dst = HomologyCoordinates(normalized_chains(f.target, with_labels=False))
     F = chain_map_matrices(f)[args.degree]
@@ -207,12 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .simplicial import CellCapExceeded
+    from .simplicial import CellCapExceeded, SimplicialError
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ComplexError, surf.SurfaceModelError) as exc:
+    except (ComplexError, surf.SurfaceModelError, SimplicialError,
+            HomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CellCapExceeded as exc:

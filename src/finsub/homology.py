@@ -3,15 +3,24 @@
 The integer path runs entirely on arbitrary-precision Python ints: sparse
 Smith normal form with unimodular transforms (and their inverses) yields
 Betti numbers, torsion coefficients, homology coordinate systems, and
-induced maps.  Matrices are tiny compared to the cell enumerations that
-produce them, so the sparse elimination favors clarity plus a Markowitz
-fill-in heuristic over anything fancier.
+induced maps.
+
+One elimination kernel, ``_eliminate``, serves every mode: invariant
+factors, Smith form with any choice of tracked transforms, and ranks over
+F_p.  Almost every pivot of a simplicial boundary matrix is a unit, so the
+kernel takes pivots from a lazy min-heap of columns keyed by occupancy:
+the shortest column that holds a unit (+-1 over Z, anything nonzero over
+F_p), at its entry in the shortest row.  Only when no queued column holds
+a unit does a Markowitz scan of every remaining entry pick the pivot; by
+then it sees only the small non-unit residual, where gcd steps may create
+new units for the queue.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from math import gcd
+from math import isqrt
 
 import numpy as np
 
@@ -330,6 +339,7 @@ class _Transforms:
 
 
 def _pick_pivot(work: _Work, done_rows: set[int], done_cols: set[int]):
+    """Markowitz scan of every entry: a unit of least fill-in, else the least entry."""
     best = None
     best_key = None
     for r, row in work.rows.items():
@@ -387,43 +397,117 @@ def _eliminate_at(work: _Work, tr: _Transforms, r: int, c: int) -> int:
                 a = g
 
 
+class _PivotQueue:
+    """Lazy min-heap of columns keyed by occupancy ``(len(work.cols[c]), c)``.
+
+    Entries go stale as elimination changes a column; a popped entry whose
+    length no longer matches is re-pushed with the current length.  A
+    column without a unit entry is dropped until a pivot touches it again.
+    """
+
+    def __init__(self, work: _Work, is_unit):
+        self.work = work
+        self.is_unit = is_unit
+        self.heap = [(len(rows), c) for c, rows in work.cols.items() if rows]
+        heapq.heapify(self.heap)
+
+    def push(self, cols) -> None:
+        for c in cols:
+            n = len(self.work.cols[c])
+            if n:
+                heapq.heappush(self.heap, (n, c))
+
+    def pop(self, done_cols: set[int]):
+        """The shortest column holding a unit, at its unit in the shortest row.
+
+        Returns the pivot (r, c), or None once no queued column holds a unit.
+        """
+        heap, work, is_unit = self.heap, self.work, self.is_unit
+        while heap:
+            n, c = heapq.heappop(heap)
+            if c in done_cols:
+                continue
+            col = work.cols[c]
+            if len(col) != n:
+                self.push((c,))
+                continue
+            best = None
+            for r in col:
+                row = work.rows[r]
+                if is_unit(row[c]) and (best is None or (len(row), r) < best):
+                    best = (len(row), r)
+            if best is not None:
+                return best[1], c
+        return None
+
+
+def _eliminate(work: _Work, is_unit, clear) -> list[tuple[int, int, int]]:
+    """The elimination kernel: pivot until no entry is left outside done lines.
+
+    Unit pivots come from a :class:`_PivotQueue`; only once it is empty does
+    the full Markowitz scan ``_pick_pivot`` look at the non-unit residual.
+    ``clear(r, c)`` eliminates around the pivot, leaving no entry of row r
+    or column c in any other undone line, and returns the pivot value.
+    Returns the pivots ``(r, c, d)`` in discovery order.
+    """
+    queue = _PivotQueue(work, is_unit)
+    done_rows: set[int] = set()
+    done_cols: set[int] = set()
+    pivots = []
+    while True:
+        pick = queue.pop(done_cols)
+        queued = pick is not None
+        if not queued:
+            pick = _pick_pivot(work, done_rows, done_cols)
+            if pick is None:
+                return pivots
+        r, c = pick
+        touched = list(work.rows[r])
+        pivots.append((r, c, clear(r, c)))
+        done_rows.add(r)
+        done_cols.add(c)
+        if queued:
+            # a unit pivot changes only the columns of its row
+            queue.push(touched)
+        else:
+            # gcd steps can change any column of the residual
+            queue.push(cc for cc in work.cols if cc not in done_cols)
+
+
+def _unit_z(v: int) -> bool:
+    return v == 1 or v == -1
+
+
 def _snf_core(M: SparseIntMatrix, track: bool) -> SmithNormalForm:
     work = _Work(M.entries, M.nrows, M.ncols)
     tr = _Transforms(M.nrows, M.ncols, track)
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
-    pivots: list[tuple[int, int, int]] = []
-
-    while True:
-        pick = _pick_pivot(work, done_rows, done_cols)
-        if pick is None:
-            break
-        r, c = pick
-        d = _eliminate_at(work, tr, r, c)
-        pivots.append((r, c, d))
-        done_rows.add(r)
-        done_cols.add(c)
+    pivots = _eliminate(work, _unit_z, lambda r, c: _eliminate_at(work, tr, r, c))
 
     # move pivots onto the diagonal in discovery order
-    for t, (r, c, d) in enumerate(pivots):
+    k = len(pivots)
+    prow = [r for r, _, _ in pivots]
+    pcol = [c for _, c, _ in pivots]
+    at_row = {r: t for t, r in enumerate(prow)}
+    at_col = {c: t for t, c in enumerate(pcol)}
+    for t in range(k):
+        r, c = prow[t], pcol[t]
+        del at_row[r], at_col[c]
         if r != t:
             work.row_swap(r, t)
             tr.row_swap(r, t)
-            for u in range(t + 1, len(pivots)):
-                ru, cu, du = pivots[u]
-                if ru == t:
-                    pivots[u] = (r, cu, du)
+            u = at_row.pop(t, None)
+            if u is not None:
+                prow[u] = r
+                at_row[r] = u
         if c != t:
             work.col_swap(c, t)
             tr.col_swap(c, t)
-            for u in range(t + 1, len(pivots)):
-                ru, cu, du = pivots[u]
-                if cu == t:
-                    pivots[u] = (ru, c, du)
-        pivots[t] = (t, t, d)
+            u = at_col.pop(t, None)
+            if u is not None:
+                pcol[u] = c
+                at_col[c] = u
 
     # enforce the divisibility chain d_1 | d_2 | ...
-    k = len(pivots)
     changed = True
     while changed:
         changed = False
@@ -495,29 +579,32 @@ def _check_certificate(M: SparseIntMatrix, snf: SmithNormalForm, full: bool) -> 
             raise HomologyError("SNF certificate failed on sampled column")
 
 
+def is_prime(p: int) -> bool:
+    """Trial division; moduli are small."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     """Rank of M over the prime field F_p by sparse elimination."""
-    if p < 2:
-        raise HomologyError("modulus must be a prime >= 2")
+    if not is_prime(p):
+        raise HomologyError(f"modulus {p} is not a prime")
     work = _Work([(r, c, v % p) for r, c, v in M.entries if v % p], M.nrows, M.ncols)
-    rank = 0
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
-    while True:
-        pick = _pick_pivot(work, done_rows, done_cols)
-        if pick is None:
-            return rank
-        r, c = pick
-        a = work.get(r, c)
-        inv = pow(a, -1, p)
-        for rr in [x for x in work.cols.get(c, set()) if x != r]:
-            q = (-work.get(rr, c) * inv) % p
-            if q:
-                for cc, v in list(work.rows.get(r, {}).items()):
-                    work._set(rr, cc, (work.get(rr, cc) + q * v) % p)
-        done_rows.add(r)
-        done_cols.add(c)
-        rank += 1
+
+    def clear(r, c):
+        # clear column c in the other rows, then drop the pivot row: the rank
+        # needs no back-substitution, and no done row stays in a column
+        pivot_row = work.rows.pop(r)
+        for cc in pivot_row:
+            work.cols[cc].discard(r)
+        inv = pow(pivot_row[c], -1, p)
+        for rr in list(work.cols[c]):
+            q = -work.rows[rr][c] * inv
+            for cc, v in pivot_row.items():
+                work._set(rr, cc, (work.get(rr, cc) + q * v) % p)
+        return 1
+
+    # every stored entry is nonzero, hence a unit of F_p
+    return len(_eliminate(work, bool, clear))
 
 
 # ----------------------------------------------------------------------

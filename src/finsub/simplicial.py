@@ -251,10 +251,6 @@ def compose_maps(g: SSetMap, f: SSetMap, name: str = "") -> SSetMap:
     return SSetMap(f.source, g.target, assignment, name=name or f"{g.name}*{f.name}")
 
 
-def apply_map(f: SSetMap, level: int, index: int) -> int:
-    return f(level, index)
-
-
 # ----------------------------------------------------------------------
 # generation from an ordered complex
 # ----------------------------------------------------------------------

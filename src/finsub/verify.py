@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 
@@ -142,20 +142,29 @@ REPORT_SCHEMA = {
 
 
 class _Cache:
-    """Thread-safe memo for constructions shared between cases."""
+    """Thread-safe memo for constructions shared between cases.
+
+    Each key holds one future: a case that needs a construction another
+    thread is building waits for that build instead of repeating it.
+    """
 
     def __init__(self):
-        self._data: dict = {}
+        self._data: dict[object, Future] = {}
         self._lock = threading.Lock()
 
     def get(self, key, build):
         with self._lock:
-            if key in self._data:
-                return self._data[key]
-        value = build()
-        with self._lock:
-            self._data.setdefault(key, value)
-            return self._data[key]
+            future = self._data.get(key)
+            owner = future is None
+            if owner:
+                future = self._data[key] = Future()
+        if owner:
+            try:
+                future.set_result(build())
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+        return future.result()
 
 
 def _groups_to_list(groups) -> list:
@@ -289,7 +298,7 @@ def _run_homology_case(case, cache, report):
 
 def _compare_homology_groups(groups, expected):
     want = _expected_groups(expected)
-    ok = len(groups) >= 0
+    ok = True
     top = max(len(groups), len(want))
     for k in range(top):
         got = groups[k] if k < len(groups) else HomologyGroup(k, 0)

@@ -97,6 +97,12 @@ def test_rank_mod_p_oracle():
         assert rank_mod_p(m, p) == expected
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15])
+def test_rank_mod_p_rejects_non_prime(p):
+    with pytest.raises(HomologyError, match="not a prime"):
+        rank_mod_p(SparseIntMatrix.identity(2), p)
+
+
 # ----------------------------------------------------------------------
 # chain complexes and homology
 # ----------------------------------------------------------------------

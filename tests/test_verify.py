@@ -1,11 +1,15 @@
 import json
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import pytest
 
+from finsub import constructions as cons
 from finsub.cli import main
-from finsub.verify import (REPORT_SCHEMA, Report, VerificationCase, catalog,
-                           run_case, run_suite)
+from finsub.verify import (REPORT_SCHEMA, Report, VerificationCase, _Cache,
+                           catalog, run_case, run_suite)
 
 
 def test_catalog_ids_unique():
@@ -64,6 +68,56 @@ def test_suite_runs_concurrently():
     report = run_suite("relative-s1-*", jobs=2)
     assert {c.status for c in report.cases} == {"pass"}
     assert [c.id for c in report.cases] == ["relative-s1-n2", "relative-s1-n3"]
+
+
+def test_cache_builds_each_key_once_under_contention():
+    cache = _Cache()
+    calls = []
+
+    def build():
+        calls.append(1)
+        time.sleep(0.05)
+        return object()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(cache.get, "key", build) for _ in range(32)]
+            values = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert len(calls) == 1
+    assert all(v is values[0] for v in values)
+
+
+def test_cache_shares_a_failed_build():
+    cache = _Cache()
+    calls = []
+
+    def build():
+        calls.append(1)
+        raise ValueError("boom")
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="boom"):
+            cache.get("key", build)
+    assert len(calls) == 1
+
+
+def test_concurrent_cases_build_a_construction_once(monkeypatch):
+    calls = []
+    original = cons.symmetric_product
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.2)   # keep the first build in flight while others ask
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cons, "symmetric_product", counting)
+    report = run_suite("*sp2-torus*", jobs=2)
+    assert report.passed and len(report.cases) >= 2
+    assert len(calls) == 1
 
 
 def test_self_test_case_passes():
@@ -128,6 +182,30 @@ def test_cli_unknown_space_errors(capsys):
     code = main(["homology", "--space", "builtin:mystery"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space", ["builtin:rp2", "builtin:circle3"])
+@pytest.mark.parametrize("coeff", ["f4", "f1", "f9"])
+def test_cli_rejects_non_prime_modulus(capsys, space, coeff):
+    code = main(["homology", "--space", space, "--construction", "sp",
+                 "--n", "2", "--coeff", coeff])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and coeff in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--space", "builtin:circle3", "--construction", "sub", "--n", "0"],
+    ["homology", "--space", "builtin:circle3", "--construction", "fat", "--n", "1"],
+    ["map", "--name", "diag", "--space", "builtin:sphere2", "--degree", "9"],
+    ["map", "--name", "diag", "--space", "builtin:sphere2", "--degree", "-1"],
+])
+def test_cli_typed_errors_exit_2(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "Traceback" not in out.err
 
 
 def test_cli_cases(capsys):
