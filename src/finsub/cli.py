@@ -47,8 +47,14 @@ def _coeff_mod(coeff: str) -> int | None:
                        "(use z, or fP for a prime P: f2, f3, f5, ...)")
 
 
-def _homology_groups(args) -> tuple[list, dict]:
-    mod = _coeff_mod(args.coeff)
+def _vector_space(dim: int, p: int) -> str:
+    """An F_p vector space, written as ``F_p^dim`` (``F_p`` for dim 1)."""
+    if dim == 0:
+        return "0"
+    return f"F_{p}" if dim == 1 else f"F_{p}^{dim}"
+
+
+def _homology_groups(args, mod: int | None) -> tuple[list, dict]:
     meta: dict = {"space": args.space, "construction": args.construction,
                   "coeff": args.coeff}
     if args.construction == "surface":
@@ -59,6 +65,9 @@ def _homology_groups(args) -> tuple[list, dict]:
         return list(result.groups), meta
     spec = _load_space(args.space)
     if args.construction == "coproduct":
+        if mod is not None:
+            raise ComplexError("the coproduct model computes integral homology "
+                               "only (use --coeff z)")
         model = cons.sub3_homology_via_coproduct(spec)
         return list(model.groups), meta
     if args.construction == "cylinder":
@@ -99,12 +108,13 @@ def _cmd_spaces(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    groups, meta = _homology_groups(args)
+    mod = _coeff_mod(args.coeff)
+    groups, meta = _homology_groups(args, mod)
     if args.emit == "json":
         print(json.dumps({"meta": meta, "groups": [g.as_dict() for g in groups]}))
     else:
         for g in groups:
-            print(f"H_{g.degree} = {g}")
+            print(f"H_{g.degree} = {g if mod is None else _vector_space(g.betti, mod)}")
     return 0
 
 

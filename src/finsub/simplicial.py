@@ -7,8 +7,10 @@ class is also its lexicographically minimal payload, and quotients stay
 deterministic without ever materializing payloads.
 
 Face and degeneracy tables are dense integer arrays; all bulk work
-(validation, product assembly, relabeling) is vectorized with numpy, while
-the union-find closure of quotient relations runs as a plain loop.
+(validation, product assembly, quotients) is vectorized with numpy.  A
+quotient labels the connected components of its generating pairs level by
+level and adds the pairs that closure under faces and degeneracies forces,
+in rounds, until a round forces none.
 """
 
 from __future__ import annotations
@@ -37,7 +39,16 @@ class CellCapExceeded(RuntimeError):
 def cell_cap() -> int:
     """Active enumeration cap (override with env var FINSUB_CELL_CAP)."""
     value = os.environ.get("FINSUB_CELL_CAP")
-    return int(value) if value else DEFAULT_CELL_CAP
+    if not value:
+        return DEFAULT_CELL_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise SimplicialError(
+            f"FINSUB_CELL_CAP must be a non-negative integer, not {value!r}")
+    return cap
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -383,6 +394,11 @@ def power(S: TruncatedSimplicialSet, n: int):
 # ----------------------------------------------------------------------
 
 def _normalize_pairs(S, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Pairs as ``level -> (array_a, array_b)``, checked against ``S``.
+
+    Indices are checked explicitly: numpy and list indexing would wrap a
+    negative index round to the last cells instead of rejecting it.
+    """
     if isinstance(pairs, Mapping):
         out = {}
         for level, (a, b) in pairs.items():
@@ -391,15 +407,77 @@ def _normalize_pairs(S, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
             if a.shape != b.shape:
                 raise SimplicialError("pair arrays must have equal length")
             out[int(level)] = (a, b)
-        return out
-    by_level: dict[int, tuple[list[int], list[int]]] = {}
-    for (ka, a), (kb, b) in pairs:
-        if ka != kb:
-            raise SimplicialError("identified cells must live at the same level")
-        by_level.setdefault(ka, ([], []))[0].append(a)
-        by_level[ka][1].append(b)
-    return {k: (np.asarray(v[0], dtype=np.int64), np.asarray(v[1], dtype=np.int64))
-            for k, v in by_level.items()}
+    else:
+        by_level: dict[int, tuple[list[int], list[int]]] = {}
+        for (ka, a), (kb, b) in pairs:
+            if ka != kb:
+                raise SimplicialError("identified cells must live at the same level")
+            by_level.setdefault(ka, ([], []))[0].append(a)
+            by_level[ka][1].append(b)
+        out = {k: (np.asarray(v[0], dtype=np.int64), np.asarray(v[1], dtype=np.int64))
+               for k, v in by_level.items()}
+    for level, (a, b) in out.items():
+        if not 0 <= level <= S.truncation:
+            raise SimplicialError(f"pair level {level} outside 0..{S.truncation}")
+        for arr in (a, b):
+            if arr.size and (arr.min() < 0 or arr.max() >= S.counts[level]):
+                raise SimplicialError(
+                    f"pair index out of range 0..{S.counts[level] - 1} at level {level}")
+    return out
+
+
+def _hook_and_jump(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge the classes of every pair ``(a[i], b[i])`` into ``label``.
+
+    ``label`` maps each cell to the least member of its class, so the least
+    members are the roots of a forest.  Each round hooks the larger root of
+    every pair still apart onto the smaller one, then jumps pointers
+    (``label = label[label]``) until every cell points at a root again
+    (Shiloach-Vishkin, J. Algorithms 1982, with min-label hooking).
+    """
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            return label
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _closure_pairs(S: TruncatedSimplicialSet, labels: list[np.ndarray]
+                   ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Pairs the current classes still owe to faces and degeneracies.
+
+    A cell and the least member of its class must have faces, and
+    degeneracies, in equal classes; each operator on which they differ
+    yields a pair one level down, or up.
+    """
+    D = S.truncation
+    found: dict[int, tuple[list, list]] = {}
+
+    def compare(table, target, label, level):
+        for i in range(table.shape[1]):
+            col = target[table[:, i]]
+            cells = np.flatnonzero(col != col[label])
+            if cells.size:
+                pair = found.setdefault(level, ([], []))
+                pair[0].append(table[cells, i])
+                pair[1].append(table[label[cells], i])
+
+    for k in range(D + 1):
+        label = labels[k]
+        if np.array_equal(label, np.arange(len(label), dtype=np.int64)):
+            continue
+        if k > 0:
+            compare(S.faces[k], labels[k - 1], label, k - 1)
+        if k < D:
+            compare(S.degens[k], labels[k + 1], label, k + 1)
+    return {k: (np.concatenate(a), np.concatenate(b)) for k, (a, b) in found.items()}
 
 
 def quotient(S: TruncatedSimplicialSet, pairs, name: str = ""):
@@ -407,74 +485,32 @@ def quotient(S: TruncatedSimplicialSet, pairs, name: str = ""):
 
     ``pairs`` is either an iterable of ``((level, a), (level, b))`` pairs or
     a mapping ``level -> (array_a, array_b)``.  The relation is closed
-    under faces and degeneracies with a union-find saturation queue; the
-    result's cells are the equivalence classes, represented by their
-    lexicographically minimal members.
+    under faces and degeneracies in rounds: each round labels the
+    connected components of the pending pairs level by level
+    (:func:`_hook_and_jump`), then compares the faces and degeneracies of
+    every cell with those of its class's least member; the mismatches are
+    the next round's pairs.  The result's cells are the equivalence
+    classes, represented by their lexicographically minimal members.
 
     Returns ``(Q, projection)``.
     """
-    by_level = _normalize_pairs(S, pairs)
     D = S.truncation
-    parent: list[list[int]] = [list(range(c)) for c in S.counts]
-    size: list[list[int]] = [[1] * c for c in S.counts]
+    pending = _normalize_pairs(S, pairs)
+    labels = [np.arange(n, dtype=np.int64) for n in S.counts]
+    while pending:
+        for level, (a, b) in pending.items():
+            labels[level] = _hook_and_jump(labels[level], a, b)
+        pending = _closure_pairs(S, labels)
 
-    def find(p: list[int], x: int) -> int:
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    faces = S.faces
-    degens = S.degens
-    stack: list[tuple[int, int, int]] = []
-    for level, (arr_a, arr_b) in sorted(by_level.items(), reverse=True):
-        if level > D:
-            raise SimplicialError("pair level exceeds truncation")
-        stack.extend(zip([level] * len(arr_a), arr_a.tolist(), arr_b.tolist()))
-
-    while stack:
-        k, a, b = stack.pop()
-        pk = parent[k]
-        ra, rb = find(pk, a), find(pk, b)
-        if ra == rb:
-            continue
-        sk = size[k]
-        if sk[ra] < sk[rb]:
-            ra, rb = rb, ra
-        pk[rb] = ra
-        sk[ra] += sk[rb]
-        if k > 0:
-            fk = faces[k]
-            fa, fb = fk[a].tolist(), fk[b].tolist()
-            pk1 = parent[k - 1]
-            for x, y in zip(fa, fb):
-                if find(pk1, x) != find(pk1, y):
-                    stack.append((k - 1, x, y))
-        if k < D:
-            dk = degens[k]
-            da, db = dk[a].tolist(), dk[b].tolist()
-            pk1 = parent[k + 1]
-            for x, y in zip(da, db):
-                if find(pk1, x) != find(pk1, y):
-                    stack.append((k + 1, x, y))
-
-    # canonical class labels: classes ordered by their minimal member
+    # classes are numbered in the order of their least members
     class_of: list[np.ndarray] = []
     reps: list[np.ndarray] = []
-    counts_q: list[int] = []
-    for k in range(D + 1):
-        pk = parent[k]
-        n = S.counts[k]
-        roots = np.fromiter((find(pk, i) for i in range(n)), dtype=np.int64, count=n)
-        uniq, inverse = np.unique(roots, return_inverse=True)
-        mins = np.full(len(uniq), n, dtype=np.int64)
-        np.minimum.at(mins, inverse, np.arange(n, dtype=np.int64))
-        order = np.argsort(mins, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[order] = np.arange(len(uniq), dtype=np.int64)
-        class_of.append(rank[inverse])
-        reps.append(mins[order])
-        counts_q.append(len(uniq))
+    for label in labels:
+        is_rep = label == np.arange(len(label), dtype=np.int64)
+        rank = np.cumsum(is_rep, dtype=np.int64) - 1
+        class_of.append(rank[label])
+        reps.append(_frozen(np.flatnonzero(is_rep)))
+    del labels, label, is_rep, rank   # before Q and the projection are validated
 
     faces_q: list[np.ndarray | None] = [None]
     for k in range(1, D + 1):
@@ -483,12 +519,10 @@ def quotient(S: TruncatedSimplicialSet, pairs, name: str = ""):
     for k in range(D):
         degens_q.append(class_of[k + 1][S.degens[k][reps[k]]])
 
-    reps_frozen = [(_frozen(r)) for r in reps]
-
     def payload(level: int, index: int):
-        return S.payload(level, int(reps_frozen[level][index]))
+        return S.payload(level, int(reps[level][index]))
 
-    Q = TruncatedSimplicialSet(D, counts_q, faces_q, degens_q, payload,
+    Q = TruncatedSimplicialSet(D, [len(r) for r in reps], faces_q, degens_q, payload,
                                name=name or f"{S.name}/~")
     projection = SSetMap(S, Q, tuple(class_of), name="proj")
     return Q, projection

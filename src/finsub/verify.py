@@ -26,7 +26,7 @@ from .homology import (HomologyGroup, SparseIntMatrix, euler_characteristic,
 from .simplicial import CellCapExceeded, compose_maps, from_ordered_complex, sub_object
 from .spaces import builtin_space
 
-STATUSES = ("pass", "fail", "inconclusive", "skipped")
+STATUSES = ("pass", "fail", "inconclusive", "skipped", "error")
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,14 @@ class Report:
     def passed(self) -> bool:
         """False iff a required case fails.
 
-        A skipped required case counts as a failure; an inconclusive pi_1
-        simplification fails only cases whose claim is decidable, which is
-        recorded in the ``strict`` flag.
+        A skipped required case, or one that raised, counts as a failure;
+        an inconclusive pi_1 simplification fails only cases whose claim is
+        decidable, which is recorded in the ``strict`` flag.
         """
         for c in self.cases:
             if c.tag != "required":
                 continue
-            if c.status in ("fail", "skipped"):
+            if c.status in ("fail", "skipped", "error"):
                 return False
             if c.status == "inconclusive" and c.strict:
                 return False
@@ -608,7 +608,11 @@ _RUNNERS = {
 
 
 def run_case(case: VerificationCase, cache: _Cache | None = None) -> CaseReport:
-    """Execute one case; resource-cap overruns become 'skipped'."""
+    """Execute one case.
+
+    Resource-cap overruns become 'skipped'; any other exception becomes
+    'error' with its message as the reason, so the rest of a suite runs on.
+    """
     cache = cache or _Cache()
     report = CaseReport(id=case.id, status="fail", tag=case.tag,
                         expected=case.expected, strict=case.inconclusive_fails)
@@ -625,6 +629,9 @@ def run_case(case: VerificationCase, cache: _Cache | None = None) -> CaseReport:
     except CellCapExceeded as exc:
         report.status = "skipped"
         report.reason = str(exc)
+    except Exception as exc:
+        report.status = "error"
+        report.reason = f"{type(exc).__name__}: {exc}"
     report.seconds = time.perf_counter() - start
     return report
 

@@ -1,13 +1,17 @@
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsub.homology import euler_characteristic, homology_of_sset, normalized_chains
 from finsub.simplicial import (CellCapExceeded, SSetMap, SimplicialError,
+                               TruncatedSimplicialSet, _normalize_pairs, cell_cap,
                                collapse, compose_maps, from_ordered_complex,
                                identity_map, power, quotient, sub_object)
-from finsub.spaces import builtin_space
+from finsub.spaces import builtin_space, load_complex
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +192,155 @@ def test_validation_rejects_broken_faces(circle):
         from finsub.simplicial import TruncatedSimplicialSet
         TruncatedSimplicialSet(circle.truncation, circle.counts, faces, degens,
                                circle.payload)
+
+
+def test_cell_cap_rejects_malformed_values(monkeypatch):
+    for value in ("abc", "-1", "1.5", "²"):
+        monkeypatch.setenv("FINSUB_CELL_CAP", value)
+        with pytest.raises(SimplicialError, match="FINSUB_CELL_CAP"):
+            cell_cap()
+    for value, cap in (("0", 0), (" 100", 100), ("100\n", 100), ("1_000", 1000)):
+        monkeypatch.setenv("FINSUB_CELL_CAP", value)
+        assert cell_cap() == cap
+
+
+@pytest.mark.parametrize("pairs", [
+    {1: ([-1], [0])},
+    {1: ([0], [6])},
+    {1: ([0, 1], [2, -6])},
+    [((0, 0), (0, 3))],
+    [((0, -1), (0, 0))],
+    {3: ([0], [0])},
+    {-1: ([0], [0])},
+])
+def test_quotient_rejects_out_of_range_pairs(circle, pairs):
+    # circle3 has 3, 6 and 9 cells at levels 0, 1 and 2
+    with pytest.raises(SimplicialError, match="range|outside"):
+        quotient(circle, pairs)
+
+
+# ----------------------------------------------------------------------
+# differential test of quotient against a union-find reference
+# ----------------------------------------------------------------------
+
+def reference_quotient(S, pairs):
+    """Quotient by a union-find saturation queue, one cell pair at a time.
+
+    This is the quotient as it was before the levelwise component
+    labelling; it is kept here only as an oracle.
+    """
+    by_level = _normalize_pairs(S, pairs)
+    D = S.truncation
+    parent = [list(range(c)) for c in S.counts]
+    size = [[1] * c for c in S.counts]
+
+    def find(p, x):
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    stack = []
+    for level, (arr_a, arr_b) in sorted(by_level.items(), reverse=True):
+        stack.extend(zip([level] * len(arr_a), arr_a.tolist(), arr_b.tolist()))
+    while stack:
+        k, a, b = stack.pop()
+        pk = parent[k]
+        ra, rb = find(pk, a), find(pk, b)
+        if ra == rb:
+            continue
+        sk = size[k]
+        if sk[ra] < sk[rb]:
+            ra, rb = rb, ra
+        pk[rb] = ra
+        sk[ra] += sk[rb]
+        if k > 0:
+            pk1 = parent[k - 1]
+            for x, y in zip(S.faces[k][a].tolist(), S.faces[k][b].tolist()):
+                if find(pk1, x) != find(pk1, y):
+                    stack.append((k - 1, x, y))
+        if k < D:
+            pk1 = parent[k + 1]
+            for x, y in zip(S.degens[k][a].tolist(), S.degens[k][b].tolist()):
+                if find(pk1, x) != find(pk1, y):
+                    stack.append((k + 1, x, y))
+
+    # classes ordered by their minimal member
+    class_of, reps = [], []
+    for k in range(D + 1):
+        n = S.counts[k]
+        roots = np.array([find(parent[k], i) for i in range(n)], dtype=np.int64)
+        uniq, inverse = np.unique(roots, return_inverse=True)
+        mins = np.full(len(uniq), n, dtype=np.int64)
+        np.minimum.at(mins, inverse, np.arange(n, dtype=np.int64))
+        order = np.argsort(mins, kind="stable")
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[order] = np.arange(len(uniq), dtype=np.int64)
+        class_of.append(rank[inverse])
+        reps.append(mins[order])
+    faces = [None] + [class_of[k - 1][S.faces[k][reps[k]]] for k in range(1, D + 1)]
+    degens = [class_of[k + 1][S.degens[k][reps[k]]] for k in range(D)]
+    Q = TruncatedSimplicialSet(D, [len(r) for r in reps], faces, degens,
+                               lambda level, i: S.payload(level, int(reps[level][i])))
+    return Q, SSetMap(S, Q, tuple(class_of))
+
+
+_DELTA2 = '{"vertices": 3, "simplices": [[0, 1, 2]], "name": "delta2"}'
+_POWERS = {"circle3^2": ("circle3", 2), "interval^3": ("interval", 3),
+           "delta2^2": (None, 2)}
+
+
+@lru_cache(maxsize=None)
+def _small_power(key):
+    name, n = _POWERS[key]
+    spec = load_complex(_DELTA2) if name is None else builtin_space(name)
+    return power(from_ordered_complex(spec, 2), n)[0]
+
+
+@st.composite
+def _relations(draw):
+    """A small power and generating pairs at some of its levels.
+
+    ``top`` and ``vertex`` seed one end of the tower only, so the closure
+    must run down the faces or up the degeneracies; ``chain`` links a
+    random selection of cells in a path, as :func:`collapse` does.
+    """
+    key = draw(st.sampled_from(sorted(_POWERS)))
+    P = _small_power(key)
+    D = P.truncation
+    kind = draw(st.sampled_from(["top", "vertex", "levels", "chain"]))
+    if kind == "top":
+        levels = [D]
+    elif kind == "vertex":
+        levels = [0]
+    else:
+        levels = draw(st.lists(st.integers(0, D), min_size=1, max_size=D + 1,
+                               unique=True))
+    pairs = {}
+    for k in levels:
+        cell = st.integers(0, P.counts[k] - 1)
+        if kind == "chain":
+            chain = sorted(draw(st.sets(cell, max_size=8)))
+            a, b = chain[:-1], chain[1:]
+        else:
+            a = draw(st.lists(cell, min_size=1, max_size=5))
+            b = draw(st.lists(cell, min_size=len(a), max_size=len(a)))
+        pairs[k] = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    if draw(st.booleans()):
+        pairs = [((k, x), (k, y)) for k, (a, b) in pairs.items()
+                 for x, y in zip(a.tolist(), b.tolist())]
+    return key, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations())
+def test_quotient_matches_union_find(relation):
+    key, pairs = relation
+    P = _small_power(key)
+    Q, proj = quotient(P, pairs)
+    R, ref = reference_quotient(P, pairs)
+    assert Q.counts == R.counts
+    assert Q.same_cells(R)
+    assert len(proj.assignment) == len(ref.assignment)
+    for got, want in zip(proj.assignment, ref.assignment):
+        assert np.array_equal(got, want)

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from finsub import constructions as cons
+from finsub import verify
 from finsub.cli import main
 from finsub.verify import (REPORT_SCHEMA, Report, VerificationCase, _Cache,
                            catalog, run_case, run_suite)
@@ -120,6 +121,21 @@ def test_concurrent_cases_build_a_construction_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_raising_case_is_reported_and_suite_runs_on(monkeypatch):
+    fast = [c for c in catalog() if c.id in ("mobius-sp2-s1", "euler-characteristics")]
+    broken = VerificationCase("broken-space", "a case whose space does not exist",
+                              "sp", (("space", "mystery"), ("n", 2)))
+    monkeypatch.setattr(verify, "catalog", lambda: [fast[0], broken, fast[1]])
+    report = run_suite("*", jobs=2)
+    assert [c.id for c in report.cases] == [fast[0].id, "broken-space", fast[1].id]
+    by_id = {c.id: c for c in report.cases}
+    assert by_id["broken-space"].status == "error"
+    assert "mystery" in by_id["broken-space"].reason
+    assert by_id[fast[0].id].status == by_id[fast[1].id].status == "pass"
+    assert not report.passed
+    jsonschema.validate(json.loads(report.to_json()), REPORT_SCHEMA)
+
+
 def test_self_test_case_passes():
     case = next(c for c in catalog() if c.id == "expected-mismatch-selftest")
     assert run_case(case).status == "pass"
@@ -200,12 +216,41 @@ def test_cli_rejects_non_prime_modulus(capsys, space, coeff):
     ["homology", "--space", "builtin:circle3", "--construction", "fat", "--n", "1"],
     ["map", "--name", "diag", "--space", "builtin:sphere2", "--degree", "9"],
     ["map", "--name", "diag", "--space", "builtin:sphere2", "--degree", "-1"],
+    # the coproduct model is integral only
+    ["homology", "--space", "builtin:rp2", "--construction", "coproduct", "--coeff", "f2"],
 ])
 def test_cli_typed_errors_exit_2(capsys, argv):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error:") and "Traceback" not in out.err
+
+
+def test_cli_malformed_cell_cap_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("FINSUB_CELL_CAP", "abc")
+    code = main(["homology", "--space", "builtin:circle3", "--construction", "sp"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "FINSUB_CELL_CAP" in out.err
+
+
+def test_cli_mod_p_table_prints_vector_spaces(capsys):
+    # H_*(RP^2; F_2) is F_2 in degrees 0, 1 and 2
+    code = main(["homology", "--space", "builtin:rp2", "--construction", "space",
+                 "--coeff", "f2"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["H_0 = F_2", "H_1 = F_2", "H_2 = F_2"]
+    assert "Z" not in "".join(lines)
+
+
+def test_cli_mod_p_json_keeps_group_records(capsys):
+    code = main(["homology", "--space", "builtin:rp2", "--construction", "space",
+                 "--coeff", "f2", "--emit", "json"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["groups"][1] == {"dim": 1, "betti": 1, "torsion": []}
 
 
 def test_cli_cases(capsys):
