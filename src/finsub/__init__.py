@@ -10,7 +10,8 @@ from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_comple
 from .simplicial import (CellCapExceeded, SSetMap, SimplicialError,
                          TruncatedSimplicialSet, cell_cap, collapse,
                          compose_maps, from_ordered_complex,
-                         identity_map, power, quotient, sub_object)
+                         identity_map, power, projections, quotient,
+                         sub_object)
 from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
                        HomologyError, HomologyGroup, HomologyResult,
                        SmithNormalForm, SparseIntMatrix, chain_map_matrices,

@@ -19,8 +19,8 @@ from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
                        HomologyGroup, SparseIntMatrix, chain_map_matrices,
                        induced_matrix_from_chain_map, normalized_chains)
 from .simplicial import (SSetMap, SimplicialError, TruncatedSimplicialSet,
-                         collapse, compose_maps, from_ordered_complex, power,
-                         quotient, sub_object)
+                         _decompose, collapse, compose_maps, from_ordered_complex,
+                         power, quotient, sub_object)
 from .spaces import OrderedComplexSpec
 
 
@@ -61,17 +61,6 @@ def _class_reps(proj: SSetMap) -> list[np.ndarray]:
     return reps
 
 
-def _decompose_sorted(indices: np.ndarray, base: int, n: int) -> np.ndarray:
-    """Big-endian components of product-cell indices, shape (n, len)."""
-    comps = np.empty((n, len(indices)), dtype=np.int64)
-    rest = indices
-    for t in range(n - 1, 0, -1):
-        comps[t] = rest % base
-        rest = rest // base
-    comps[0] = rest
-    return comps
-
-
 def _recompose(comps: np.ndarray, base: int) -> np.ndarray:
     out = comps[0].copy()
     for t in range(1, comps.shape[0]):
@@ -105,13 +94,12 @@ def symmetric_product(spec: OrderedComplexSpec, n: int,
         raise SimplicialError("symmetric_product requires n >= 1")
     D = default_truncation(spec, n) if truncation is None else truncation
     X = from_ordered_complex(spec, D)
-    P, _ = power(X, n)
+    P, coordinates = power(X, n)
 
     pairs = {}
     for k in range(D + 1):
         idx = np.arange(P.counts[k], dtype=np.int64)
-        comps = _decompose_sorted(idx, X.counts[k], n)
-        canon = _recompose(np.sort(comps, axis=0), X.counts[k])
+        canon = _recompose(np.sort(coordinates[k], axis=0), X.counts[k])
         differ = canon != idx
         if differ.any():
             pairs[k] = (idx[differ], canon[differ])
@@ -153,7 +141,7 @@ def finite_subset_space(spec: OrderedComplexSpec, n: int,
 
     pairs = {}
     for k in range(SP.truncation + 1):
-        comps = _decompose_sorted(reps[k], X.counts[k], n)
+        comps = _decompose(reps[k], X.counts[k], n)
         canon_power = _recompose(_support_canonical(comps), X.counts[k])
         canon = q.assignment[k][canon_power]
         idx = np.arange(SP.counts[k], dtype=np.int64)
@@ -183,12 +171,11 @@ def direct_subset_quotient(spec: OrderedComplexSpec, n: int,
     """Sub_n(X) built in one step from X^n (cross-check construction)."""
     D = default_truncation(spec, n) if truncation is None else truncation
     X = from_ordered_complex(spec, D)
-    P, _ = power(X, n)
+    P, coordinates = power(X, n)
     pairs = {}
     for k in range(D + 1):
         idx = np.arange(P.counts[k], dtype=np.int64)
-        comps = _decompose_sorted(idx, X.counts[k], n)
-        canon = _recompose(_support_canonical(comps), X.counts[k])
+        canon = _recompose(_support_canonical(coordinates[k]), X.counts[k])
         differ = canon != idx
         if differ.any():
             pairs[k] = (idx[differ], canon[differ])

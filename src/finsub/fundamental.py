@@ -5,11 +5,17 @@ A connected simplicial set yields generators from its nondegenerate
 Simplification is best-effort under a move budget: reaching the empty
 presentation certifies triviality, while a stalled simplification is
 inconclusive (the word problem does not let us conclude nontriviality).
-The abelianization is always computed exactly.
+Almost every move eliminates a generator that occurs in a few relators,
+so the simplifier keeps an index from each generator to the relators that
+contain it and rewrites only those; lazy heaps give the next relator of
+length at most 2 and the next generator that occurs once, and the
+generators are renumbered once, at the end.  The abelianization is always
+computed exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,6 +33,8 @@ class GroupPresentation:
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.generator_count < 0:
+            raise ValueError(f"negative generator_count {self.generator_count}")
         for word in self.relators:
             for g in word:
                 if g == 0 or abs(g) > self.generator_count:
@@ -135,30 +143,6 @@ def _substitute(word: tuple[int, ...], gen: int,
     return _free_reduce(tuple(out))
 
 
-def _renumber(generator_count: int, relators: list[tuple[int, ...]],
-              removed: set[int]) -> GroupPresentation:
-    remap = {}
-    nxt = 1
-    for g in range(1, generator_count + 1):
-        if g not in removed:
-            remap[g] = nxt
-            nxt += 1
-    new_relators = []
-    for w in relators:
-        new_relators.append(tuple((1 if g > 0 else -1) * remap[abs(g)] for g in w))
-    return GroupPresentation(nxt - 1, tuple(new_relators))
-
-
-def _occurrences(relators: list[tuple[int, ...]], generator_count: int):
-    occ = [0] * (generator_count + 1)
-    where = [(-1, -1)] * (generator_count + 1)
-    for i, w in enumerate(relators):
-        for j, g in enumerate(w):
-            occ[abs(g)] += 1
-            where[abs(g)] = (i, j)
-    return occ, where
-
-
 def _shorten_with(short: tuple[int, ...], long_word: tuple[int, ...]):
     """Replace a long cyclic chunk of ``short`` inside ``long_word``."""
     n = len(short)
@@ -181,80 +165,125 @@ def _shorten_with(short: tuple[int, ...], long_word: tuple[int, ...]):
     return None
 
 
+def _key(word: tuple[int, ...]):
+    """Order in which relators are scanned: shortest, then least letters."""
+    return (len(word), tuple(abs(g) for g in word), word)
+
+
+def _pins(word: tuple[int, ...]) -> bool:
+    """Whether ``word`` alone eliminates a generator (length 1, or 2 on two)."""
+    return len(word) == 1 or (len(word) == 2 and abs(word[0]) != abs(word[1]))
+
+
 def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresentation:
     """Bounded best-effort simplification by Tietze transformations.
 
     Applies generator eliminations (length-1 and length-2 relators,
     generators occurring exactly once overall) and relator shortening via
     overlaps, until stable or the move budget runs out.
+
+    The relators are kept one per class of rotations and inversions, the
+    least under :func:`_key`, with an index from each generator to the
+    relators that contain it and its number of occurrences.  Eliminating a
+    generator rewrites only the relators in its index entry; a lazy heap
+    yields the least pinning relator and another the least generator that
+    occurs once.  Generators keep their input numbers until one order- and
+    sign-preserving renumbering at the end, so every choice is the one a
+    scan of the whole renumbered presentation would make.
     """
-    gens = pres.generator_count
-    relators = [_cyclic_reduce(w) for w in pres.relators]
+    count = pres.generator_count
+    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}    # canonical form -> relator
+    canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # relator -> canonical form
+    holders: list[set[tuple[int, ...]]] = [set() for _ in range(count + 1)]
+    occurrences = [0] * (count + 1)
+    pinning: list[tuple] = []    # (_key(w), w) for pinning relators, lazily stale
+    once: list[int] = []         # generators that occurred once, lazily stale
+
+    def add(canon, word):
+        rep_of[canon] = word
+        canon_of[word] = canon
+        for g in word:
+            occurrences[abs(g)] += 1
+            holders[abs(g)].add(word)
+        for g in word:
+            if occurrences[abs(g)] == 1:
+                heapq.heappush(once, abs(g))
+        if _pins(word):
+            heapq.heappush(pinning, (_key(word), word))
+
+    def remove(word):
+        del rep_of[canon_of.pop(word)]
+        for g in word:
+            occurrences[abs(g)] -= 1
+            holders[abs(g)].discard(word)
+        for g in word:
+            if occurrences[abs(g)] == 1:
+                heapq.heappush(once, abs(g))
+
+    def reduced(words):
+        return [w for w in map(_cyclic_reduce, words) if w]
+
+    eliminated: set[int] = set()
+    pending = reduced(pres.relators)    # new relators, merged at the next move
     moves = 0
-
     while moves < budget:
-        relators = sorted({w for w in (_cyclic_reduce(r) for r in relators) if w},
-                          key=lambda w: (len(w), [abs(g) for g in w], w))
-        dedup: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for w in relators:
-            dedup.setdefault(_canonical(w), w)
-        relators = list(dedup.values())
+        for word in pending:
+            canon = _canonical(word)
+            old = rep_of.get(canon)
+            if old is None:
+                add(canon, word)
+            elif _key(word) < _key(old):
+                remove(old)
+                add(canon, word)
+        pending = []
 
-        # eliminate a generator pinned by a relator of length 1 or 2
-        elim: tuple[int, tuple[int, ...]] | None = None
-        for w in relators:
-            if len(w) == 1:
-                elim = (abs(w[0]), ())
+        while pinning and pinning[0][1] not in canon_of:
+            heapq.heappop(pinning)
+        while once and occurrences[once[0]] != 1:
+            heapq.heappop(once)
+        if pinning:
+            word = pinning[0][1]
+            g = abs(word[0])
+            replacement = () if len(word) == 1 else (
+                (-word[1],) if word[0] > 0 else (word[1],))
+            touched = list(holders[g])
+            for w in touched:
+                remove(w)
+            pending = reduced(_substitute(w, g, replacement) for w in touched)
+        elif once:
+            # g = rest of its one relator, which drops out; no other relator has g
+            g = once[0]
+            remove(next(iter(holders[g])))
+        else:
+            shortened = _shorten_once(sorted(canon_of, key=_key))
+            if shortened is None:
                 break
-            if len(w) == 2 and abs(w[0]) != abs(w[1]):
-                g = w[0]
-                rest = (-w[1],) if g > 0 else (w[1],)
-                elim = (abs(g), rest)
-                break
-        if elim is None:
-            occ, where = _occurrences(relators, gens)
-            for g in range(1, gens + 1):
-                if occ[g] == 1:
-                    i, j = where[g]
-                    w = relators[i]
-                    rotated = w[j:] + w[:j]
-                    if rotated[0] < 0:
-                        rotated = _invert(rotated)
-                        rotated = rotated[-1:] + rotated[:-1]
-                    # rotated = (g, tail): g = tail^-1
-                    elim = (g, _invert(rotated[1:]))
-                    relators = relators[:i] + relators[i + 1:]
-                    break
-        if elim is not None:
-            g, repl = elim
-            relators = [w for w in (_substitute(w, g, repl) for w in relators) if w]
+            target, candidate = shortened
+            remove(target)
+            pending = reduced([candidate])
             moves += 1
-            renum = _renumber(gens, relators, {g})
-            gens = renum.generator_count
-            relators = list(renum.relators)
             continue
+        eliminated.add(g)
+        moves += 1
 
-        # relator-vs-relator shortening
-        improved = False
-        for i, short in enumerate(relators):
-            for j, target in enumerate(relators):
-                if i == j:
-                    continue
-                if len(target) < len(short):
-                    continue
+    number = {}
+    for g in range(1, count + 1):
+        if g not in eliminated:
+            number[g] = len(number) + 1
+    relators = {tuple(number[g] if g > 0 else -number[-g] for g in w)
+                for w in (*canon_of, *pending)}
+    return GroupPresentation(len(number), tuple(sorted(relators)))
+
+
+def _shorten_once(relators: list[tuple[int, ...]]):
+    """First ``(target, shorter)`` that one relator's overlap gives another."""
+    for i, short in enumerate(relators):
+        for j, target in enumerate(relators):
+            if i != j and len(target) >= len(short):
                 candidate = _shorten_with(short, target)
                 if candidate is not None:
-                    relators[j] = candidate
-                    improved = True
-                    moves += 1
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-
-    relators = sorted({w for w in (_cyclic_reduce(r) for r in relators) if w})
-    return GroupPresentation(gens, tuple(relators))
+                    return target, candidate
+    return None
 
 
 def abelianization(pres: GroupPresentation) -> HomologyGroup:

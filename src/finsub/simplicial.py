@@ -312,24 +312,25 @@ def from_ordered_complex(spec: OrderedComplexSpec, truncation: int) -> Truncated
 # products
 # ----------------------------------------------------------------------
 
-def _decompose(indices: np.ndarray, base: int, n: int) -> list[np.ndarray]:
-    """Split big-endian mixed-radix indices into n components."""
-    comps = []
+def _decompose(indices: np.ndarray, base: int, n: int) -> np.ndarray:
+    """Big-endian mixed-radix components of product-cell indices, shape (n, len)."""
+    comps = np.empty((n, len(indices)), dtype=np.int64)
     rest = indices
     for t in range(n - 1, 0, -1):
-        comps.append(rest % base)
+        comps[t] = rest % base
         rest = rest // base
-    comps.append(rest)
-    comps.reverse()
+    comps[0] = rest
     return comps
 
 
 def power(S: TruncatedSimplicialSet, n: int):
     """n-fold levelwise product of a simplicial set with itself.
 
-    Returns ``(P, projections)`` where the i-th projection maps a product
-    cell to its i-th coordinate.  Raises :class:`CellCapExceeded` before
-    allocating anything if the enumeration would exceed the cap.
+    Returns ``(P, coordinates)`` where ``coordinates[k][t]`` is the t-th
+    coordinate of every level-k cell of P, an ``(n, counts[k])`` array per
+    level; :func:`projections` makes checked maps of them.  Raises
+    :class:`CellCapExceeded` before allocating anything if the enumeration
+    would exceed the cap.
     """
     if n < 1:
         raise SimplicialError("power requires n >= 1")
@@ -342,10 +343,8 @@ def power(S: TruncatedSimplicialSet, n: int):
             "raise FINSUB_CELL_CAP to override)")
 
     counts = [c ** n for c in S.counts]
-    comps_per_level: list[list[np.ndarray]] = []
-    for k in range(D + 1):
-        comps_per_level.append(_decompose(np.arange(counts[k], dtype=np.int64),
-                                          S.counts[k], n))
+    coordinates = tuple(_decompose(np.arange(counts[k], dtype=np.int64), S.counts[k], n)
+                        for k in range(D + 1))
 
     def recompose(comp_arrays: list[np.ndarray], base: int) -> np.ndarray:
         out = comp_arrays[0].copy()
@@ -356,14 +355,14 @@ def power(S: TruncatedSimplicialSet, n: int):
 
     faces: list[np.ndarray | None] = [None]
     for k in range(1, D + 1):
-        comps = comps_per_level[k]
+        comps = coordinates[k]
         table = np.empty((counts[k], k + 1), dtype=np.int64)
         for i in range(k + 1):
             table[:, i] = recompose([S.faces[k][c, i] for c in comps], S.counts[k - 1])
         faces.append(table)
     degens: list[np.ndarray] = []
     for k in range(D):
-        comps = comps_per_level[k]
+        comps = coordinates[k]
         table = np.empty((counts[k], k + 1), dtype=np.int64)
         for j in range(k + 1):
             table[:, j] = recompose([S.degens[k][c, j] for c in comps], S.counts[k + 1])
@@ -382,11 +381,14 @@ def power(S: TruncatedSimplicialSet, n: int):
 
     P = TruncatedSimplicialSet(D, counts, faces, degens, payload,
                                name=f"{S.name}^{n}")
-    projections = tuple(
-        SSetMap(P, S, tuple(comps_per_level[k][t] for k in range(D + 1)),
-                name=f"proj{t}")
-        for t in range(n))
-    return P, projections
+    return P, coordinates
+
+
+def projections(S: TruncatedSimplicialSet, n: int) -> tuple[SSetMap, ...]:
+    """The n coordinate projections S^n -> S, on the product :func:`power` builds."""
+    P, coordinates = power(S, n)
+    return tuple(SSetMap(P, S, tuple(c[t] for c in coordinates), name=f"proj{t}")
+                 for t in range(n))
 
 
 # ----------------------------------------------------------------------

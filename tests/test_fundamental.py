@@ -1,12 +1,123 @@
+"""Tests of pi_1 presentations, including a differential test of Tietze moves.
+
+``reference_tietze_simplify`` is the simplifier as it was before the
+occurrence index: every move re-reduces, re-sorts and re-deduplicates the
+whole presentation and renumbers the generators.  It is kept here only as
+an oracle; it shares the word primitives of ``finsub.fundamental`` but none
+of the bookkeeping.
+"""
+
+import random
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finsub.fundamental import (GroupPresentation, abelianization,
                                 fundamental_presentation, tietze_simplify,
-                                _cyclic_reduce, _free_reduce)
+                                _canonical, _cyclic_reduce, _free_reduce, _invert,
+                                _shorten_with, _substitute)
 from finsub.homology import homology_of_sset
 from finsub.constructions import finite_subset_space, symmetric_product
 from finsub.simplicial import SimplicialError, from_ordered_complex
 from finsub.spaces import builtin_space
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import relabel  # noqa: E402
+
+
+def _renumber(generator_count, relators, removed):
+    remap = {}
+    nxt = 1
+    for g in range(1, generator_count + 1):
+        if g not in removed:
+            remap[g] = nxt
+            nxt += 1
+    new_relators = []
+    for w in relators:
+        new_relators.append(tuple((1 if g > 0 else -1) * remap[abs(g)] for g in w))
+    return GroupPresentation(nxt - 1, tuple(new_relators))
+
+
+def _occurrences(relators, generator_count):
+    occ = [0] * (generator_count + 1)
+    where = [(-1, -1)] * (generator_count + 1)
+    for i, w in enumerate(relators):
+        for j, g in enumerate(w):
+            occ[abs(g)] += 1
+            where[abs(g)] = (i, j)
+    return occ, where
+
+
+def reference_tietze_simplify(pres, budget=20000):
+    """Tietze moves that rebuild the whole presentation after each one."""
+    gens = pres.generator_count
+    relators = [_cyclic_reduce(w) for w in pres.relators]
+    moves = 0
+
+    while moves < budget:
+        relators = sorted({w for w in (_cyclic_reduce(r) for r in relators) if w},
+                          key=lambda w: (len(w), [abs(g) for g in w], w))
+        dedup = {}
+        for w in relators:
+            dedup.setdefault(_canonical(w), w)
+        relators = list(dedup.values())
+
+        elim = None
+        for w in relators:
+            if len(w) == 1:
+                elim = (abs(w[0]), ())
+                break
+            if len(w) == 2 and abs(w[0]) != abs(w[1]):
+                g = w[0]
+                rest = (-w[1],) if g > 0 else (w[1],)
+                elim = (abs(g), rest)
+                break
+        if elim is None:
+            occ, where = _occurrences(relators, gens)
+            for g in range(1, gens + 1):
+                if occ[g] == 1:
+                    i, j = where[g]
+                    w = relators[i]
+                    rotated = w[j:] + w[:j]
+                    if rotated[0] < 0:
+                        rotated = _invert(rotated)
+                        rotated = rotated[-1:] + rotated[:-1]
+                    elim = (g, _invert(rotated[1:]))
+                    relators = relators[:i] + relators[i + 1:]
+                    break
+        if elim is not None:
+            g, repl = elim
+            relators = [w for w in (_substitute(w, g, repl) for w in relators) if w]
+            moves += 1
+            renum = _renumber(gens, relators, {g})
+            gens = renum.generator_count
+            relators = list(renum.relators)
+            continue
+
+        improved = False
+        for i, short in enumerate(relators):
+            for j, target in enumerate(relators):
+                if i == j:
+                    continue
+                if len(target) < len(short):
+                    continue
+                candidate = _shorten_with(short, target)
+                if candidate is not None:
+                    relators[j] = candidate
+                    improved = True
+                    moves += 1
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+
+    relators = sorted({w for w in (_cyclic_reduce(r) for r in relators) if w})
+    return GroupPresentation(gens, tuple(relators))
 
 
 def test_free_and_cyclic_reduction():
@@ -85,9 +196,99 @@ def test_disconnected_rejected():
 def test_presentation_validation():
     with pytest.raises(ValueError):
         GroupPresentation(1, ((2,),))
+    with pytest.raises(ValueError, match="generator_count"):
+        GroupPresentation(-1, ())
 
 
 def test_budget_zero_returns_input_shape():
     pres = GroupPresentation(2, ((1, 1), (2, 2)))
     out = tietze_simplify(pres, budget=0)
     assert out.generator_count == 2
+
+
+@st.composite
+def _presentations(draw):
+    """Small presentations rich in the cases each Tietze move handles.
+
+    Besides random words there are relators of length 1 and 2, squares
+    ``(g, g)``, rotations and inverses of earlier relators (duplicates the
+    dedup must see through), empty relators, and generators that occur in
+    only one relator.
+    """
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return GroupPresentation(0, draw(st.lists(st.just(()), max_size=2)))
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["word", "word", "short", "square", "rotate", "invert", "once", "empty"]),
+            max_size=9)):
+        if kind == "word":
+            word = tuple(draw(st.lists(letter, min_size=1, max_size=7)))
+        elif kind == "short":
+            word = tuple(draw(st.lists(letter, min_size=1, max_size=2)))
+        elif kind == "square":
+            g = draw(letter)
+            word = (g, g)
+        elif kind in ("rotate", "invert") and relators:
+            word = draw(st.sampled_from(relators))
+            i = draw(st.integers(0, max(len(word) - 1, 0)))
+            word = word[i:] + word[:i]
+            if kind == "invert":
+                word = _invert(word)
+        elif kind == "once":
+            # a generator absent from every relator so far, placed once
+            used = {abs(g) for w in relators for g in w}
+            free = [g for g in range(1, n + 1) if g not in used]
+            if not free:
+                continue
+            g = draw(st.sampled_from(free)) * draw(st.sampled_from((1, -1)))
+            rest = [h for h in draw(st.lists(letter, max_size=5)) if abs(h) != abs(g)]
+            i = draw(st.integers(0, len(rest)))
+            word = tuple(rest[:i] + [g] + rest[i:])
+        else:
+            word = ()
+        relators.append(word)
+    return GroupPresentation(n, tuple(relators))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_presentations(), st.sampled_from([0, 1, 2, 3, 5, 20000]))
+@example(GroupPresentation(2, ((1, 1), (2, 2))), 20000)
+@example(GroupPresentation(2, ((1, 2), (2, 1), (-1, -2))), 20000)
+@example(GroupPresentation(3, ((1, 2, -1, -2), (3,), (2, 1, -2, -1))), 1)
+def test_tietze_matches_reference(pres, budget):
+    simplified = tietze_simplify(pres, budget=budget)
+    assert simplified == reference_tietze_simplify(pres, budget=budget)
+    assert _abelian(simplified) == _abelian(pres)
+
+
+def _abelian(pres):
+    ab = abelianization(pres)
+    return ab.betti, ab.torsion
+
+
+def _sp2_torus(seed):
+    spec = relabel(builtin_space("torus"), random.Random(seed))
+    return symmetric_product(spec, 2).space
+
+
+def _sub3(name):
+    return finite_subset_space(builtin_space(name), 3, with_filtration=False).space
+
+
+@lru_cache(maxsize=None)
+def _real_presentation(key):
+    kind, arg = key
+    return fundamental_presentation(_sp2_torus(arg) if kind == "sp2-torus" else _sub3(arg))
+
+
+@pytest.mark.parametrize("key", [("sp2-torus", 0), ("sp2-torus", 1), ("sp2-torus", 2),
+                                 ("sub3", "wedge_circles2"), ("sub3", "circle3"),
+                                 ("sub3", "sphere2")])
+@pytest.mark.parametrize("budget", [0, 1, 5, 20000])
+def test_tietze_matches_reference_on_real_presentations(key, budget):
+    pres = _real_presentation(key)
+    simplified = tietze_simplify(pres, budget=budget)
+    assert simplified == reference_tietze_simplify(pres, budget=budget)
+    assert _abelian(simplified) == _abelian(pres)

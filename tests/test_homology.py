@@ -11,7 +11,7 @@ from finsub.homology import (ChainComplexZ, HomologyError, HomologyGroup,
                              induced_map, invariant_factors, normalized_chains,
                              rank_mod_p, smith_normal_form,
                              universal_coefficients_consistent)
-from finsub.simplicial import from_ordered_complex, identity_map, power
+from finsub.simplicial import from_ordered_complex, identity_map, power, projections
 from finsub.spaces import builtin_space
 
 
@@ -170,13 +170,13 @@ def test_induced_map_identity():
 
 def test_induced_map_functoriality():
     S = from_ordered_complex(builtin_space("circle3"), 2)
-    P, projections = power(S, 2)
-    coords_p = HomologyCoordinates(normalized_chains(P, with_labels=False))
+    proj = projections(S, 2)
+    coords_p = HomologyCoordinates(normalized_chains(proj[0].source, with_labels=False))
     coords_s = HomologyCoordinates(normalized_chains(S, with_labels=False))
     # composing with the identity reproduces the projection matrix
     from finsub.simplicial import compose_maps, identity_map as ident
-    comp = compose_maps(ident(S), projections[0])
-    a = induced_map(projections[0], 1, coords_p, coords_s)
+    comp = compose_maps(ident(S), proj[0])
+    a = induced_map(proj[0], 1, coords_p, coords_s)
     b = induced_map(comp, 1, coords_p, coords_s)
     assert a == b
 

@@ -10,7 +10,8 @@ from finsub.homology import euler_characteristic, homology_of_sset, normalized_c
 from finsub.simplicial import (CellCapExceeded, SSetMap, SimplicialError,
                                TruncatedSimplicialSet, _normalize_pairs, cell_cap,
                                collapse, compose_maps, from_ordered_complex,
-                               identity_map, power, quotient, sub_object)
+                               identity_map, power, projections, quotient,
+                               sub_object)
 from finsub.spaces import builtin_space, load_complex
 
 
@@ -48,7 +49,7 @@ def test_payloads_are_lex_sorted(circle):
 
 
 def test_power_square_of_circle(circle):
-    P, projections = power(circle, 2)
+    P, coordinates = power(circle, 2)
     # triangulated torus: nondegenerate cells and Euler characteristic
     assert P.nondeg_counts() == (9, 27, 18)
     assert euler_characteristic(normalized_chains(P)) == 0
@@ -56,9 +57,14 @@ def test_power_square_of_circle(circle):
     assert [str(g) for g in h.groups] == ["Z", "Z^2", "Z"]
     # the top level still carries cells, so degree 2 is flagged
     assert h.unreliable == frozenset({2})
-    assert len(projections) == 2
-    for proj in projections:
-        assert proj.target is circle
+    assert [c.shape for c in coordinates] == [(2, n) for n in P.counts]
+    proj = projections(circle, 2)
+    assert len(proj) == 2
+    for t, p in enumerate(proj):
+        assert p.source.same_cells(P)
+        assert p.target is circle
+        for k in range(P.truncation + 1):
+            assert np.array_equal(p.assignment[k], coordinates[k][t])
 
 
 def test_power_one_is_identity(circle):
@@ -151,16 +157,16 @@ def test_compose_maps_and_identity(circle):
     comp = compose_maps(ident, ident)
     assert all(np.array_equal(a, b) for a, b in
                zip(comp.assignment, ident.assignment))
-    P, projections = power(circle, 2)
-    back = compose_maps(ident, projections[0])
+    proj = projections(circle, 2)
+    back = compose_maps(ident, proj[0])
     assert all(np.array_equal(a, b) for a, b in
-               zip(back.assignment, projections[0].assignment))
+               zip(back.assignment, proj[0].assignment))
 
 
 def test_compose_maps_mismatch(circle):
-    P, projections = power(circle, 2)
+    proj = projections(circle, 2)
     with pytest.raises(SimplicialError, match="source"):
-        compose_maps(projections[0], projections[0])
+        compose_maps(proj[0], proj[0])
 
 
 def test_map_validation_catches_noncommuting(circle):
