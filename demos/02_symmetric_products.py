@@ -6,9 +6,8 @@ circle is a Moebius band, SP^2(S^2) is the complex projective plane, and
 the diagonal S^2 -> SP^2(S^2) doubles the fundamental class.
 """
 
-from finsub import (HomologyCoordinates, builtin_space, chain_map_matrices,
-                    homology_of_sset, normalized_chains, symmetric_product)
-from finsub.homology import induced_matrix_from_chain_map
+from finsub import (HomologyCoordinates, builtin_space, homology_of_sset,
+                    induced_map, normalized_chains, symmetric_product)
 
 
 def show(name, n):
@@ -29,6 +28,5 @@ show("torus", 2)          # torsion-free, ranks 1,2,2,2,1
 coords_x = HomologyCoordinates(normalized_chains(sp.parts["base"], with_labels=False))
 coords_sp = HomologyCoordinates(normalized_chains(sp.space, with_labels=False))
 for label in ("diag", "j_n"):
-    F = chain_map_matrices(sp.maps[label])[2]
-    matrix = induced_matrix_from_chain_map(F, 2, coords_x, coords_sp)
+    matrix = induced_map(sp.maps[label], 2, coords_x, coords_sp)
     print(f"{label}_* on H_2(S^2) -> H_2(SP^2 S^2): {matrix}")

@@ -13,19 +13,18 @@ import json
 import sys
 from pathlib import Path
 
-from . import constructions as cons
 from . import surface as surf
-from .homology import (HomologyCoordinates, HomologyError, chain_map_matrices,
-                       homology, induced_matrix_from_chain_map, is_prime,
-                       normalized_chains)
+from .constructions import CONSTRUCTIONS
+from .homology import (HomologyCoordinates, HomologyError, homology, induced_map,
+                       is_prime, normalized_chains)
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
 from .verify import catalog, run_suite
 
 BUILTIN_NAMES = ["interval", "circle(m), m>=3", "sphere(d), d>=1", "torus",
                  "rp2", "wedge_circles(r), r>=1"]
 
-CONSTRUCTIONS = ("space", "sp", "sub", "based_sub3", "fat", "reduced_sp",
-                 "reduced_sub", "cylinder", "coproduct", "surface")
+# structure map name -> the construction whose result carries it
+MAP_OWNERS = {m: name for name, entry in CONSTRUCTIONS.items() for m in entry.maps}
 
 
 def _load_space(arg: str) -> OrderedComplexSpec:
@@ -57,45 +56,35 @@ def _vector_space(dim: int, p: int) -> str:
 def _homology_groups(args, mod: int | None) -> tuple[list, dict]:
     meta: dict = {"space": args.space, "construction": args.construction,
                   "coeff": args.coeff}
+    entry = CONSTRUCTIONS[args.construction]
+    if entry.load is builtin_space:
+        space = _load_space(args.space)
+    else:   # a space named with or without "builtin:", e.g. a surface
+        space = entry.load(args.space.split(":", 1)[-1])
+    if entry.yields == "groups" and mod is not None:
+        raise ComplexError(f"the {args.construction} model computes integral "
+                           "homology only (use --coeff z)")
+    built = entry.build(space, args.n)
+    if entry.yields == "groups":
+        return list(built.groups), meta
+    if entry.yields == "sset":
+        meta["cells"] = built.space.total_cells()
+        meta["nondegenerate"] = list(built.space.nondeg_counts())
+    chains = entry.chains(built)
     if args.construction == "surface":
-        name = args.space.split(":", 1)[-1]
-        chains = surf.sp_chain_complex(surf.builtin_presentation(name), args.n)
-        result = homology(chains, mod=mod)
         meta["generators"] = sum(chains.ranks)
-        return list(result.groups), meta
-    spec = _load_space(args.space)
-    if args.construction == "coproduct":
-        if mod is not None:
-            raise ComplexError("the coproduct model computes integral homology "
-                               "only (use --coeff z)")
-        model = cons.sub3_homology_via_coproduct(spec)
-        return list(model.groups), meta
-    if args.construction == "cylinder":
-        result = homology(cons.cylinder_chain_model(spec), mod=mod)
-        if result.unreliable:
-            meta["unreliable_degrees"] = sorted(result.unreliable)
-        return list(result.groups), meta
-    if args.construction == "space":
-        from .simplicial import from_ordered_complex
-        sset = from_ordered_complex(spec, spec.dimension + 1)
-    elif args.construction == "sp":
-        sset = cons.symmetric_product(spec, args.n).space
-    elif args.construction == "sub":
-        sset = cons.finite_subset_space(spec, args.n, with_filtration=False).space
-    elif args.construction == "based_sub3":
-        sset = cons.based_subset3(spec).space
-    elif args.construction == "fat":
-        sset = cons.fat_diagonal(spec, args.n).space
-    elif args.construction in ("reduced_sp", "reduced_sub"):
-        sset = cons.reduced(spec, args.n, args.construction.split("_")[1]).space
-    else:
-        raise ComplexError(f"unknown construction {args.construction!r}")
-    meta["cells"] = sset.total_cells()
-    meta["nondegenerate"] = list(sset.nondeg_counts())
-    result = homology(normalized_chains(sset, with_labels=False), mod=mod)
+    result = homology(chains, mod=mod)
     if result.unreliable:
         meta["unreliable_degrees"] = sorted(result.unreliable)
     return list(result.groups), meta
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _cmd_spaces(args) -> int:
@@ -120,25 +109,12 @@ def _cmd_homology(args) -> int:
 
 def _cmd_map(args) -> int:
     spec = _load_space(args.space)
-    if args.name in ("diag", "j_n"):
-        built = cons.symmetric_product(spec, args.n)
-        f = built.maps[args.name]
-    elif args.name in ("j", "pi"):
-        built = cons.finite_subset_space(spec, args.n, with_filtration=False)
-        f = built.maps[args.name]
-    elif args.name == "alpha":
-        built = cons.based_subset3(spec)
-        f = built.maps["alpha"]
-    else:
-        raise ComplexError(f"unknown map {args.name!r} "
-                           "(use diag, j_n, j, pi, alpha)")
-    if not 0 <= args.degree <= f.source.truncation:
-        raise HomologyError(f"degree {args.degree} out of range "
-                            f"0..{f.source.truncation} for {args.name}")
+    if args.name not in MAP_OWNERS:
+        raise ComplexError(f"unknown map {args.name!r} (use {', '.join(MAP_OWNERS)})")
+    f = CONSTRUCTIONS[MAP_OWNERS[args.name]].build(spec, args.n).maps[args.name]
     src = HomologyCoordinates(normalized_chains(f.source, with_labels=False))
     dst = HomologyCoordinates(normalized_chains(f.target, with_labels=False))
-    F = chain_map_matrices(f)[args.degree]
-    matrix = induced_matrix_from_chain_map(F, args.degree, src, dst)
+    matrix = induced_map(f, args.degree, src, dst)
     payload = {
         "map": args.name, "degree": args.degree,
         "source": str(src.group(args.degree)),
@@ -212,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="paper",
                    help="paper (required cases), stretch, or all")
     p.add_argument("--filter", default=None, help="glob over case ids")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--emit", choices=("table", "json"), default="table")
     p.set_defaults(fn=_cmd_verify)
 

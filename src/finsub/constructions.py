@@ -7,10 +7,15 @@ space Sub_n(X), and cell selections give fat diagonals, filtrations and
 reduced (collapsed) variants.  Three independent models of the based
 three-fold subset space Sub_3(X, x0) are provided so they can be checked
 against one another.
+
+``CONSTRUCTIONS`` is the one registry from a construction name (the
+``--construction`` choices of the command line, and the constructions
+verification cases name) to its builder of (space, n).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +26,8 @@ from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
 from .simplicial import (SSetMap, SimplicialError, TruncatedSimplicialSet,
                          _decompose, collapse, compose_maps, from_ordered_complex,
                          power, quotient, sub_object)
-from .spaces import OrderedComplexSpec
+from .spaces import OrderedComplexSpec, builtin_space
+from .surface import builtin_presentation, sp_chain_complex
 
 
 @dataclass
@@ -83,6 +89,24 @@ def _support_canonical(comps: np.ndarray) -> np.ndarray:
     return np.sort(out, axis=0)
 
 
+def _glue(S: TruncatedSimplicialSet, level_pairs, name: str):
+    """Quotient of S gluing ``a[i]`` to ``b[i]`` wherever they differ, for
+    the arrays ``(a, b) = level_pairs(k)`` of each level k."""
+    pairs = {}
+    for k in range(S.truncation + 1):
+        a, b = level_pairs(k)
+        differ = a != b
+        if differ.any():
+            pairs[k] = (a[differ], b[differ])
+    return quotient(S, pairs, name=name)
+
+
+def _canonical_quotient(S: TruncatedSimplicialSet, canonical, name: str):
+    """Quotient of S gluing each cell to ``canonical(k)[cell]`` at level k."""
+    return _glue(S, lambda k: (np.arange(S.counts[k], dtype=np.int64), canonical(k)),
+                 name)
+
+
 def symmetric_product(spec: OrderedComplexSpec, n: int,
                       truncation: int | None = None) -> ConstructionResult:
     """SP^n(X): the quotient of X^n by coordinate permutations.
@@ -95,15 +119,9 @@ def symmetric_product(spec: OrderedComplexSpec, n: int,
     D = default_truncation(spec, n) if truncation is None else truncation
     X = from_ordered_complex(spec, D)
     P, coordinates = power(X, n)
-
-    pairs = {}
-    for k in range(D + 1):
-        idx = np.arange(P.counts[k], dtype=np.int64)
-        canon = _recompose(np.sort(coordinates[k], axis=0), X.counts[k])
-        differ = canon != idx
-        if differ.any():
-            pairs[k] = (idx[differ], canon[differ])
-    SP, q = quotient(P, pairs, name=f"SP^{n}({spec.name})")
+    SP, q = _canonical_quotient(
+        P, lambda k: _recompose(np.sort(coordinates[k], axis=0), X.counts[k]),
+        name=f"SP^{n}({spec.name})")
     _assert_dimension_bound(SP, spec, n)
 
     towers = [X.degenerate_tower(spec.basepoint, k) for k in range(D + 1)]
@@ -139,16 +157,11 @@ def finite_subset_space(spec: OrderedComplexSpec, n: int,
     X = sp.parts["base"]
     reps = _class_reps(q)
 
-    pairs = {}
-    for k in range(SP.truncation + 1):
+    def canonical(k):
         comps = _decompose(reps[k], X.counts[k], n)
-        canon_power = _recompose(_support_canonical(comps), X.counts[k])
-        canon = q.assignment[k][canon_power]
-        idx = np.arange(SP.counts[k], dtype=np.int64)
-        differ = canon != idx
-        if differ.any():
-            pairs[k] = (idx[differ], canon[differ])
-    Sub, pi = quotient(SP, pairs, name=f"Sub_{n}({spec.name})")
+        return q.assignment[k][_recompose(_support_canonical(comps), X.counts[k])]
+
+    Sub, pi = _canonical_quotient(SP, canonical, name=f"Sub_{n}({spec.name})")
     _assert_dimension_bound(Sub, spec, n)
 
     maps = {
@@ -172,14 +185,9 @@ def direct_subset_quotient(spec: OrderedComplexSpec, n: int,
     D = default_truncation(spec, n) if truncation is None else truncation
     X = from_ordered_complex(spec, D)
     P, coordinates = power(X, n)
-    pairs = {}
-    for k in range(D + 1):
-        idx = np.arange(P.counts[k], dtype=np.int64)
-        canon = _recompose(_support_canonical(coordinates[k]), X.counts[k])
-        differ = canon != idx
-        if differ.any():
-            pairs[k] = (idx[differ], canon[differ])
-    return quotient(P, pairs, name=f"Sub_{n}({spec.name})|direct")
+    return _canonical_quotient(
+        P, lambda k: _recompose(_support_canonical(coordinates[k]), X.counts[k]),
+        name=f"Sub_{n}({spec.name})|direct")
 
 
 def fat_diagonal(spec: OrderedComplexSpec, n: int,
@@ -205,17 +213,14 @@ def based_subset3(spec: OrderedComplexSpec,
     sp = symmetric_product(spec, 2, truncation)
     X = sp.parts["base"]
     q = sp.maps["q"]
-    pairs = {}
-    for k in range(X.truncation + 1):
+
+    def diagonal_and_padded(k):
         M = X.counts[k]
-        t = X.degenerate_tower(spec.basepoint, k)
         sigma = np.arange(M, dtype=np.int64)
-        a = q.assignment[k][sigma * M + sigma]
-        b = q.assignment[k][sigma * M + t]
-        differ = a != b
-        if differ.any():
-            pairs[k] = (a[differ], b[differ])
-    B, alpha = quotient(sp.space, pairs, name=f"Sub_3({spec.name},x0)")
+        return (q.assignment[k][sigma * M + sigma],
+                q.assignment[k][sigma * M + X.degenerate_tower(spec.basepoint, k)])
+
+    B, alpha = _glue(sp.space, diagonal_and_padded, name=f"Sub_3({spec.name},x0)")
     maps = {
         "alpha": alpha,
         "j_x0": compose_maps(alpha, sp.maps["j_n"], name="j_x0"),
@@ -374,3 +379,44 @@ def sub3_homology_via_coproduct(spec: OrderedComplexSpec) -> CoproductModelResul
         quotients[k] = quotient_k
         groups.append(quotient_k.group(k))
     return CoproductModelResult(tuple(groups), quotients, j_matrix, diag_matrix)
+
+
+@dataclass(frozen=True)
+class Construction:
+    """How one named construction is built from (space, n).
+
+    ``build(space, n)`` returns a ConstructionResult when ``yields`` is
+    ``"sset"``, a ChainComplexZ when it is ``"chains"`` and a
+    CoproductModelResult (integral groups only) when it is ``"groups"``.
+    ``load`` turns a built-in name into the space ``build`` takes, and
+    ``maps`` lists the structure maps of the result that ``finsub map``
+    offers.  Builders look the construction functions up at call time.
+    """
+
+    build: Callable[[object, int | None], object]
+    yields: str = "sset"
+    load: Callable[[str], object] = builtin_space
+    maps: tuple[str, ...] = ()
+
+    def chains(self, built) -> ChainComplexZ:
+        """The chain complex of a result of ``build`` (not for ``"groups"``)."""
+        if self.yields == "chains":
+            return built
+        return normalized_chains(built.space, with_labels=False)
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "space": Construction(lambda spec, n: ConstructionResult(
+        from_ordered_complex(spec, spec.dimension + 1), {})),
+    "sp": Construction(lambda spec, n: symmetric_product(spec, n), maps=("diag", "j_n")),
+    "sub": Construction(lambda spec, n: finite_subset_space(spec, n, with_filtration=False),
+                        maps=("j", "pi")),
+    "based_sub3": Construction(lambda spec, n: based_subset3(spec), maps=("alpha",)),
+    "fat": Construction(lambda spec, n: fat_diagonal(spec, n)),
+    "reduced_sp": Construction(lambda spec, n: reduced(spec, n, "sp")),
+    "reduced_sub": Construction(lambda spec, n: reduced(spec, n, "sub")),
+    "cylinder": Construction(lambda spec, n: cylinder_chain_model(spec), "chains"),
+    "coproduct": Construction(lambda spec, n: sub3_homology_via_coproduct(spec), "groups"),
+    "surface": Construction(lambda pres, n: sp_chain_complex(pres, n), "chains",
+                            load=builtin_presentation),
+}

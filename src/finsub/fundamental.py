@@ -44,13 +44,6 @@ class GroupPresentation:
     def is_trivial(self) -> bool:
         return self.generator_count == 0
 
-    @property
-    def is_free(self) -> bool:
-        return not self.relators
-
-    def total_relator_length(self) -> int:
-        return sum(len(w) for w in self.relators)
-
 
 def fundamental_presentation(S: TruncatedSimplicialSet) -> GroupPresentation:
     """Edge-path presentation of the fundamental group of a simplicial set.

@@ -734,9 +734,6 @@ class HomologyResult:
             return self.groups[degree]
         return HomologyGroup(degree, 0)
 
-    def betti_vector(self) -> tuple[int, ...]:
-        return tuple(g.betti for g in self.groups)
-
     def __iter__(self):
         return iter(self.groups)
 
@@ -924,14 +921,16 @@ def induced_map(f: SSetMap, degree: int,
 
     Rows index target generators, columns source generators; entries are
     reduced modulo the target torsion orders.  Pass precomputed
-    coordinate systems to amortize repeated calls.
+    coordinate systems to amortize repeated calls.  A degree outside
+    0..truncation of the source raises HomologyError before any work.
     """
+    if not 0 <= degree <= f.source.truncation:
+        raise HomologyError(f"degree {degree} out of the source's range "
+                            f"0..{f.source.truncation}")
     if src_coords is None:
         src_coords = HomologyCoordinates(normalized_chains(f.source, with_labels=False))
     if dst_coords is None:
         dst_coords = HomologyCoordinates(normalized_chains(f.target, with_labels=False))
-    if degree > f.source.truncation:
-        raise HomologyError(f"degree {degree} out of range for the source")
     F = chain_map_matrices(f)[degree]
     return induced_matrix_from_chain_map(F, degree, src_coords, dst_coords)
 

@@ -9,7 +9,9 @@ cells.
 All comparisons are exact integer equality; there are no tolerances.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,19 @@ def test_all_required_cases_pass(paper_report):
     print(f"ACCEPTANCE -- [{'PASS' if not bad else 'FAIL'}] "
           f"full required suite ({len(paper_report.cases)} cases)")
     assert paper_report.passed and not bad, bad
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_paper.json"
+
+
+def test_required_suite_matches_golden_report(paper_report):
+    """Every required case keeps the status, cells and computed value of
+    the report on record in tests/data/verify_paper.json."""
+    fields = ("id", "status", "tag", "cells", "computed")
+    got = json.loads(paper_report.to_json())["cases"]
+    want = json.loads(GOLDEN.read_text())["cases"]
+    assert [{k: c[k] for k in fields} for c in got] == \
+        [{k: c[k] for k in fields} for c in want]
 
 
 @pytest.mark.skipif(os.environ.get("FINSUB_STRETCH") != "1",

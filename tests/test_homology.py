@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from math import gcd
 
@@ -179,6 +180,20 @@ def test_induced_map_functoriality():
     a = induced_map(proj[0], 1, coords_p, coords_s)
     b = induced_map(comp, 1, coords_p, coords_s)
     assert a == b
+
+
+def test_induced_map_checks_degree_first(monkeypatch):
+    # the package re-exports a function named homology over the submodule
+    homology_module = importlib.import_module("finsub.homology")
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("chains built before the degree check")
+
+    f = identity_map(from_ordered_complex(builtin_space("circle3"), 2))
+    monkeypatch.setattr(homology_module, "normalized_chains", no_chains)
+    for degree in (-1, 3):
+        with pytest.raises(HomologyError, match="out of"):
+            induced_map(f, degree)
 
 
 def test_coordinates_roundtrip_rp2():

@@ -28,9 +28,8 @@ def test_run_single_fast_case():
 
 
 def test_deliberately_wrong_expectation_fails():
-    case = VerificationCase("wrong-torsion", "harness self-test", "reduced_sub",
-                            (("space", "circle3"), ("n", 2)), "z",
-                            [[1, []], [0, [3]]])
+    case = VerificationCase("wrong-torsion", "harness self-test", "homology",
+                            "reduced_sub", "circle3", 2, [[1, []], [0, [3]]])
     report = run_case(case)
     assert report.status == "fail"
     assert report.computed[1] == [0, [2]]
@@ -124,7 +123,7 @@ def test_concurrent_cases_build_a_construction_once(monkeypatch):
 def test_raising_case_is_reported_and_suite_runs_on(monkeypatch):
     fast = [c for c in catalog() if c.id in ("mobius-sp2-s1", "euler-characteristics")]
     broken = VerificationCase("broken-space", "a case whose space does not exist",
-                              "sp", (("space", "mystery"), ("n", 2)))
+                              "homology", "sp", "mystery", 2)
     monkeypatch.setattr(verify, "catalog", lambda: [fast[0], broken, fast[1]])
     report = run_suite("*", jobs=2)
     assert [c.id for c in report.cases] == [fast[0].id, "broken-space", fast[1].id]
@@ -166,6 +165,46 @@ def test_cli_homology_json(capsys):
     assert data["groups"][4] == {"dim": 4, "betti": 1, "torsion": []}
 
 
+# `finsub homology --emit json` of every construction: the groups and the
+# meta beyond space/construction/coeff, as given before the registry.
+CONSTRUCTION_OUTPUTS = [
+    ("space", {"cells": 18, "nondegenerate": [3, 3, 0]},
+     [[1, []], [1, []], [0, []]]),
+    ("sp", {"cells": 150, "nondegenerate": [6, 15, 9, 0]},
+     [[1, []], [1, []], [0, []], [0, []]]),
+    ("sub", {"cells": 150, "nondegenerate": [6, 15, 9, 0]},
+     [[1, []], [1, []], [0, []], [0, []]]),
+    ("based_sub3", {"cells": 124, "nondegenerate": [4, 12, 9, 0]},
+     [[1, []], [0, []], [0, []], [0, []]]),
+    ("fat", {"cells": 30, "nondegenerate": [3, 3, 0, 0]},
+     [[1, []], [1, []], [0, []], [0, []]]),
+    ("reduced_sp", {"cells": 124, "nondegenerate": [4, 12, 9, 0]},
+     [[1, []], [0, []], [0, []], [0, []]]),
+    ("reduced_sub", {"cells": 124, "nondegenerate": [4, 12, 9, 0]},
+     [[1, []], [0, [2]], [0, []], [0, []]]),
+    ("cylinder", {}, [[1, []], [0, []], [0, []], [0, []]]),
+    ("coproduct", {}, [[1, []], [0, []], [0, []]]),
+    ("surface", {"generators": 8}, [[1, []], [2, []], [2, []], [2, []], [1, []]]),
+]
+
+
+def test_cli_construction_outputs_cover_every_choice():
+    assert [c for c, _, _ in CONSTRUCTION_OUTPUTS] == list(cons.CONSTRUCTIONS)
+
+
+@pytest.mark.parametrize("construction, meta, groups", CONSTRUCTION_OUTPUTS)
+def test_cli_homology_every_construction(capsys, construction, meta, groups):
+    space = "builtin:torus" if construction == "surface" else "builtin:circle3"
+    code = main(["homology", "--space", space, "--construction", construction,
+                 "--n", "2", "--emit", "json"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["meta"] == {"space": space, "construction": construction,
+                            "coeff": "z", **meta}
+    assert [[g["betti"], g["torsion"]] for g in data["groups"]] == groups
+    assert [g["dim"] for g in data["groups"]] == list(range(len(groups)))
+
+
 def test_cli_homology_inline_json_space(capsys):
     inline = '{"vertices":3,"simplices":[[0,1],[0,2],[1,2]]}'
     code = main(["homology", "--space", inline, "--construction", "sp", "--n", "2"])
@@ -186,6 +225,15 @@ def test_cli_verify_filter(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_verify_rejects_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "mobius-*", "--jobs", jobs])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--jobs" in out.err
 
 
 def test_cli_verify_json_schema(capsys):
