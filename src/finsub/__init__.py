@@ -1,13 +1,16 @@
 """finsub: exact topology of symmetric products and finite subset spaces.
 
-Builds finite simplicial complexes into combinatorial simplicial sets,
-forms symmetric products SP^n(X) and finite subset spaces Sub_n(X) as
-levelwise quotients, and computes integral and mod-p homology, induced
-maps and fundamental-group presentations, all over exact integers.
+Builds symmetric products SP^n(X), finite subset spaces Sub_n(X) and
+their relatives of finite simplicial complexes from their nondegenerate
+cells, and computes integral and mod-p homology, induced maps and
+fundamental-group presentations, all over exact integers.  The levelwise
+quotients of X^n they are checked against live in ``finsub.reference``,
+which ``import finsub`` does not load.
 """
 
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
-from .simplicial import (CellCapExceeded, SSetMap, SimplicialError,
+from .simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
+                         SSetMap, SimplicialError,
                          TruncatedSimplicialSet, cell_cap, collapse,
                          compose_maps, from_ordered_complex,
                          identity_map, power, projections, quotient,
@@ -23,8 +26,8 @@ from .fundamental import (GroupPresentation, abelianization,
                           fundamental_presentation, tietze_simplify)
 from .constructions import (ConstructionResult, CoproductModelResult,
                             based_subset3, cylinder_chain_model,
-                            default_truncation, direct_subset_quotient,
-                            fat_diagonal, finite_subset_space, reduced,
+                            default_truncation, fat_diagonal,
+                            finite_subset_space, reduced,
                             sub3_homology_via_coproduct, symmetric_product)
 from .surface import (MonomialCell, SurfacePresentation, TopHomologyReport,
                       builtin_presentation, load_surface_presentation,

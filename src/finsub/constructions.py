@@ -1,12 +1,15 @@
 """Symmetric products, finite subset spaces, and their relatives.
 
-Everything here is assembled from the core engine: n-fold powers are
-quotiented by coordinate permutations to give the symmetric product
-SP^n(X), a further quotient by support equality gives the finite subset
-space Sub_n(X), and cell selections give fat diagonals, filtrations and
-reduced (collapsed) variants.  Three independent models of the based
-three-fold subset space Sub_3(X, x0) are provided so they can be checked
-against one another.
+SP^n(X), Sub_n(X), Sub_3(X, x0), the fat diagonal and the reduced
+(collapsed) variants are built by the orbit engine (``orbits``) from their
+nondegenerate cells: multisets or sets of cells of X whose ascent masks
+cover every position, with no X^n and no quotient.  Each result is an
+``orbits.OrbitSpace`` with its structure maps as ``NondegenerateMap``s,
+which normalized chains, induced maps and pi_1 read directly.  The
+quotient constructions these replace stay in ``reference`` as their
+oracle.  Two further models of the based three-fold subset space
+Sub_3(X, x0), a cylinder chain model and a coproduct model on homology,
+are checked against the quotient model.
 
 ``CONSTRUCTIONS`` is the one registry from a construction name (the
 ``--construction`` choices of the command line, and the constructions
@@ -18,14 +21,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import orbits
 from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
                        HomologyGroup, SparseIntMatrix, chain_map_matrices,
                        induced_matrix_from_chain_map, normalized_chains)
-from .simplicial import (SSetMap, SimplicialError, TruncatedSimplicialSet,
-                         _decompose, collapse, compose_maps, from_ordered_complex,
-                         power, quotient, sub_object)
+from .simplicial import SimplicialError
 from .spaces import OrderedComplexSpec, builtin_space
 from .surface import builtin_presentation, sp_chain_complex
 
@@ -34,9 +34,9 @@ from .surface import builtin_presentation, sp_chain_complex
 class ConstructionResult:
     """A constructed space together with its named structure maps."""
 
-    space: TruncatedSimplicialSet
-    maps: dict[str, SSetMap]
-    parts: dict[str, TruncatedSimplicialSet] = field(default_factory=dict)
+    space: object
+    maps: dict[str, object]
+    parts: dict[str, object] = field(default_factory=dict)
 
 
 def default_truncation(spec: OrderedComplexSpec, n: int) -> int:
@@ -44,189 +44,82 @@ def default_truncation(spec: OrderedComplexSpec, n: int) -> int:
     return n * spec.dimension + 1
 
 
-def _assert_dimension_bound(S: TruncatedSimplicialSet, spec: OrderedComplexSpec,
-                            n: int) -> None:
-    """Symmetric and subset constructions have no nondegenerate cells
-    above level n*dim(X); a violation means the quotient went wrong."""
-    bound = n * spec.dimension
-    for level, count in enumerate(S.nondeg_counts()):
-        if level > bound and count:
-            raise SimplicialError(
-                f"{S.name} has {count} nondegenerate cells at level {level}, "
-                f"above the dimension bound {bound}")
-
-
-def _class_reps(proj: SSetMap) -> list[np.ndarray]:
-    """Minimal source member of each class of a quotient projection."""
-    reps = []
-    for k in range(proj.source.truncation + 1):
-        n = proj.source.counts[k]
-        out = np.full(proj.target.counts[k], n, dtype=np.int64)
-        np.minimum.at(out, proj.assignment[k], np.arange(n, dtype=np.int64))
-        reps.append(out)
-    return reps
-
-
-def _recompose(comps: np.ndarray, base: int) -> np.ndarray:
-    out = comps[0].copy()
-    for t in range(1, comps.shape[0]):
-        out *= base
-        out += comps[t]
-    return out
-
-
-def _support_canonical(comps: np.ndarray) -> np.ndarray:
-    """Replace duplicate coordinates with the minimum, then sort.
-
-    On sorted component columns this produces the canonical member of the
-    support-equality class: the support padded with its least element.
-    """
-    comps = np.sort(comps, axis=0)
-    out = comps.copy()
-    dup = comps[1:] == comps[:-1]
-    for t in range(1, comps.shape[0]):
-        out[t] = np.where(dup[t - 1], comps[0], comps[t])
-    return np.sort(out, axis=0)
-
-
-def _glue(S: TruncatedSimplicialSet, level_pairs, name: str):
-    """Quotient of S gluing ``a[i]`` to ``b[i]`` wherever they differ, for
-    the arrays ``(a, b) = level_pairs(k)`` of each level k."""
-    pairs = {}
-    for k in range(S.truncation + 1):
-        a, b = level_pairs(k)
-        differ = a != b
-        if differ.any():
-            pairs[k] = (a[differ], b[differ])
-    return quotient(S, pairs, name=name)
-
-
-def _canonical_quotient(S: TruncatedSimplicialSet, canonical, name: str):
-    """Quotient of S gluing each cell to ``canonical(k)[cell]`` at level k."""
-    return _glue(S, lambda k: (np.arange(S.counts[k], dtype=np.int64), canonical(k)),
-                 name)
+def _build(spec, n, truncation, forms):
+    D = default_truncation(spec, n) if truncation is None else truncation
+    return orbits.build(spec, D, forms)
 
 
 def symmetric_product(spec: OrderedComplexSpec, n: int,
                       truncation: int | None = None) -> ConstructionResult:
-    """SP^n(X): the quotient of X^n by coordinate permutations.
+    """SP^n(X): multisets of n cells of X.
 
-    Maps: ``q`` (projection X^n -> SP^n), ``j_n`` (basepoint inclusion
-    x -> x x0^(n-1)) and ``diag`` (n-fold diagonal).
+    Maps: ``j_n`` (basepoint inclusion x -> x x0^(n-1)) and ``diag``
+    (n-fold diagonal), both from X (``parts["base"]``).
     """
     if n < 1:
         raise SimplicialError("symmetric_product requires n >= 1")
-    D = default_truncation(spec, n) if truncation is None else truncation
-    X = from_ordered_complex(spec, D)
-    P, coordinates = power(X, n)
-    SP, q = _canonical_quotient(
-        P, lambda k: _recompose(np.sort(coordinates[k], axis=0), X.counts[k]),
-        name=f"SP^{n}({spec.name})")
-    _assert_dimension_bound(SP, spec, n)
-
-    towers = [X.degenerate_tower(spec.basepoint, k) for k in range(D + 1)]
-    j_assign = []
-    diag_assign = []
-    for k in range(D + 1):
-        M = X.counts[k]
-        sigma = np.arange(M, dtype=np.int64)
-        j_idx = sigma.copy()
-        d_idx = sigma.copy()
-        for _ in range(n - 1):
-            j_idx = j_idx * M + towers[k]
-            d_idx = d_idx * M + sigma
-        j_assign.append(q.assignment[k][j_idx])
-        diag_assign.append(q.assignment[k][d_idx])
-    j_n = SSetMap(X, SP, tuple(j_assign), name="j_n")
-    diag = SSetMap(X, SP, tuple(diag_assign), name="diag")
-    return ConstructionResult(SP, {"q": q, "j_n": j_n, "diag": diag},
-                              parts={"base": X, "power": P})
+    X, (SP,) = _build(spec, n, truncation, [(orbits.sp_form(n), f"SP^{n}({spec.name})")])
+    maps = {"j_n": orbits.orbit_map(X, SP, "j_n", orbits.with_tower),
+            "diag": orbits.orbit_map(X, SP, "diag", orbits.repeat)}
+    return ConstructionResult(SP, maps, parts={"base": X})
 
 
 def finite_subset_space(spec: OrderedComplexSpec, n: int,
                         truncation: int | None = None,
                         with_filtration: bool = True) -> ConstructionResult:
-    """Sub_n(X): quotient of SP^n(X) identifying equal coordinate supports.
+    """Sub_n(X): nonempty sets of at most n cells of X.
 
-    Maps: ``pi`` (SP^n -> Sub_n), ``j`` (singleton inclusion), ``q``
-    (X^n -> SP^n) and, for n >= 2, ``incl_sub_prev`` (the filtration
-    subobject of supports of size < n, isomorphic to Sub_{n-1}).
+    Maps: ``pi`` (SP^n -> Sub_n), ``j`` (singleton inclusion), ``j_n``
+    (x -> {x, x0}) and, for n >= 2 with the filtration, ``incl_sub_prev``
+    (the subobject ``parts["filtration_sub"]`` of sets of fewer than n
+    members, isomorphic to Sub_{n-1}).
     """
-    sp = symmetric_product(spec, n, truncation)
-    SP, q = sp.space, sp.maps["q"]
-    X = sp.parts["base"]
-    reps = _class_reps(q)
-
-    def canonical(k):
-        comps = _decompose(reps[k], X.counts[k], n)
-        return q.assignment[k][_recompose(_support_canonical(comps), X.counts[k])]
-
-    Sub, pi = _canonical_quotient(SP, canonical, name=f"Sub_{n}({spec.name})")
-    _assert_dimension_bound(Sub, spec, n)
-
-    maps = {
-        "q": q,
-        "pi": pi,
-        "j": compose_maps(pi, sp.maps["diag"], name="j"),
-        "j_n": compose_maps(pi, sp.maps["j_n"], name="pi*j_n"),
-    }
-    result = ConstructionResult(Sub, maps, parts=dict(sp.parts))
-    if with_filtration and n >= 2:
-        prev, incl = sub_object(Sub, lambda level, payload: len(set(payload)) < n,
-                                name=f"Sub_{n - 1}({spec.name})")
-        result.maps["incl_sub_prev"] = incl
-        result.parts["filtration_sub"] = prev
+    if n < 1:
+        raise SimplicialError("finite_subset_space requires n >= 1")
+    forms = [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
+             (orbits.sub_form(n), f"Sub_{n}({spec.name})")]
+    filtration = with_filtration and n >= 2
+    if filtration:
+        forms.append((orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"))
+    X, (SP, Sub, *prev) = _build(spec, n, truncation, forms)
+    maps = {"pi": orbits.orbit_map(SP, Sub, "pi"),
+            "j": orbits.orbit_map(X, Sub, "j", orbits.repeat),
+            "j_n": orbits.orbit_map(X, Sub, "pi*j_n", orbits.with_tower)}
+    result = ConstructionResult(Sub, maps, parts={"base": X})
+    if filtration:
+        result.maps["incl_sub_prev"] = orbits.orbit_map(prev[0], Sub, "incl")
+        result.parts["filtration_sub"] = prev[0]
     return result
-
-
-def direct_subset_quotient(spec: OrderedComplexSpec, n: int,
-                           truncation: int | None = None):
-    """Sub_n(X) built in one step from X^n (cross-check construction)."""
-    D = default_truncation(spec, n) if truncation is None else truncation
-    X = from_ordered_complex(spec, D)
-    P, coordinates = power(X, n)
-    return _canonical_quotient(
-        P, lambda k: _recompose(_support_canonical(coordinates[k]), X.counts[k]),
-        name=f"Sub_{n}({spec.name})|direct")
 
 
 def fat_diagonal(spec: OrderedComplexSpec, n: int,
                  truncation: int | None = None) -> ConstructionResult:
-    """Classes of SP^n(X) with a repeated coordinate, with inclusion."""
+    """Multisets with a repeated member, with their inclusion into SP^n."""
     if n < 2:
         raise SimplicialError("fat_diagonal requires n >= 2")
-    sp = symmetric_product(spec, n, truncation)
-    fat, incl = sub_object(sp.space, lambda level, payload: len(set(payload)) < n,
-                           name=f"fat_diagonal_{n}({spec.name})")
-    result = ConstructionResult(fat, {"incl_fat": incl}, parts=dict(sp.parts))
-    result.parts["sp"] = sp.space
-    return result
+    X, (SP, fat) = _build(spec, n, truncation,
+                          [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
+                           (orbits.fat_form(n), f"fat_diagonal_{n}({spec.name})")])
+    return ConstructionResult(fat, {"incl_fat": orbits.orbit_map(fat, SP, "incl")},
+                              parts={"base": X, "sp": SP})
 
 
 def based_subset3(spec: OrderedComplexSpec,
                   truncation: int | None = None) -> ConstructionResult:
-    """Sub_3(X, x0) as the quotient of SP^2(X) gluing the diagonal class
-    of every simplex to its basepoint-padded class.
+    """Sub_3(X, x0): the sets of at most three cells that contain the
+    basepoint, the quotient of SP^2(X) gluing the diagonal {x, x} of every
+    cell to its basepoint-padded {x, x0}.
 
-    Maps: ``alpha`` (SP^2 -> quotient) and ``j_x0`` (x -> {x, x0}).
+    Maps: ``alpha`` (SP^2 -> quotient), ``j_x0`` (x -> {x, x0}) and
+    ``diag_based`` (x -> {x, x}), which is the same map.
     """
-    sp = symmetric_product(spec, 2, truncation)
-    X = sp.parts["base"]
-    q = sp.maps["q"]
-
-    def diagonal_and_padded(k):
-        M = X.counts[k]
-        sigma = np.arange(M, dtype=np.int64)
-        return (q.assignment[k][sigma * M + sigma],
-                q.assignment[k][sigma * M + X.degenerate_tower(spec.basepoint, k)])
-
-    B, alpha = _glue(sp.space, diagonal_and_padded, name=f"Sub_3({spec.name},x0)")
-    maps = {
-        "alpha": alpha,
-        "j_x0": compose_maps(alpha, sp.maps["j_n"], name="j_x0"),
-        "diag_based": compose_maps(alpha, sp.maps["diag"], name="alpha*diag"),
-    }
-    return ConstructionResult(B, maps, parts=dict(sp.parts))
+    X, (SP, B) = _build(spec, 2, truncation,
+                        [(orbits.sp_form(2), f"SP^2({spec.name})"),
+                         (orbits.based_form(), f"Sub_3({spec.name},x0)")])
+    maps = {"alpha": orbits.orbit_map(SP, B, "alpha"),
+            "j_x0": orbits.orbit_map(X, B, "j_x0", orbits.with_tower),
+            "diag_based": orbits.orbit_map(X, B, "alpha*diag", orbits.repeat)}
+    return ConstructionResult(B, maps, parts={"base": X})
 
 
 def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
@@ -291,6 +184,8 @@ def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
     return ChainComplexZ(ranks, boundaries, labels=labels, truncated=True)
 
 
+
+
 KINDS = ("sp", "sub")
 
 
@@ -298,28 +193,26 @@ def reduced(spec: OrderedComplexSpec, n: int, kind: str,
             truncation: int | None = None) -> ConstructionResult:
     """Reduced construction: SP^n/SP^(n-1) or Sub_n/Sub_(n-1).
 
-    SP^(n-1) sits inside SP^n as the classes containing the basepoint;
-    Sub_(n-1) as the classes with support smaller than n.
+    SP^(n-1) sits inside SP^n as the multisets containing the basepoint;
+    Sub_(n-1) inside Sub_n as the sets of fewer than n members.  Maps:
+    ``proj`` (from ``parts["total"]``) and ``incl`` (of the subobject).
     """
     if n < 2:
         raise SimplicialError("reduced constructions need n >= 2")
     if kind not in KINDS:
         raise SimplicialError(f"kind must be one of {KINDS}")
     if kind == "sp":
-        sp = symmetric_product(spec, n, truncation)
-        bp = spec.basepoint
-        sub, incl = sub_object(
-            sp.space,
-            lambda level, payload: any(comp == (bp,) * (level + 1) for comp in payload),
-            name=f"SP^{n - 1}({spec.name})")
-        Q, proj = collapse(sp.space, incl, name=f"SP^{n}({spec.name})/SP^{n - 1}")
-        return ConstructionResult(Q, {"proj": proj, "incl": incl},
-                                  parts={"total": sp.space})
-    sub = finite_subset_space(spec, n, truncation)
-    incl = sub.maps["incl_sub_prev"]
-    Q, proj = collapse(sub.space, incl, name=f"Sub_{n}({spec.name})/Sub_{n - 1}")
-    return ConstructionResult(Q, {"proj": proj, "incl": incl},
-                              parts={"total": sub.space})
+        forms = [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
+                 (orbits.tower_form(n), f"SP^{n - 1}({spec.name})"),
+                 (orbits.reduced_sp_form(n), f"SP^{n}({spec.name})/SP^{n - 1}")]
+    else:
+        forms = [(orbits.sub_form(n), f"Sub_{n}({spec.name})"),
+                 (orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"),
+                 (orbits.reduced_sub_form(n), f"Sub_{n}({spec.name})/Sub_{n - 1}")]
+    _, (total, sub, Q) = _build(spec, n, truncation, forms)
+    return ConstructionResult(Q, {"proj": orbits.orbit_map(total, Q, "proj"),
+                                  "incl": orbits.orbit_map(sub, total, "incl")},
+                              parts={"total": total})
 
 
 @dataclass
@@ -407,7 +300,7 @@ class Construction:
 
 CONSTRUCTIONS: dict[str, Construction] = {
     "space": Construction(lambda spec, n: ConstructionResult(
-        from_ordered_complex(spec, spec.dimension + 1), {})),
+        orbits.build(spec, spec.dimension + 1, [])[0], {})),
     "sp": Construction(lambda spec, n: symmetric_product(spec, n), maps=("diag", "j_n")),
     "sub": Construction(lambda spec, n: finite_subset_space(spec, n, with_filtration=False),
                         maps=("j", "pi")),

@@ -19,10 +19,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .homology import HomologyGroup, SparseIntMatrix, smith_normal_form
-from .simplicial import SimplicialError, TruncatedSimplicialSet
+from .simplicial import SimplicialError
 
 
 @dataclass(frozen=True)
@@ -45,26 +43,24 @@ class GroupPresentation:
         return self.generator_count == 0
 
 
-def fundamental_presentation(S: TruncatedSimplicialSet) -> GroupPresentation:
+def fundamental_presentation(S) -> GroupPresentation:
     """Edge-path presentation of the fundamental group of a simplicial set.
 
-    Generators are the nondegenerate 1-cells; a spanning-tree edge
-    contributes a killing relator and every nondegenerate 2-cell s the
-    relator d_2(s) d_0(s) (d_1(s))^-1, with degenerate faces read as the
-    empty word.
+    ``S`` is a :class:`NondegenerateComplex` or anything with a
+    ``nondegenerate_form()``.  Generators are the nondegenerate 1-cells; a
+    spanning-tree edge contributes a killing relator and every
+    nondegenerate 2-cell s the relator d_2(s) d_0(s) (d_1(s))^-1, with
+    degenerate faces read as the empty word.
     """
-    if S.truncation < 1:
+    F = S.nondegenerate_form()
+    if F.truncation < 1:
         raise SimplicialError("need at least the 1-skeleton for pi_1")
-    n_vertices = S.counts[0]
-    edges = np.nonzero(S.nondegenerate(1))[0]
-    gen_of_edge = {int(e): i + 1 for i, e in enumerate(edges)}
-    # edge e runs from d_1(e) to d_0(e)
+    n_vertices = F.ranks[0]
+    # edge e (generator e + 1) runs from d_1(e) to d_0(e)
     adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n_vertices)}
-    for e in edges:
-        start = int(S.faces[1][e, 1])
-        end = int(S.faces[1][e, 0])
-        adjacency[start].append((end, int(e)))
-        adjacency[end].append((start, int(e)))
+    for e, (end, start) in enumerate(F.faces[1].tolist()):
+        adjacency[start].append((end, e))
+        adjacency[end].append((start, e))
 
     seen = {0}
     tree_edges: set[int] = set()
@@ -79,18 +75,13 @@ def fundamental_presentation(S: TruncatedSimplicialSet) -> GroupPresentation:
     if len(seen) != n_vertices:
         raise SimplicialError("simplicial set is not connected")
 
-    relators: list[tuple[int, ...]] = [(gen_of_edge[e],) for e in sorted(tree_edges)]
-    if S.truncation >= 2:
-        nondeg1 = S.nondegenerate(1)
-        for t in np.nonzero(S.nondegenerate(2))[0]:
-            word = []
-            for face_index, sign in ((2, 1), (0, 1), (1, -1)):
-                e = int(S.faces[2][t, face_index])
-                if nondeg1[e]:
-                    word.append(sign * gen_of_edge[e])
+    relators: list[tuple[int, ...]] = [(e + 1,) for e in sorted(tree_edges)]
+    if F.truncation >= 2:
+        for d0, d1, d2 in F.faces[2].tolist():
+            word = [sign * (e + 1) for e, sign in ((d2, 1), (d0, 1), (d1, -1)) if e >= 0]
             relators.append(_free_reduce(tuple(word)))
     relators = [w for w in relators if w]
-    return GroupPresentation(len(edges), tuple(relators))
+    return GroupPresentation(F.ranks[1], tuple(relators))
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -24,8 +24,6 @@ from math import isqrt
 
 import numpy as np
 
-from .simplicial import SSetMap, TruncatedSimplicialSet
-
 
 class HomologyError(ValueError):
     """A chain-complex or matrix invariant was violated."""
@@ -44,10 +42,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # sparse integer matrices
 # ----------------------------------------------------------------------
 
-class SparseIntMatrix:
-    """Immutable sparse matrix with arbitrary-precision integer entries."""
+# entry products per block in SparseIntMatrix.product_is_zero, which bounds
+# its memory on large boundaries
+PRODUCT_BLOCK = 1 << 22
 
-    __slots__ = ("nrows", "ncols", "entries", "_cols", "_rows")
+
+class SparseIntMatrix:
+    """Immutable sparse matrix with arbitrary-precision integer entries.
+
+    ``entries`` are the nonzero ``(row, col, value)`` triples in row-major
+    order.  A matrix made by :meth:`from_arrays` keeps them as numpy arrays
+    and builds the triples only when they are first read.
+    """
+
+    __slots__ = ("nrows", "ncols", "_entries", "_arrays", "_cols", "_rows")
 
     def __init__(self, nrows: int, ncols: int, entries=()):
         self.nrows = int(nrows)
@@ -64,9 +72,38 @@ class SparseIntMatrix:
                     cleaned[key] = v
                 else:
                     del cleaned[key]
-        self.entries = tuple(sorted((r, c, v) for (r, c), v in cleaned.items()))
+        self._entries = tuple(sorted((r, c, v) for (r, c), v in cleaned.items()))
+        self._arrays = None
         self._cols = None
         self._rows = None
+
+    @classmethod
+    def from_arrays(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
+                    values: np.ndarray) -> "SparseIntMatrix":
+        """The matrix with small integer entries given as parallel arrays;
+        entries at the same position are summed, as by the constructor."""
+        if rows.size and (rows.min() < 0 or rows.max() >= nrows
+                          or cols.min() < 0 or cols.max() >= ncols):
+            raise HomologyError("entry out of range")
+        key = rows * ncols + cols
+        order = np.argsort(key)
+        key, values = key[order], values[order]
+        if key.size:
+            first = np.r_[True, key[1:] != key[:-1]]
+            values = np.add.reduceat(values, np.flatnonzero(first))
+            key = key[first]
+        nonzero = values != 0
+        key, values = key[nonzero], values[nonzero]
+        out = cls(nrows, ncols)
+        out._entries = None
+        out._arrays = (key // ncols, key % ncols, values)
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        if self._entries is None:
+            self._entries = tuple(zip(*(a.tolist() for a in self._arrays)))
+        return self._entries
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseIntMatrix":
@@ -91,7 +128,7 @@ class SparseIntMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self._arrays[0]) if self._entries is None else len(self._entries)
 
     def columns(self) -> dict[int, list[tuple[int, int]]]:
         if self._cols is None:
@@ -139,12 +176,52 @@ class SparseIntMatrix:
         return SparseIntMatrix(self.nrows, other.ncols,
                                [(r, c, v) for (r, c), v in acc.items()])
 
+    def product_is_zero(self, other: "SparseIntMatrix") -> bool:
+        """Whether ``self @ other`` vanishes; in numpy for matrices made by
+        :meth:`from_arrays`, a block of whole columns of ``other`` (about
+        ``PRODUCT_BLOCK`` entry products) at a time."""
+        if self.ncols != other.nrows:
+            raise HomologyError("matmul: shape mismatch")
+        if self.nnz == 0 or other.nnz == 0:
+            return True
+        if self._arrays is None or other._arrays is None:
+            return self.matmul(other).is_zero()
+        a_rows, a_cols, a_vals = self._arrays
+        order = np.argsort(a_cols)
+        a_rows, a_vals = a_rows[order], a_vals[order]
+        start = np.searchsorted(a_cols[order], np.arange(self.ncols + 1))
+        b_rows, b_cols, b_vals = other._arrays
+        order = np.argsort(b_cols)
+        b_rows, b_cols, b_vals = b_rows[order], b_cols[order], b_vals[order]
+        # each entry (k, j) of other meets the entries of column k of self
+        meets = start[b_rows + 1] - start[b_rows]
+        total = np.cumsum(meets)
+        lo = 0
+        while lo < len(b_rows):
+            hi = int(np.searchsorted(total, total[lo] - meets[lo] + PRODUCT_BLOCK,
+                                     side="right"))
+            hi = max(hi, lo + 1)
+            if hi < len(b_rows):   # end the block at a column boundary
+                hi = int(np.searchsorted(b_cols, b_cols[hi - 1], side="right"))
+            m = meets[lo:hi]
+            owner = np.repeat(np.arange(lo, hi), m)
+            at = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m - start[b_rows[lo:hi]], m)
+            key = a_rows[at] * other.ncols + b_cols[owner]
+            order = np.argsort(key)
+            key, val = key[order], (a_vals[at] * b_vals[owner])[order]
+            if key.size:
+                first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+                if np.add.reduceat(val, first).any():
+                    return False
+            lo = hi
+        return True
+
     def transpose(self) -> "SparseIntMatrix":
         return SparseIntMatrix(self.ncols, self.nrows,
                                [(c, r, v) for r, c, v in self.entries])
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return self.nnz == 0
 
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix)
@@ -664,7 +741,7 @@ class ChainComplexZ:
                 raise HomologyError(f"boundary {k} has wrong shape")
         if check:
             for k in range(2, self.top_degree + 1):
-                if not self.boundary(k - 1).matmul(self.boundary(k)).is_zero():
+                if not self.boundary(k - 1).product_is_zero(self.boundary(k)):
                     raise HomologyError(f"d o d != 0 between degrees {k} and {k - 2}")
 
     def boundary(self, k: int) -> SparseIntMatrix:
@@ -680,43 +757,31 @@ class ChainComplexZ:
         return self.labels[degree][index]
 
 
-def normalized_chains(S: TruncatedSimplicialSet, with_labels: bool = True) -> ChainComplexZ:
+def normalized_chains(S, with_labels: bool = True) -> ChainComplexZ:
     """Normalized chains: generators are the nondegenerate cells.
 
-    The boundary is the alternating face sum, with faces that land on
+    ``S`` is a :class:`NondegenerateComplex` or anything with a
+    ``nondegenerate_form()`` (a :class:`TruncatedSimplicialSet`).  The
+    boundary is the alternating face sum, with faces that land on
     degenerate cells contributing zero.
     """
-    D = S.truncation
-    pos: list[np.ndarray] = []
-    ranks: list[int] = []
-    for k in range(D + 1):
-        mask = S.nondegenerate(k)
-        p = np.full(S.counts[k], -1, dtype=np.int64)
-        p[mask] = np.arange(int(mask.sum()), dtype=np.int64)
-        pos.append(p)
-        ranks.append(int(mask.sum()))
-
+    F = S.nondegenerate_form()
     boundaries = {}
-    for k in range(1, D + 1):
-        if ranks[k] == 0 or ranks[k - 1] == 0:
+    for k in range(1, F.truncation + 1):
+        if F.ranks[k] == 0 or F.ranks[k - 1] == 0:
             continue
-        nd = np.nonzero(S.nondegenerate(k))[0]
-        entries = []
-        fk = S.faces[k][nd]
-        for i in range(k + 1):
-            rows = pos[k - 1][fk[:, i]]
-            keep = rows >= 0
-            sign = -1 if i % 2 else 1
-            cols = np.arange(len(nd), dtype=np.int64)[keep]
-            entries.extend(zip(rows[keep].tolist(), cols.tolist(),
-                               [sign] * int(keep.sum())))
-        boundaries[k] = SparseIntMatrix(ranks[k - 1], ranks[k], entries)
+        rows = F.faces[k].ravel()
+        cols = np.repeat(np.arange(F.ranks[k], dtype=np.int64), k + 1)
+        signs = np.tile(1 - 2 * (np.arange(k + 1, dtype=np.int64) % 2), F.ranks[k])
+        keep = rows >= 0
+        boundaries[k] = SparseIntMatrix.from_arrays(F.ranks[k - 1], F.ranks[k], rows[keep],
+                                                    cols[keep], signs[keep])
 
     labels = None
     if with_labels:
-        labels = [tuple(S.payload(k, int(i)) for i in np.nonzero(S.nondegenerate(k))[0])
-                  for k in range(D + 1)]
-    return ChainComplexZ(ranks, boundaries, labels=labels, truncated=True)
+        labels = [tuple(F.payload(k, i) for i in range(F.ranks[k]))
+                  for k in range(F.truncation + 1)]
+    return ChainComplexZ(F.ranks, boundaries, labels=labels, truncated=True)
 
 
 # ----------------------------------------------------------------------
@@ -766,7 +831,7 @@ def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     return HomologyResult(tuple(groups), unreliable, mod)
 
 
-def homology_of_sset(S: TruncatedSimplicialSet, mod: int | None = None) -> HomologyResult:
+def homology_of_sset(S, mod: int | None = None) -> HomologyResult:
     return homology(normalized_chains(S, with_labels=False), mod=mod)
 
 
@@ -888,33 +953,25 @@ class HomologyCoordinates:
         return tuple(coords)
 
 
-def chain_map_matrices(f: SSetMap) -> dict[int, SparseIntMatrix]:
+def chain_map_matrices(f) -> dict[int, SparseIntMatrix]:
     """Normalized chain map of a simplicial map.
 
-    A nondegenerate source cell maps to its image when that image is
-    nondegenerate and to zero otherwise.
+    ``f`` is a :class:`NondegenerateMap` or anything with a
+    ``nondegenerate_form()`` (an :class:`SSetMap`).  A nondegenerate source
+    cell maps to its image when that image is nondegenerate and to zero
+    otherwise.
     """
-    src, dst = f.source, f.target
+    F = f.nondegenerate_form()
     out = {}
-    for k in range(src.truncation + 1):
-        src_mask = src.nondegenerate(k)
-        dst_mask = dst.nondegenerate(k)
-        src_pos = np.full(src.counts[k], -1, dtype=np.int64)
-        src_pos[src_mask] = np.arange(int(src_mask.sum()), dtype=np.int64)
-        dst_pos = np.full(dst.counts[k], -1, dtype=np.int64)
-        dst_pos[dst_mask] = np.arange(int(dst_mask.sum()), dtype=np.int64)
-        nd = np.nonzero(src_mask)[0]
-        images = f.assignment[k][nd]
-        rows = dst_pos[images]
-        keep = rows >= 0
-        entries = list(zip(rows[keep].tolist(),
-                           np.arange(len(nd), dtype=np.int64)[keep].tolist(),
-                           [1] * int(keep.sum())))
-        out[k] = SparseIntMatrix(int(dst_mask.sum()), int(src_mask.sum()), entries)
+    for k, images in enumerate(F.assignment):
+        keep = images >= 0
+        out[k] = SparseIntMatrix.from_arrays(
+            F.target.ranks[k], F.source.ranks[k], images[keep],
+            np.flatnonzero(keep), np.ones(int(keep.sum()), dtype=np.int64))
     return out
 
 
-def induced_map(f: SSetMap, degree: int,
+def induced_map(f, degree: int,
                 src_coords: HomologyCoordinates | None = None,
                 dst_coords: HomologyCoordinates | None = None) -> list[list[int]]:
     """Matrix of f_* on homology in the SNF-derived bases.

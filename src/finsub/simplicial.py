@@ -1,12 +1,21 @@
-"""Truncated simplicial sets and the operations that build new ones.
+"""Simplicial sets in two forms: every cell, or the nondegenerate cells.
 
+:class:`NondegenerateComplex` holds only the nondegenerate cells of a
+simplicial set and their faces, a degenerate face stored as -1; with
+:class:`NondegenerateMap` it is all that normalized chains, chain maps and
+pi_1 presentations read (``homology``, ``fundamental``).  The orbit engine
+(``orbits``) builds the constructions in this form directly.
+
+:class:`TruncatedSimplicialSet` holds every cell up to a truncation, with
+dense face and degeneracy tables, and reaches the reader through one
+conversion (:meth:`TruncatedSimplicialSet.nondegenerate_form`).  Its
+operations (generation from a complex, products, quotients, subobjects,
+collapses) make the reference path X^n -> quotient (``reference``).
 Cells at each level are indexed ``0..N_k-1`` and every constructor keeps
 the invariant that index order equals lexicographic order on the canonical
 cell payloads.  Because of this, the minimum index inside an equivalence
 class is also its lexicographically minimal payload, and quotients stay
-deterministic without ever materializing payloads.
-
-Face and degeneracy tables are dense integer arrays; all bulk work
+deterministic without ever materializing payloads.  All bulk work
 (validation, product assembly, quotients) is vectorized with numpy.  A
 quotient labels the connected components of its generating pairs level by
 level and adds the pairs that closure under faces and degeneracies forces,
@@ -57,6 +66,102 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class NondegenerateComplex:
+    """The nondegenerate cells of a simplicial set, with their faces.
+
+    ``ranks[k]`` nondegenerate k-cells are indexed ``0..ranks[k]-1`` in the
+    order of their canonical payloads; ``faces[k]`` is an ``(ranks[k], k+1)``
+    array holding the index of d_i(c) among the nondegenerate (k-1)-cells,
+    or -1 where that face is degenerate.  ``counts[k]`` is the number of all
+    k-cells, degenerate ones included.  With ``check`` the face indices are
+    range-checked and d_i d_j = d_{j-1} d_i (i < j) is checked wherever
+    both inner faces are nondegenerate.
+    """
+
+    def __init__(self, name, ranks, faces, counts, payload, check=True):
+        self.name = name
+        self.ranks = tuple(int(r) for r in ranks)
+        self.truncation = len(self.ranks) - 1
+        self.faces = [None] + [_frozen(f) for f in faces[1:]]
+        self.counts = tuple(int(c) for c in counts)
+        self._payload = payload
+        if len(self.faces) != len(self.ranks) or len(self.counts) != len(self.ranks):
+            raise SimplicialError("faces and counts must cover levels 0..truncation")
+        if check:
+            self.check()
+
+    def nondegenerate_form(self) -> "NondegenerateComplex":
+        return self
+
+    def payload(self, level: int, index: int):
+        """Canonical encoding of a nondegenerate cell."""
+        return self._payload(level, index)
+
+    def nondeg_counts(self) -> tuple[int, ...]:
+        return self.ranks
+
+    def total_cells(self) -> int:
+        return sum(self.counts)
+
+    def check(self) -> None:
+        for k in range(1, self.truncation + 1):
+            f = self.faces[k]
+            if f.shape != (self.ranks[k], k + 1):
+                raise SimplicialError(f"face table at level {k} has wrong shape")
+            if f.size and (f.min() < -1 or f.max() >= self.ranks[k - 1]):
+                raise SimplicialError(f"face index out of range at level {k}")
+        for k in range(2, self.truncation + 1):
+            f = self.faces[k]
+            g = np.vstack([self.faces[k - 1], np.full(k, -1)])   # row -1: degenerate
+            for j in range(1, k + 1):
+                for i in range(j):
+                    both = (f[:, j] >= 0) & (f[:, i] >= 0)
+                    if (both & (g[f[:, j], i] != g[f[:, i], j - 1])).any():
+                        raise SimplicialError(
+                            f"{self.name}: face identity fails at level {k} (i={i}, j={j})")
+
+
+class NondegenerateMap:
+    """A simplicial map on nondegenerate cells.
+
+    ``assignment[k][c]`` is the index of the image of the nondegenerate
+    k-cell c of ``source`` among those of ``target``, or -1 where the image
+    is degenerate.  With ``check``, each image's faces are checked to be the
+    images of the cell's faces (a degenerate cell has a degenerate image).
+    """
+
+    def __init__(self, source: NondegenerateComplex, target: NondegenerateComplex,
+                 assignment, name: str = "", check: bool = True):
+        self.source = source
+        self.target = target
+        self.assignment = tuple(_frozen(a) for a in assignment)
+        self.name = name
+        if check:
+            self.check()
+
+    def nondegenerate_form(self) -> "NondegenerateMap":
+        return self
+
+    def check(self) -> None:
+        src, dst = self.source, self.target
+        if src.truncation > dst.truncation:
+            raise SimplicialError("source truncation exceeds target truncation")
+        if len(self.assignment) != src.truncation + 1:
+            raise SimplicialError("assignment must cover all source levels")
+        for k, a in enumerate(self.assignment):
+            if a.shape != (src.ranks[k],):
+                raise SimplicialError(f"assignment at level {k} has wrong length")
+            if a.size and (a.min() < -1 or a.max() >= dst.ranks[k]):
+                raise SimplicialError(f"assignment out of range at level {k}")
+        for k in range(1, src.truncation + 1):
+            a = self.assignment[k]
+            hit = a >= 0
+            below = np.append(self.assignment[k - 1], -1)   # index -1: degenerate
+            if not np.array_equal(dst.faces[k][a[hit]], below[src.faces[k][hit]]):
+                raise SimplicialError(f"{self.name}: map does not commute with faces "
+                                      f"at level {k}")
+
+
 class TruncatedSimplicialSet:
     """Levelwise cells with face and degeneracy operators up to a truncation.
 
@@ -82,6 +187,7 @@ class TruncatedSimplicialSet:
         self._payload = payload
         self.name = name
         self._nondeg: list[np.ndarray | None] = [None] * (self.truncation + 1)
+        self._form: tuple[NondegenerateComplex, list[np.ndarray]] | None = None
         if len(self.counts) != self.truncation + 1:
             raise SimplicialError("counts must cover levels 0..truncation")
         if check:
@@ -118,6 +224,29 @@ class TruncatedSimplicialSet:
 
     def total_cells(self) -> int:
         return sum(self.counts)
+
+    def _positions(self) -> tuple[NondegenerateComplex, list[np.ndarray]]:
+        """The nondegenerate form, and per level each cell's index in it
+        (-1 for a degenerate cell); cached."""
+        if self._form is None:
+            pos, cells = [], []
+            for k in range(self.truncation + 1):
+                nd = np.flatnonzero(self.nondegenerate(k))
+                p = np.full(self.counts[k], -1, dtype=np.int64)
+                p[nd] = np.arange(len(nd), dtype=np.int64)
+                pos.append(p)
+                cells.append(nd)
+            faces = [None] + [pos[k - 1][self.faces[k][cells[k]]]
+                              for k in range(1, self.truncation + 1)]
+            form = NondegenerateComplex(
+                self.name, [len(c) for c in cells], faces, self.counts,
+                lambda level, i: self.payload(level, int(cells[level][i])), check=False)
+            self._form = (form, pos)
+        return self._form
+
+    def nondegenerate_form(self) -> NondegenerateComplex:
+        """The nondegenerate cells and their faces (validated as a whole)."""
+        return self._positions()[0]
 
     def degenerate_tower(self, vertex: int, level: int) -> int:
         """Index of the ``level``-fold degeneracy of a 0-cell."""
@@ -246,6 +375,14 @@ class SSetMap:
 
     def __call__(self, level: int, index: int) -> int:
         return int(self.assignment[level][index])
+
+    def nondegenerate_form(self) -> NondegenerateMap:
+        """The map on nondegenerate cells, between the nondegenerate forms."""
+        src, src_pos = self.source._positions()
+        dst, dst_pos = self.target._positions()
+        assignment = [dst_pos[k][self.assignment[k][src_pos[k] >= 0]]
+                      for k in range(src.truncation + 1)]
+        return NondegenerateMap(src, dst, assignment, name=self.name, check=False)
 
 
 def identity_map(S: TruncatedSimplicialSet) -> SSetMap:

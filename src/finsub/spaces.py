@@ -104,11 +104,19 @@ def _canonical_maximal(simplices) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(keep)))
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; bools, floats, strings and null are rejected."""
+    if type(value) is not int:
+        raise ComplexError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def load_complex(text: str) -> OrderedComplexSpec:
     """Parse the JSON description of a complex.
 
     Expected fields: ``vertices`` (count), ``simplices`` (list of strictly
-    increasing vertex lists); optional ``name`` and ``basepoint``.
+    increasing vertex lists); optional ``name`` and ``basepoint``.  Counts,
+    vertices and the basepoint must be JSON integers.
     """
     try:
         data = json.loads(text)
@@ -119,16 +127,17 @@ def load_complex(text: str) -> OrderedComplexSpec:
     unknown = set(data) - {"name", "vertices", "simplices", "basepoint"}
     if unknown:
         raise ComplexError(f"unknown fields {sorted(unknown)}")
-    try:
-        vertices = int(data["vertices"])
-        simplices = [tuple(int(v) for v in s) for s in data["simplices"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ComplexError(f"parse failure: {exc}") from None
+    if "vertices" not in data or "simplices" not in data:
+        raise ComplexError("parse failure: 'vertices' and 'simplices' are required")
+    simplices = data["simplices"]
+    if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+        raise ComplexError("simplices must be a list of lists")
     return OrderedComplexSpec(
         name=str(data.get("name", "")),
-        vertex_count=vertices,
-        maximal_simplices=_canonical_maximal(simplices),
-        basepoint=int(data.get("basepoint", 0)),
+        vertex_count=_integer(data["vertices"], "vertices"),
+        maximal_simplices=_canonical_maximal(
+            [tuple(_integer(v, "a simplex entry") for v in s) for s in simplices]),
+        basepoint=_integer(data.get("basepoint", 0), "basepoint"),
     )
 
 

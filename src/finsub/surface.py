@@ -80,8 +80,10 @@ def builtin_presentation(name: str) -> SurfacePresentation:
         "klein": SurfacePresentation(2, (1, 2, 1, -2), "klein"),
         "genus2": SurfacePresentation(4, (1, 2, -1, -2, 3, 4, -3, -4), "genus2"),
     }
+    table["sphere2"] = table["sphere"]   # the built-in space name of the 2-sphere
     if name not in table:
-        raise SurfaceModelError(f"unknown surface presentation {name!r}")
+        raise SurfaceModelError(f"unknown surface presentation {name!r} "
+                                f"(known: {', '.join(table)})")
     return table[name]
 
 

@@ -5,8 +5,9 @@ tolerances anywhere).  Each case names its invariant, which picks the one
 runner that computes and compares it, and, where it has one, a construction
 of the registry ``constructions.CONSTRUCTIONS`` on a built-in space with its
 n; cases over several constructions list them as labelled
-``(label, construction, space, n)`` models.  A shared cache, keyed by
-registry name, space and n, lets cases that need the same construction
+``(label, construction, space, n)`` models.  The cross-check cases build
+the quotient constructions of ``reference`` as well.  A shared cache, keyed
+by registry name, space and n, lets cases that need the same construction
 reuse it.  Reports are deterministic, JSON-serializable, and the suite
 fails exactly when a required case does.
 """
@@ -22,11 +23,12 @@ from fnmatch import fnmatch
 
 import numpy as np
 
-from .constructions import CONSTRUCTIONS, direct_subset_quotient
+from .constructions import CONSTRUCTIONS
 from .fundamental import abelianization, fundamental_presentation, tietze_simplify
 from .homology import (HomologyCoordinates, HomologyGroup, SparseIntMatrix,
                        euler_characteristic, homology, induced_map, normalized_chains,
                        smith_normal_form, universal_coefficients_consistent)
+from .reference import REFERENCE_BUILDERS, direct_subset_quotient, engine_mismatches
 from .simplicial import CellCapExceeded, collapse, compose_maps
 from .spaces import builtin_space
 
@@ -199,6 +201,12 @@ def _chains(cache, construction, space, n=None):
                      lambda: entry.chains(_built(cache, construction, space, n)))
 
 
+def _reference(cache, construction, space, n=None):
+    """The quotient construction of ``reference`` (X^n and a quotient)."""
+    return cache.get(("reference", construction, space, n),
+                     lambda: REFERENCE_BUILDERS[construction](builtin_space(space), n))
+
+
 def _homology(cache, construction, space, n=None, mod=None):
     chains = _chains(cache, construction, space, n)
     return cache.get(("H", construction, space, n, mod), lambda: homology(chains, mod=mod))
@@ -330,17 +338,18 @@ def _run_coproduct_image_case(case, cache, report):
 
 
 def _run_same_cells_case(case, cache, report):
-    """Sub_n(X) and SP^n(X) have the same cells."""
-    sub = _built(cache, "sub", case.space, case.n).space
-    same = sub.same_cells(_built(cache, "sp", case.space, case.n).space)
+    """Sub_n(X) and SP^n(X) have the same cells (quotient constructions)."""
+    sub = _reference(cache, "sub", case.space, case.n).space
+    same = sub.same_cells(_reference(cache, "sp", case.space, case.n).space)
     report.cells = sub.total_cells()
     report.computed = {"cell_isomorphic": same}
     report.status = _verdict(same)
 
 
 def _run_relative_case(case, cache, report):
-    """SP^n(X) modulo its fat diagonal has the homology of Sub_n / Sub_(n-1)."""
-    fat = _built(cache, "fat", case.space, case.n)
+    """SP^n(X) modulo its fat diagonal (collapsed in the quotient
+    construction) has the homology of Sub_n / Sub_(n-1)."""
+    fat = _reference(cache, "fat", case.space, case.n)
     sp_over_fat, _ = collapse(fat.parts["sp"], fat.maps["incl_fat"])
     a = _groups_to_list(homology(normalized_chains(sp_over_fat, with_labels=False)).groups)
     b = _groups_to_list(_groups(cache, "reduced_sub", case.space, case.n))
@@ -350,7 +359,7 @@ def _run_relative_case(case, cache, report):
 
 def _run_quotient_composition_case(case, cache, report):
     """X^n -> SP^n -> Sub_n equals the one-step quotient of X^n."""
-    sub = _built(cache, "sub", case.space, case.n)
+    sub = _reference(cache, "sub", case.space, case.n)
     composite = compose_maps(sub.maps["pi"], sub.maps["q"])
     direct, proj = direct_subset_quotient(builtin_space(case.space), case.n)
     same_space = direct.same_cells(sub.space)
@@ -407,10 +416,11 @@ def _run_uct_case(case, cache, report):
 
 def _run_revalidate_case(case, cache, report):
     """Simplicial identities and d o d = 0, re-checked explicitly on the
-    models (they also run at construction time)."""
+    quotient constructions of the models (they also run at construction
+    time)."""
     checked, ok = [], True
     for label, construction, space, n in case.param_dict["models"]:
-        sset = _built(cache, construction, space, n).space
+        sset = _reference(cache, construction, space, n).space
         sset.validate()
         chains = normalized_chains(sset, with_labels=False)
         ok = ok and all(chains.boundary(k - 1).matmul(chains.boundary(k)).is_zero()
@@ -418,6 +428,20 @@ def _run_revalidate_case(case, cache, report):
         checked.append([label, space, n])
     report.computed = {"revalidated": checked}
     report.status = _verdict(ok)
+
+
+def _run_engine_reference_case(case, cache, report):
+    """The orbit engine and the quotient construction give the same chain
+    complexes, chain maps and pi_1 presentations."""
+    matched, mismatched = [], []
+    for construction, space, n in case.param_dict["models"]:
+        diffs = engine_mismatches(construction, builtin_space(space), n)
+        if diffs:
+            mismatched.append([construction, space, n, diffs])
+        else:
+            matched.append([construction, space, n])
+    report.computed = {"matched": matched, "mismatched": mismatched}
+    report.status = _verdict(not mismatched)
 
 
 def _run_poincare_failure_case(case, cache, report):
@@ -460,6 +484,7 @@ _RUNNERS = {
     "dimension_bound": _run_dimension_bound_case,
     "uct": _run_uct_case,
     "revalidate": _run_revalidate_case,
+    "engine_reference": _run_engine_reference_case,
     "poincare_failure": _run_poincare_failure_case,
     "euler": _run_euler_case,
     "mismatch_selftest": _run_mismatch_selftest_case,
@@ -500,6 +525,13 @@ def _three_models(space):
     return (("models", (("quotient", "based_sub3", space, None),
                         ("cylinder", "cylinder", space, None),
                         ("coproduct", "coproduct", space, None))),)
+
+
+def _engine_models():
+    circle = [(c, "circle3", n) for n in (2, 3, 4)
+              for c in ("sp", "sub", "fat", "reduced_sp", "reduced_sub")]
+    sphere = [(c, "sphere2", 2) for c in ("sp", "sub", "fat", "reduced_sp", "reduced_sub")]
+    return tuple(circle + sphere + [("based_sub3", "torus", None)])
 
 
 def catalog() -> list[VerificationCase]:
@@ -621,6 +653,9 @@ def catalog() -> list[VerificationCase]:
           "pi1", "sp", "torus", 2, [2, []]),
         V("expected-mismatch-selftest", "harness reports a deliberate torsion mismatch",
           "mismatch_selftest", "space", "rp2", None, _h(Z, (0, (4,)), O)),
+        V("orbit-engine-matches-reference",
+          "orbit engine and quotient construction give the same chains and maps",
+          "engine_reference", params=(("models", _engine_models()),)),
         # stretch cases
         V("stretch-sub5-s1", "Sub_5(S^1) has the homology of S^5",
           "homology", "sub", "circle3", 5, _h(Z, O, O, O, O, Z), tag="stretch"),

@@ -50,7 +50,8 @@ CRITERIA = {
           "relative-s1-n2", "relative-s1-n3", "relative-s2-n2",
           "triangulation-invariance", "quotient-composition",
           "poincare-failure-sub3-s2", "euler-characteristics",
-          "pi1-abelianization-sp2-torus", "expected-mismatch-selftest"]),
+          "pi1-abelianization-sp2-torus", "expected-mismatch-selftest",
+          "orbit-engine-matches-reference"]),
 }
 
 

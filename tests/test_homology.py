@@ -227,11 +227,11 @@ def test_sparse_matrix_ops():
 
 def test_induced_map_functoriality_on_composite():
     # pi o q through SP^3 equals the matrix product of the induced maps
-    from finsub.constructions import finite_subset_space
     from finsub.homology import chain_map_matrices, induced_matrix_from_chain_map
+    from finsub.reference import reference_finite_subset_space
     from finsub.simplicial import compose_maps
 
-    sub = finite_subset_space(builtin_space("circle3"), 3, with_filtration=False)
+    sub = reference_finite_subset_space(builtin_space("circle3"), 3, with_filtration=False)
     q, pi = sub.maps["q"], sub.maps["pi"]
     composite = compose_maps(pi, q)
     coords = {obj: HomologyCoordinates(normalized_chains(obj, with_labels=False))

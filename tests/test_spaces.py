@@ -105,3 +105,23 @@ def test_wedge_circles():
     assert spec.vertex_count == 7
     assert len(spec.maximal_simplices) == 9
     assert spec.dimension == 1
+
+
+BAD_JSON = [
+    '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": "x"}',
+    '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": null}',
+    '{"vertices": 3, "simplices": [[0, 1.7], [1, 2], [0, 2]]}',
+    '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": 1.9}',
+    '{"vertices": true, "simplices": [[0]]}',
+    '{"vertices": 3, "simplices": [[0, true], [1, 2], [0, 2]]}',
+    '{"vertices": 3, "simplices": {"0": [0, 1]}}',
+    '{"vertices": 3, "simplices": [[0, 1], 2]}',
+    '{"vertices": 3, "simplices": "012"}',
+    '{"vertices": 3}',
+]
+
+
+@pytest.mark.parametrize("text", BAD_JSON)
+def test_load_complex_accepts_only_integers_and_lists(text):
+    with pytest.raises(ComplexError):
+        load_complex(text)

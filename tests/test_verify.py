@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -313,3 +316,40 @@ def test_reports_are_deterministic():
     for case in a["cases"] + b["cases"]:
         case["seconds"] = 0.0
     assert a == b
+
+
+@pytest.mark.parametrize("space", [
+    '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": "x"}',
+    '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": null}',
+    '{"vertices": 3, "simplices": [[0, 1.7], [1, 2], [0, 2]]}',
+    '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": 1.9}',
+    '{"vertices": true, "simplices": [[0]]}',
+    '{"vertices": 3, "simplices": [[0, 1], 2]}',
+])
+def test_cli_malformed_complex_exit_2(capsys, space):
+    assert main(["homology", "--space", space, "--construction", "sp", "--n", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "Traceback" not in out.err
+
+
+def test_cli_surface_accepts_the_sphere2_name(capsys):
+    code = main(["homology", "--space", "builtin:sphere2", "--construction", "surface",
+                 "--n", "2", "--emit", "json"])
+    assert code == 0
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    assert [g["betti"] for g in groups] == [1, 0, 1, 0, 1]
+
+
+def test_cli_unknown_surface_lists_the_known_names(capsys):
+    assert main(["homology", "--space", "builtin:sphere3", "--construction", "surface"]) == 2
+    err = capsys.readouterr().err
+    assert "sphere3" in err and all(name in err for name in ("sphere", "sphere2", "torus"))
+
+
+def test_python_dash_m_finsub():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "finsub", "cases"], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "bott-sub3-s1" in proc.stdout
