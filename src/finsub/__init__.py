@@ -13,8 +13,7 @@ from .simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap
                          SSetMap, SimplicialError,
                          TruncatedSimplicialSet, cell_cap, collapse,
                          compose_maps, from_ordered_complex,
-                         identity_map, power, projections, quotient,
-                         sub_object)
+                         power, quotient, sub_object)
 from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
                        HomologyError, HomologyGroup, HomologyResult,
                        SmithNormalForm, SparseIntMatrix, chain_map_matrices,
@@ -22,11 +21,11 @@ from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
                        induced_map, invariant_factors, normalized_chains,
                        rank_mod_p, smith_normal_form,
                        universal_coefficients_consistent)
+from .orbits import default_truncation
 from .fundamental import (GroupPresentation, abelianization,
                           fundamental_presentation, tietze_simplify)
 from .constructions import (ConstructionResult, CoproductModelResult,
-                            based_subset3, cylinder_chain_model,
-                            default_truncation, fat_diagonal,
+                            based_subset3, cylinder_chain_model, fat_diagonal,
                             finite_subset_space, reduced,
                             sub3_homology_via_coproduct, symmetric_product)
 from .surface import (MonomialCell, SurfacePresentation, TopHomologyReport,

@@ -18,7 +18,7 @@ from .constructions import CONSTRUCTIONS
 from .homology import (HomologyCoordinates, HomologyError, homology, induced_map,
                        is_prime, normalized_chains)
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
-from .verify import catalog, run_suite
+from .verify import SelectionError, catalog, run_suite
 
 BUILTIN_NAMES = ["interval", "circle(m), m>=3", "sphere(d), d>=1", "torus",
                  "rp2", "wedge_circles(r), r>=1"]
@@ -30,10 +30,10 @@ MAP_OWNERS = {m: name for name, entry in CONSTRUCTIONS.items() for m in entry.ma
 def _load_space(arg: str) -> OrderedComplexSpec:
     if arg.startswith("builtin:"):
         return builtin_space(arg.split(":", 1)[1])
-    path = Path(arg)
-    if path.exists():
-        return load_complex(path.read_text())
-    return load_complex(arg)
+    try:
+        return load_complex(Path(arg).read_text())
+    except OSError:   # no such file, or a name too long to be one: inline JSON
+        return load_complex(arg)
 
 
 def _coeff_mod(coeff: str) -> int | None:
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ComplexError, surf.SurfaceModelError, SimplicialError,
-            HomologyError) as exc:
+            HomologyError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CellCapExceeded as exc:

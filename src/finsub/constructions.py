@@ -39,18 +39,7 @@ class ConstructionResult:
     parts: dict[str, object] = field(default_factory=dict)
 
 
-def default_truncation(spec: OrderedComplexSpec, n: int) -> int:
-    """One level above the top dimension n*dim(X) of the construction."""
-    return n * spec.dimension + 1
-
-
-def _build(spec, n, truncation, forms):
-    D = default_truncation(spec, n) if truncation is None else truncation
-    return orbits.build(spec, D, forms)
-
-
-def symmetric_product(spec: OrderedComplexSpec, n: int,
-                      truncation: int | None = None) -> ConstructionResult:
+def symmetric_product(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
     """SP^n(X): multisets of n cells of X.
 
     Maps: ``j_n`` (basepoint inclusion x -> x x0^(n-1)) and ``diag``
@@ -58,14 +47,13 @@ def symmetric_product(spec: OrderedComplexSpec, n: int,
     """
     if n < 1:
         raise SimplicialError("symmetric_product requires n >= 1")
-    X, (SP,) = _build(spec, n, truncation, [(orbits.sp_form(n), f"SP^{n}({spec.name})")])
+    X, (SP,) = orbits.build(spec, n, [(orbits.sp_form(n), f"SP^{n}({spec.name})")])
     maps = {"j_n": orbits.orbit_map(X, SP, "j_n", orbits.with_tower),
             "diag": orbits.orbit_map(X, SP, "diag", orbits.repeat)}
     return ConstructionResult(SP, maps, parts={"base": X})
 
 
 def finite_subset_space(spec: OrderedComplexSpec, n: int,
-                        truncation: int | None = None,
                         with_filtration: bool = True) -> ConstructionResult:
     """Sub_n(X): nonempty sets of at most n cells of X.
 
@@ -81,7 +69,7 @@ def finite_subset_space(spec: OrderedComplexSpec, n: int,
     filtration = with_filtration and n >= 2
     if filtration:
         forms.append((orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"))
-    X, (SP, Sub, *prev) = _build(spec, n, truncation, forms)
+    X, (SP, Sub, *prev) = orbits.build(spec, n, forms)
     maps = {"pi": orbits.orbit_map(SP, Sub, "pi"),
             "j": orbits.orbit_map(X, Sub, "j", orbits.repeat),
             "j_n": orbits.orbit_map(X, Sub, "pi*j_n", orbits.with_tower)}
@@ -92,20 +80,18 @@ def finite_subset_space(spec: OrderedComplexSpec, n: int,
     return result
 
 
-def fat_diagonal(spec: OrderedComplexSpec, n: int,
-                 truncation: int | None = None) -> ConstructionResult:
+def fat_diagonal(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
     """Multisets with a repeated member, with their inclusion into SP^n."""
     if n < 2:
         raise SimplicialError("fat_diagonal requires n >= 2")
-    X, (SP, fat) = _build(spec, n, truncation,
-                          [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
-                           (orbits.fat_form(n), f"fat_diagonal_{n}({spec.name})")])
+    X, (SP, fat) = orbits.build(spec, n,
+                                [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
+                                 (orbits.fat_form(n), f"fat_diagonal_{n}({spec.name})")])
     return ConstructionResult(fat, {"incl_fat": orbits.orbit_map(fat, SP, "incl")},
                               parts={"base": X, "sp": SP})
 
 
-def based_subset3(spec: OrderedComplexSpec,
-                  truncation: int | None = None) -> ConstructionResult:
+def based_subset3(spec: OrderedComplexSpec) -> ConstructionResult:
     """Sub_3(X, x0): the sets of at most three cells that contain the
     basepoint, the quotient of SP^2(X) gluing the diagonal {x, x} of every
     cell to its basepoint-padded {x, x0}.
@@ -113,9 +99,9 @@ def based_subset3(spec: OrderedComplexSpec,
     Maps: ``alpha`` (SP^2 -> quotient), ``j_x0`` (x -> {x, x0}) and
     ``diag_based`` (x -> {x, x}), which is the same map.
     """
-    X, (SP, B) = _build(spec, 2, truncation,
-                        [(orbits.sp_form(2), f"SP^2({spec.name})"),
-                         (orbits.based_form(), f"Sub_3({spec.name},x0)")])
+    X, (SP, B) = orbits.build(spec, 2,
+                              [(orbits.sp_form(2), f"SP^2({spec.name})"),
+                               (orbits.based_form(), f"Sub_3({spec.name},x0)")])
     maps = {"alpha": orbits.orbit_map(SP, B, "alpha"),
             "j_x0": orbits.orbit_map(X, B, "j_x0", orbits.with_tower),
             "diag_based": orbits.orbit_map(X, B, "alpha*diag", orbits.repeat)}
@@ -189,8 +175,7 @@ def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
 KINDS = ("sp", "sub")
 
 
-def reduced(spec: OrderedComplexSpec, n: int, kind: str,
-            truncation: int | None = None) -> ConstructionResult:
+def reduced(spec: OrderedComplexSpec, n: int, kind: str) -> ConstructionResult:
     """Reduced construction: SP^n/SP^(n-1) or Sub_n/Sub_(n-1).
 
     SP^(n-1) sits inside SP^n as the multisets containing the basepoint;
@@ -209,7 +194,7 @@ def reduced(spec: OrderedComplexSpec, n: int, kind: str,
         forms = [(orbits.sub_form(n), f"Sub_{n}({spec.name})"),
                  (orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"),
                  (orbits.reduced_sub_form(n), f"Sub_{n}({spec.name})/Sub_{n - 1}")]
-    _, (total, sub, Q) = _build(spec, n, truncation, forms)
+    _, (total, sub, Q) = orbits.build(spec, n, forms)
     return ConstructionResult(Q, {"proj": orbits.orbit_map(total, Q, "proj"),
                                   "incl": orbits.orbit_map(sub, total, "incl")},
                               parts={"total": total})
@@ -300,7 +285,7 @@ class Construction:
 
 CONSTRUCTIONS: dict[str, Construction] = {
     "space": Construction(lambda spec, n: ConstructionResult(
-        orbits.build(spec, spec.dimension + 1, [])[0], {})),
+        orbits.build(spec, 1, [])[0], {})),
     "sp": Construction(lambda spec, n: symmetric_product(spec, n), maps=("diag", "j_n")),
     "sub": Construction(lambda spec, n: finite_subset_space(spec, n, with_filtration=False),
                         maps=("j", "pi")),

@@ -281,6 +281,6 @@ def abelianization(pres: GroupPresentation) -> HomologyGroup:
             if v:
                 entries.append((g - 1, j, v))
     M = SparseIntMatrix(pres.generator_count, len(pres.relators), entries)
-    snf = smith_normal_form(M, transforms=False, verify=False)
+    snf = smith_normal_form(M, transforms=False)
     betti = pres.generator_count - snf.rank
     return HomologyGroup(1, betti, snf.torsion)

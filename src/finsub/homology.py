@@ -55,7 +55,7 @@ class SparseIntMatrix:
     and builds the triples only when they are first read.
     """
 
-    __slots__ = ("nrows", "ncols", "_entries", "_arrays", "_cols", "_rows")
+    __slots__ = ("nrows", "ncols", "_entries", "_arrays", "_cols")
 
     def __init__(self, nrows: int, ncols: int, entries=()):
         self.nrows = int(nrows)
@@ -75,7 +75,6 @@ class SparseIntMatrix:
         self._entries = tuple(sorted((r, c, v) for (r, c), v in cleaned.items()))
         self._arrays = None
         self._cols = None
-        self._rows = None
 
     @classmethod
     def from_arrays(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
@@ -137,14 +136,6 @@ class SparseIntMatrix:
                 cols.setdefault(c, []).append((r, v))
             self._cols = cols
         return self._cols
-
-    def rows(self) -> dict[int, list[tuple[int, int]]]:
-        if self._rows is None:
-            rows: dict[int, list[tuple[int, int]]] = {}
-            for r, c, v in self.entries:
-                rows.setdefault(r, []).append((c, v))
-            self._rows = rows
-        return self._rows
 
     def matvec(self, vec: dict[int, int]) -> dict[int, int]:
         cols = self.columns()
@@ -215,10 +206,6 @@ class SparseIntMatrix:
                     return False
             lo = hi
         return True
-
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.ncols, self.nrows,
-                               [(c, r, v) for r, c, v in self.entries])
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -368,8 +355,8 @@ class _Transforms:
     """
 
     def __init__(self, nrows, ncols, track):
-        self.left = track in (True, "both", "left")
-        self.right = track in (True, "both", "right")
+        self.left = track in ("both", "left")
+        self.right = track in ("both", "right")
         if self.left:
             eye_r = [(i, i, 1) for i in range(nrows)]
             self.U = _Work(eye_r, nrows, nrows)
@@ -555,7 +542,7 @@ def _unit_z(v: int) -> bool:
     return v == 1 or v == -1
 
 
-def _snf_core(M: SparseIntMatrix, track: bool) -> SmithNormalForm:
+def _snf_core(M: SparseIntMatrix, track: str | bool) -> SmithNormalForm:
     work = _Work(M.entries, M.nrows, M.ncols)
     tr = _Transforms(M.nrows, M.ncols, track)
     pivots = _eliminate(work, _unit_z, lambda r, c: _eliminate_at(work, tr, r, c))
@@ -616,44 +603,24 @@ def _snf_core(M: SparseIntMatrix, track: bool) -> SmithNormalForm:
     return result
 
 
-def smith_normal_form(M: SparseIntMatrix, transforms: bool | str = True,
-                      verify: bool | str = "auto") -> SmithNormalForm:
+def smith_normal_form(M: SparseIntMatrix, transforms: str | bool = "both") -> SmithNormalForm:
     """Smith normal form with unimodular transforms ``U * M * V = D``.
 
-    ``transforms`` may be True/"both", "left", "right", or False to skip
-    tracking.  ``verify`` re-multiplies the certificate exactly (needs both
-    transforms); with ``"auto"`` the check is exhaustive for small matrices
-    and sampled on a deterministic column subset for large ones.
+    ``transforms`` is "both", "left" (U and its inverse only), "right" (V
+    and its inverse only) or False (the diagonal only).  With both
+    transforms the certificate ``U * M * V = D`` is re-multiplied exactly,
+    and a mismatch raises HomologyError.
     """
-    result = _snf_core(M, transforms)
-    if transforms in (True, "both") and verify:
-        full = verify is True or max(M.nrows, M.ncols) <= 400
-        _check_certificate(M, result, full)
-    return result
+    snf = _snf_core(M, transforms)
+    if transforms == "both" and snf.U.matmul(M).matmul(snf.V) != snf.diagonal_matrix():
+        raise HomologyError("SNF certificate failed: U*M*V != D")
+    return snf
 
 
 def invariant_factors(M: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     """(rank, full diagonal) without transform tracking; fast path."""
     result = _snf_core(M, track=False)
     return result.rank, result.diagonal
-
-
-def _check_certificate(M: SparseIntMatrix, snf: SmithNormalForm, full: bool) -> None:
-    D = snf.diagonal_matrix()
-    if full:
-        if snf.U.matmul(M).matmul(snf.V) != D:
-            raise HomologyError("SNF certificate failed: U*M*V != D")
-        return
-    cols = list(range(M.ncols))
-    sample = cols[:: max(1, len(cols) // 32)] if cols else []
-    vcols = snf.V.columns()
-    dcols = D.columns()
-    for j in sample:
-        vec = {r: v for r, v in vcols.get(j, ())}
-        got = snf.U.matvec(M.matvec(vec))
-        want = {r: v for r, v in dcols.get(j, ())}
-        if got != want:
-            raise HomologyError("SNF certificate failed on sampled column")
 
 
 def is_prime(p: int) -> bool:
@@ -728,7 +695,7 @@ class ChainComplexZ:
     object, in which case the top homology may be unreliable.
     """
 
-    def __init__(self, ranks, boundaries, labels=None, truncated=False, check=True):
+    def __init__(self, ranks, boundaries, labels=None, truncated=False):
         self.ranks = tuple(int(n) for n in ranks)
         self.top_degree = len(self.ranks) - 1
         self.boundaries = dict(boundaries)
@@ -739,10 +706,9 @@ class ChainComplexZ:
                 raise HomologyError(f"boundary degree {k} out of range")
             if (M.nrows, M.ncols) != (self.ranks[k - 1], self.ranks[k]):
                 raise HomologyError(f"boundary {k} has wrong shape")
-        if check:
-            for k in range(2, self.top_degree + 1):
-                if not self.boundary(k - 1).product_is_zero(self.boundary(k)):
-                    raise HomologyError(f"d o d != 0 between degrees {k} and {k - 2}")
+        for k in range(2, self.top_degree + 1):
+            if not self.boundary(k - 1).product_is_zero(self.boundary(k)):
+                raise HomologyError(f"d o d != 0 between degrees {k} and {k - 2}")
 
     def boundary(self, k: int) -> SparseIntMatrix:
         if k in self.boundaries:
@@ -971,23 +937,18 @@ def chain_map_matrices(f) -> dict[int, SparseIntMatrix]:
     return out
 
 
-def induced_map(f, degree: int,
-                src_coords: HomologyCoordinates | None = None,
-                dst_coords: HomologyCoordinates | None = None) -> list[list[int]]:
-    """Matrix of f_* on homology in the SNF-derived bases.
+def induced_map(f, degree: int, src_coords: HomologyCoordinates,
+                dst_coords: HomologyCoordinates) -> list[list[int]]:
+    """Matrix of f_* on homology in the SNF-derived bases of the chains of
+    f's source and target.
 
     Rows index target generators, columns source generators; entries are
-    reduced modulo the target torsion orders.  Pass precomputed
-    coordinate systems to amortize repeated calls.  A degree outside
+    reduced modulo the target torsion orders.  A degree outside
     0..truncation of the source raises HomologyError before any work.
     """
     if not 0 <= degree <= f.source.truncation:
         raise HomologyError(f"degree {degree} out of the source's range "
                             f"0..{f.source.truncation}")
-    if src_coords is None:
-        src_coords = HomologyCoordinates(normalized_chains(f.source, with_labels=False))
-    if dst_coords is None:
-        dst_coords = HomologyCoordinates(normalized_chains(f.target, with_labels=False))
     F = chain_map_matrices(f)[degree]
     return induced_matrix_from_chain_map(F, degree, src_coords, dst_coords)
 

@@ -318,26 +318,41 @@ class OrbitSpace(NondegenerateComplex):
         return np.where(alive, pos, -1)
 
 
-def build(spec: OrderedComplexSpec, truncation: int, forms: list[tuple[Form, str]]):
-    """X and the spaces of the given (form, name) pairs, as OrbitSpaces.
+def default_truncation(spec: OrderedComplexSpec, n: int) -> int:
+    """One level above the top dimension n*dim(X) of a construction on n members."""
+    return n * spec.dimension + 1
+
+
+def _cell_counts(forms: list[tuple[Form, str]], N: list[int], cap: int) -> list[list[int]]:
+    """All cells per level of each form's space when X has N[k] k-cells,
+    after checking their total against the cap."""
+    counts = [[form.count(c) for c in N] for form, _ in forms]
+    total = sum(map(sum, counts))
+    if total > cap:
+        raise CellCapExceeded(
+            f"the spaces of this construction have at least {total} cells, degenerate "
+            f"ones included (cap {cap}; raise FINSUB_CELL_CAP to override)")
+    return counts
+
+
+def build(spec: OrderedComplexSpec, n: int, forms: list[tuple[Form, str]]):
+    """X and the spaces of the given (form, name) pairs of n members, as
+    OrbitSpaces up to level ``default_truncation(spec, n)``.
 
     Raises :class:`CellCapExceeded` before anything is enumerated when the
     spaces together have more cells, degenerate ones included, than the cap.
+    Every count grows with N_k, and X has at least the C(d+k+1, k+1) k-cells
+    of its largest simplex, so that bound is checked first: it needs no
+    downward closure of X, which has 2^(d+1) - 1 faces per d-simplex.
     """
-    if truncation < spec.dimension:
-        raise SimplicialError(
-            f"truncation {truncation} is below the complex dimension {spec.dimension}")
-    N = sequence_counts(spec, truncation)
-    counts = [[form.count(n) for n in N] for form, _ in [(BASE, spec.name)] + forms]
-    total = sum(map(sum, counts))
+    truncation = default_truncation(spec, n)
+    forms = [(BASE, spec.name)] + forms
     cap = cell_cap()
-    if total > cap:
-        raise CellCapExceeded(
-            f"the spaces of this construction have {total} cells, degenerate ones "
-            f"included (cap {cap}; raise FINSUB_CELL_CAP to override)")
+    d = spec.dimension
+    _cell_counts(forms, [comb(d + k + 1, k + 1) for k in range(truncation + 1)], cap)
+    counts = _cell_counts(forms, sequence_counts(spec, truncation), cap)
     X = Sequences(spec, truncation)
-    spaces = [OrbitSpace(X, form, name, c)
-              for (form, name), c in zip([(BASE, spec.name)] + forms, counts)]
+    spaces = [OrbitSpace(X, form, name, c) for (form, name), c in zip(forms, counts)]
     return spaces[0], spaces[1:]
 
 

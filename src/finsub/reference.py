@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constructions import CONSTRUCTIONS, KINDS, ConstructionResult, default_truncation
+from .constructions import CONSTRUCTIONS, KINDS, ConstructionResult
 from .fundamental import fundamental_presentation
 from .homology import chain_map_matrices, normalized_chains
+from .orbits import default_truncation
 from .simplicial import (SSetMap, SimplicialError, TruncatedSimplicialSet,
                          _decompose, collapse, compose_maps, from_ordered_complex,
                          power, quotient, sub_object)
@@ -87,8 +88,7 @@ def _canonical_quotient(S: TruncatedSimplicialSet, canonical, name: str):
                  name)
 
 
-def reference_symmetric_product(spec: OrderedComplexSpec, n: int,
-                                truncation: int | None = None) -> ConstructionResult:
+def reference_symmetric_product(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
     """SP^n(X): the quotient of X^n by coordinate permutations.
 
     Maps: ``q`` (projection X^n -> SP^n), ``j_n`` (basepoint inclusion
@@ -96,7 +96,7 @@ def reference_symmetric_product(spec: OrderedComplexSpec, n: int,
     """
     if n < 1:
         raise SimplicialError("symmetric_product requires n >= 1")
-    D = default_truncation(spec, n) if truncation is None else truncation
+    D = default_truncation(spec, n)
     X = from_ordered_complex(spec, D)
     P, coordinates = power(X, n)
     SP, q = _canonical_quotient(
@@ -124,7 +124,6 @@ def reference_symmetric_product(spec: OrderedComplexSpec, n: int,
 
 
 def reference_finite_subset_space(spec: OrderedComplexSpec, n: int,
-                                  truncation: int | None = None,
                                   with_filtration: bool = True) -> ConstructionResult:
     """Sub_n(X): quotient of SP^n(X) identifying equal coordinate supports.
 
@@ -132,7 +131,7 @@ def reference_finite_subset_space(spec: OrderedComplexSpec, n: int,
     (X^n -> SP^n) and, for n >= 2, ``incl_sub_prev`` (the filtration
     subobject of supports of size < n, isomorphic to Sub_{n-1}).
     """
-    sp = reference_symmetric_product(spec, n, truncation)
+    sp = reference_symmetric_product(spec, n)
     SP, q = sp.space, sp.maps["q"]
     X = sp.parts["base"]
     reps = _class_reps(q)
@@ -159,23 +158,20 @@ def reference_finite_subset_space(spec: OrderedComplexSpec, n: int,
     return result
 
 
-def direct_subset_quotient(spec: OrderedComplexSpec, n: int,
-                           truncation: int | None = None):
+def direct_subset_quotient(spec: OrderedComplexSpec, n: int):
     """Sub_n(X) built in one step from X^n (cross-check construction)."""
-    D = default_truncation(spec, n) if truncation is None else truncation
-    X = from_ordered_complex(spec, D)
+    X = from_ordered_complex(spec, default_truncation(spec, n))
     P, coordinates = power(X, n)
     return _canonical_quotient(
         P, lambda k: _recompose(_support_canonical(coordinates[k]), X.counts[k]),
         name=f"Sub_{n}({spec.name})|direct")
 
 
-def reference_fat_diagonal(spec: OrderedComplexSpec, n: int,
-                           truncation: int | None = None) -> ConstructionResult:
+def reference_fat_diagonal(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
     """Classes of SP^n(X) with a repeated coordinate, with inclusion."""
     if n < 2:
         raise SimplicialError("fat_diagonal requires n >= 2")
-    sp = reference_symmetric_product(spec, n, truncation)
+    sp = reference_symmetric_product(spec, n)
     fat, incl = sub_object(sp.space, lambda level, payload: len(set(payload)) < n,
                            name=f"fat_diagonal_{n}({spec.name})")
     result = ConstructionResult(fat, {"incl_fat": incl}, parts=dict(sp.parts))
@@ -183,14 +179,13 @@ def reference_fat_diagonal(spec: OrderedComplexSpec, n: int,
     return result
 
 
-def reference_based_subset3(spec: OrderedComplexSpec,
-                            truncation: int | None = None) -> ConstructionResult:
+def reference_based_subset3(spec: OrderedComplexSpec) -> ConstructionResult:
     """Sub_3(X, x0) as the quotient of SP^2(X) gluing the diagonal class
     of every simplex to its basepoint-padded class.
 
     Maps: ``alpha`` (SP^2 -> quotient) and ``j_x0`` (x -> {x, x0}).
     """
-    sp = reference_symmetric_product(spec, 2, truncation)
+    sp = reference_symmetric_product(spec, 2)
     X = sp.parts["base"]
     q = sp.maps["q"]
 
@@ -209,8 +204,7 @@ def reference_based_subset3(spec: OrderedComplexSpec,
     return ConstructionResult(B, maps, parts=dict(sp.parts))
 
 
-def reference_reduced(spec: OrderedComplexSpec, n: int, kind: str,
-                      truncation: int | None = None) -> ConstructionResult:
+def reference_reduced(spec: OrderedComplexSpec, n: int, kind: str) -> ConstructionResult:
     """Reduced construction: SP^n/SP^(n-1) or Sub_n/Sub_(n-1).
 
     SP^(n-1) sits inside SP^n as the classes containing the basepoint;
@@ -221,7 +215,7 @@ def reference_reduced(spec: OrderedComplexSpec, n: int, kind: str,
     if kind not in KINDS:
         raise SimplicialError(f"kind must be one of {KINDS}")
     if kind == "sp":
-        sp = reference_symmetric_product(spec, n, truncation)
+        sp = reference_symmetric_product(spec, n)
         bp = spec.basepoint
         sub, incl = sub_object(
             sp.space,
@@ -230,7 +224,7 @@ def reference_reduced(spec: OrderedComplexSpec, n: int, kind: str,
         Q, proj = collapse(sp.space, incl, name=f"SP^{n}({spec.name})/SP^{n - 1}")
         return ConstructionResult(Q, {"proj": proj, "incl": incl},
                                   parts={"total": sp.space})
-    sub = reference_finite_subset_space(spec, n, truncation)
+    sub = reference_finite_subset_space(spec, n)
     incl = sub.maps["incl_sub_prev"]
     Q, proj = collapse(sub.space, incl, name=f"Sub_{n}({spec.name})/Sub_{n - 1}")
     return ConstructionResult(Q, {"proj": proj, "incl": incl},

@@ -25,10 +25,9 @@ in rounds, until a round forces none.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -179,7 +178,7 @@ class TruncatedSimplicialSet:
         ``s_0(c)..s_k(c)`` one level up, present for ``k < D``.
     """
 
-    def __init__(self, truncation, counts, faces, degens, payload, name="", check=True):
+    def __init__(self, truncation, counts, faces, degens, payload, name=""):
         self.truncation = int(truncation)
         self.counts = tuple(int(n) for n in counts)
         self.faces = [None] + [_frozen(f) for f in faces[1:]]
@@ -190,8 +189,7 @@ class TruncatedSimplicialSet:
         self._form: tuple[NondegenerateComplex, list[np.ndarray]] | None = None
         if len(self.counts) != self.truncation + 1:
             raise SimplicialError("counts must cover levels 0..truncation")
-        if check:
-            self.validate()
+        self.validate()
 
     # -- basic queries -------------------------------------------------
 
@@ -323,17 +321,16 @@ class TruncatedSimplicialSet:
 
     # -- debug dump ----------------------------------------------------
 
-    def dump(self, file=None, max_cells: int = 200) -> None:
-        """Write payloads and face tables as text (debugging aid only)."""
-        out = file or sys.stdout
-        out.write(f"simplicial set {self.name!r}, truncation {self.truncation}\n")
+    def dump(self) -> None:
+        """Print payloads and faces, up to 200 cells a level (debugging aid)."""
+        print(f"simplicial set {self.name!r}, truncation {self.truncation}")
         for k in range(self.truncation + 1):
             nd = self.nondegenerate(k)
-            out.write(f"level {k}: {self.counts[k]} cells, {int(nd.sum())} nondegenerate\n")
-            for i in range(min(self.counts[k], max_cells)):
+            print(f"level {k}: {self.counts[k]} cells, {int(nd.sum())} nondegenerate")
+            for i in range(min(self.counts[k], 200)):
                 flag = "" if nd[i] else "  (degenerate)"
                 row = "" if k == 0 else f"  d={self.faces[k][i].tolist()}"
-                out.write(f"  [{i}] {self.payload(k, i)}{row}{flag}\n")
+                print(f"  [{i}] {self.payload(k, i)}{row}{flag}")
 
 
 @dataclass(frozen=True)
@@ -373,9 +370,6 @@ class SSetMap:
                 if not np.array_equal(sa[:, j], self.assignment[k + 1][src.degens[k][:, j]]):
                     raise SimplicialError(f"map does not commute with s_{j} at level {k}")
 
-    def __call__(self, level: int, index: int) -> int:
-        return int(self.assignment[level][index])
-
     def nondegenerate_form(self) -> NondegenerateMap:
         """The map on nondegenerate cells, between the nondegenerate forms."""
         src, src_pos = self.source._positions()
@@ -383,11 +377,6 @@ class SSetMap:
         assignment = [dst_pos[k][self.assignment[k][src_pos[k] >= 0]]
                       for k in range(src.truncation + 1)]
         return NondegenerateMap(src, dst, assignment, name=self.name, check=False)
-
-
-def identity_map(S: TruncatedSimplicialSet) -> SSetMap:
-    return SSetMap(S, S, tuple(np.arange(n, dtype=np.int64) for n in S.counts),
-                   name="id")
 
 
 def compose_maps(g: SSetMap, f: SSetMap, name: str = "") -> SSetMap:
@@ -465,9 +454,8 @@ def power(S: TruncatedSimplicialSet, n: int):
 
     Returns ``(P, coordinates)`` where ``coordinates[k][t]`` is the t-th
     coordinate of every level-k cell of P, an ``(n, counts[k])`` array per
-    level; :func:`projections` makes checked maps of them.  Raises
-    :class:`CellCapExceeded` before allocating anything if the enumeration
-    would exceed the cap.
+    level.  Raises :class:`CellCapExceeded` before allocating anything if
+    the enumeration would exceed the cap.
     """
     if n < 1:
         raise SimplicialError("power requires n >= 1")
@@ -521,47 +509,29 @@ def power(S: TruncatedSimplicialSet, n: int):
     return P, coordinates
 
 
-def projections(S: TruncatedSimplicialSet, n: int) -> tuple[SSetMap, ...]:
-    """The n coordinate projections S^n -> S, on the product :func:`power` builds."""
-    P, coordinates = power(S, n)
-    return tuple(SSetMap(P, S, tuple(c[t] for c in coordinates), name=f"proj{t}")
-                 for t in range(n))
-
-
 # ----------------------------------------------------------------------
 # quotients
 # ----------------------------------------------------------------------
 
 def _normalize_pairs(S, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Pairs as ``level -> (array_a, array_b)``, checked against ``S``.
+    """Pairs ``level -> (a, b)`` as int64 arrays, checked against ``S``.
 
     Indices are checked explicitly: numpy and list indexing would wrap a
     negative index round to the last cells instead of rejecting it.
     """
-    if isinstance(pairs, Mapping):
-        out = {}
-        for level, (a, b) in pairs.items():
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            if a.shape != b.shape:
-                raise SimplicialError("pair arrays must have equal length")
-            out[int(level)] = (a, b)
-    else:
-        by_level: dict[int, tuple[list[int], list[int]]] = {}
-        for (ka, a), (kb, b) in pairs:
-            if ka != kb:
-                raise SimplicialError("identified cells must live at the same level")
-            by_level.setdefault(ka, ([], []))[0].append(a)
-            by_level[ka][1].append(b)
-        out = {k: (np.asarray(v[0], dtype=np.int64), np.asarray(v[1], dtype=np.int64))
-               for k, v in by_level.items()}
-    for level, (a, b) in out.items():
+    out = {}
+    for level, (a, b) in pairs.items():
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.shape != b.shape:
+            raise SimplicialError("pair arrays must have equal length")
         if not 0 <= level <= S.truncation:
             raise SimplicialError(f"pair level {level} outside 0..{S.truncation}")
         for arr in (a, b):
             if arr.size and (arr.min() < 0 or arr.max() >= S.counts[level]):
                 raise SimplicialError(
                     f"pair index out of range 0..{S.counts[level] - 1} at level {level}")
+        out[int(level)] = (a, b)
     return out
 
 
@@ -622,14 +592,14 @@ def _closure_pairs(S: TruncatedSimplicialSet, labels: list[np.ndarray]
 def quotient(S: TruncatedSimplicialSet, pairs, name: str = ""):
     """Quotient by the closure of generating cell identifications.
 
-    ``pairs`` is either an iterable of ``((level, a), (level, b))`` pairs or
-    a mapping ``level -> (array_a, array_b)``.  The relation is closed
-    under faces and degeneracies in rounds: each round labels the
-    connected components of the pending pairs level by level
-    (:func:`_hook_and_jump`), then compares the faces and degeneracies of
-    every cell with those of its class's least member; the mismatches are
-    the next round's pairs.  The result's cells are the equivalence
-    classes, represented by their lexicographically minimal members.
+    ``pairs`` maps a level to arrays ``(a, b)``: cell ``a[i]`` is glued to
+    cell ``b[i]`` at that level.  The relation is closed under faces and
+    degeneracies in rounds: each round labels the connected components of
+    the pending pairs level by level (:func:`_hook_and_jump`), then
+    compares the faces and degeneracies of every cell with those of its
+    class's least member; the mismatches are the next round's pairs.  The
+    result's cells are the equivalence classes, represented by their
+    lexicographically minimal members.
 
     Returns ``(Q, projection)``.
     """

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 
 class ComplexError(ValueError):
@@ -40,6 +40,8 @@ class OrderedComplexSpec:
             raise ComplexError("at least one simplex is required")
         covered = set()
         for simplex in self.maximal_simplices:
+            if not simplex:
+                raise ComplexError("a simplex needs at least one vertex")
             if len(set(simplex)) != len(simplex):
                 raise ComplexError(f"duplicate vertex in simplex {list(simplex)}")
             if list(simplex) != sorted(simplex):
@@ -47,9 +49,10 @@ class OrderedComplexSpec:
             if simplex[0] < 0 or simplex[-1] >= self.vertex_count:
                 raise ComplexError(f"vertex index out of range in {list(simplex)}")
             covered.update(simplex)
-        if covered != set(range(self.vertex_count)):
-            missing = sorted(set(range(self.vertex_count)) - covered)
-            raise ComplexError(f"vertices {missing} belong to no simplex")
+        if len(covered) != self.vertex_count:   # covered lies in range
+            missing = islice((v for v in range(self.vertex_count) if v not in covered), 3)
+            raise ComplexError(f"{self.vertex_count - len(covered)} vertices, such as "
+                               f"{list(missing)}, belong to no simplex")
         if not 0 <= self.basepoint < self.vertex_count:
             raise ComplexError("basepoint out of range")
         if not self._is_connected():

@@ -35,6 +35,10 @@ from .spaces import builtin_space
 STATUSES = ("pass", "fail", "inconclusive", "skipped", "error")
 
 
+class SelectionError(ValueError):
+    """A suite name or filter that selects no verification case."""
+
+
 @dataclass(frozen=True)
 class VerificationCase:
     """One verification recipe with its expected outcome.
@@ -372,20 +376,20 @@ def _run_quotient_composition_case(case, cache, report):
 def _run_snf_case(case, cache, report):
     checks = []
     eye = SparseIntMatrix.identity(3)
-    s = smith_normal_form(eye, verify=True)
+    s = smith_normal_form(eye)
     checks.append(s.diagonal == (1, 1, 1) and s.verify_unimodular())
     m = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
-    s = smith_normal_form(m, verify=True)
+    s = smith_normal_form(m)
     checks.append(s.diagonal == (2, 4) and s.verify_unimodular())
     z = SparseIntMatrix.zeros(3, 4)
-    s = smith_normal_form(z, verify=True)
+    s = smith_normal_form(z)
     checks.append(s.diagonal == ())
     rng = np.random.default_rng(12345)
     for _ in range(12):
         rows, cols = rng.integers(1, 7, size=2)
         dense = rng.integers(-9, 10, size=(rows, cols)).tolist()
         m = SparseIntMatrix.from_dense(dense)
-        s = smith_normal_form(m, verify=True)
+        s = smith_normal_form(m)
         checks.append(s.verify_unimodular())
         checks.append(all(b % a == 0 for a, b in zip(s.diagonal, s.diagonal[1:])))
     report.computed = {"checks": len(checks), "failed": checks.count(False)}
@@ -677,6 +681,9 @@ def run_suite(filter: str = "paper", jobs: int = 1) -> Report:
         selected = cases
     else:
         selected = [c for c in cases if fnmatch(c.id, filter)]
+    if not selected:
+        raise SelectionError(f"no verification case matches {filter!r} "
+                             "(use paper, stretch, all, or a glob over case ids)")
     cache = _Cache()
     report = Report(suite=filter)
     if jobs <= 1:

@@ -61,7 +61,7 @@ def test_structure_maps_agree_on_basepoint(circle):
     X = sp.parts["base"]
     for k in range(X.truncation + 1):
         t = X.degenerate_tower(circle.basepoint, k)
-        assert sp.maps["j_n"](k, t) == sp.maps["diag"](k, t)
+        assert sp.maps["j_n"].assignment[k][t] == sp.maps["diag"].assignment[k][t]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from finsub.homology import SparseIntMatrix, normalized_chains
 from finsub.reference import REFERENCE_BUILDERS, engine_mismatches
 from finsub.simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
                                SimplicialError)
-from finsub.spaces import builtin_space, load_complex
+from finsub.spaces import OrderedComplexSpec, builtin_space, load_complex
 
 # the package's homology() function shadows the submodule as an attribute
 homology = import_module("finsub.homology")
@@ -88,6 +88,17 @@ def test_cap_is_checked_before_enumeration(monkeypatch, capsys):
     assert main(["homology", "--space", "builtin:sphere3", "--construction", "sp",
                  "--n", "14"]) == 3
     assert "FINSUB_CELL_CAP" in capsys.readouterr().err
+
+
+def test_cap_is_checked_before_the_downward_closure(monkeypatch):
+    """S^24 has 2^26 - 2 simplices; its largest simplex alone puts Sub_2 over
+    the cap."""
+    def refuse(self):
+        raise AssertionError("the downward closure was formed")
+
+    monkeypatch.setattr(OrderedComplexSpec, "simplex_set", property(refuse))
+    with pytest.raises(CellCapExceeded, match="cap"):
+        finite_subset_space(builtin_space("sphere24"), 2)
 
 
 def test_cap_counts_all_cells(monkeypatch):

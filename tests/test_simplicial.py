@@ -9,15 +9,25 @@ from hypothesis import strategies as st
 from finsub.homology import euler_characteristic, homology_of_sset, normalized_chains
 from finsub.simplicial import (CellCapExceeded, SSetMap, SimplicialError,
                                TruncatedSimplicialSet, _normalize_pairs, cell_cap,
-                               collapse, compose_maps, from_ordered_complex,
-                               identity_map, power, projections, quotient,
-                               sub_object)
+                               collapse, compose_maps, from_ordered_complex, power,
+                               quotient, sub_object)
 from finsub.spaces import builtin_space, load_complex
 
 
 @pytest.fixture(scope="module")
 def circle():
     return from_ordered_complex(builtin_space("circle3"), 2)
+
+
+def _identity(S):
+    return SSetMap(S, S, tuple(np.arange(n, dtype=np.int64) for n in S.counts), name="id")
+
+
+def _projections(S, n):
+    """The n coordinate projections S^n -> S, checked as simplicial maps."""
+    P, coordinates = power(S, n)
+    return tuple(SSetMap(P, S, tuple(c[t] for c in coordinates), name=f"proj{t}")
+                 for t in range(n))
 
 
 def test_circle_nondegenerate_counts(circle):
@@ -58,7 +68,7 @@ def test_power_square_of_circle(circle):
     # the top level still carries cells, so degree 2 is flagged
     assert h.unreliable == frozenset({2})
     assert [c.shape for c in coordinates] == [(2, n) for n in P.counts]
-    proj = projections(circle, 2)
+    proj = _projections(circle, 2)
     assert len(proj) == 2
     for t, p in enumerate(proj):
         assert p.source.same_cells(P)
@@ -86,14 +96,14 @@ def test_power_cell_cap(monkeypatch, circle):
 
 
 def test_quotient_empty_relation(circle):
-    Q, proj = quotient(circle, [])
+    Q, proj = quotient(circle, {})
     assert Q.same_cells(circle)
     assert all(np.array_equal(a, np.arange(len(a))) for a in proj.assignment)
 
 
 def test_quotient_collapse_vertices_gives_wedge(circle):
     # gluing the three vertices of the triangle gives a wedge of 3 circles
-    Q, _ = quotient(circle, [((0, 0), (0, 1)), ((0, 1), (0, 2))])
+    Q, _ = quotient(circle, {0: ([0, 1], [1, 2])})
     groups = homology_of_sset(Q).groups
     assert groups[0].betti == 1
     assert groups[1].betti == 3 and not groups[1].torsion
@@ -118,7 +128,7 @@ def test_quotient_closure_under_degeneracies(circle):
     # seed a vertex swap; its degeneracies must be identified one level up
     P, _ = power(circle, 2)
     M0, M1 = circle.counts[0], circle.counts[1]
-    Q, proj = quotient(P, [((0, 0 * M0 + 1), (0, 1 * M0 + 0))])
+    Q, proj = quotient(P, {0: ([0 * M0 + 1], [1 * M0 + 0])})
     s0 = circle.degens[0][0, 0]
     s1 = circle.degens[0][1, 0]
     assert proj.assignment[1][s0 * M1 + s1] == proj.assignment[1][s1 * M1 + s0]
@@ -153,18 +163,18 @@ def test_collapse_empty_rejected(circle):
 
 
 def test_compose_maps_and_identity(circle):
-    ident = identity_map(circle)
+    ident = _identity(circle)
     comp = compose_maps(ident, ident)
     assert all(np.array_equal(a, b) for a, b in
                zip(comp.assignment, ident.assignment))
-    proj = projections(circle, 2)
+    proj = _projections(circle, 2)
     back = compose_maps(ident, proj[0])
     assert all(np.array_equal(a, b) for a, b in
                zip(back.assignment, proj[0].assignment))
 
 
 def test_compose_maps_mismatch(circle):
-    proj = projections(circle, 2)
+    proj = _projections(circle, 2)
     with pytest.raises(SimplicialError, match="source"):
         compose_maps(proj[0], proj[0])
 
@@ -214,8 +224,8 @@ def test_cell_cap_rejects_malformed_values(monkeypatch):
     {1: ([-1], [0])},
     {1: ([0], [6])},
     {1: ([0, 1], [2, -6])},
-    [((0, 0), (0, 3))],
-    [((0, -1), (0, 0))],
+    {0: ([0], [3])},
+    {0: ([-1], [0])},
     {3: ([0], [0])},
     {-1: ([0], [0])},
 ])
@@ -332,9 +342,6 @@ def _relations(draw):
             a = draw(st.lists(cell, min_size=1, max_size=5))
             b = draw(st.lists(cell, min_size=len(a), max_size=len(a)))
         pairs[k] = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    if draw(st.booleans()):
-        pairs = [((k, x), (k, y)) for k, (a, b) in pairs.items()
-                 for x, y in zip(a.tolist(), b.tolist())]
     return key, pairs
 
 

@@ -39,6 +39,12 @@ def test_disconnected_rejected():
         load_complex('{"vertices":4,"simplices":[[0,1],[2,3]]}')
 
 
+def test_uncovered_vertices_are_counted_not_listed():
+    with pytest.raises(ComplexError, match="belong to no simplex") as exc:
+        load_complex('{"vertices": 1000000, "simplices": [[0, 1]]}')
+    assert len(str(exc.value)) < 200 and "999998" in str(exc.value)
+
+
 def test_parse_failure():
     with pytest.raises(ComplexError, match="parse"):
         load_complex("not json")

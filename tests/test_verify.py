@@ -12,8 +12,8 @@ import pytest
 from finsub import constructions as cons
 from finsub import verify
 from finsub.cli import main
-from finsub.verify import (REPORT_SCHEMA, Report, VerificationCase, _Cache,
-                           catalog, run_case, run_suite)
+from finsub.verify import (REPORT_SCHEMA, Report, SelectionError, VerificationCase,
+                           _Cache, catalog, run_case, run_suite)
 
 
 def test_catalog_ids_unique():
@@ -52,10 +52,10 @@ def test_skipped_required_fails_suite(monkeypatch):
     assert not report.passed
 
 
-def test_empty_filter_is_success():
-    report = run_suite("nonexistent-*")
-    assert report.cases == []
-    assert report.passed
+@pytest.mark.parametrize("selection", ["nonexistent-*", "papr"])
+def test_selection_matching_no_case_is_an_error(selection):
+    with pytest.raises(SelectionError, match="no verification case"):
+        run_suite(selection)
 
 
 def test_small_suite_and_json_roundtrip():
@@ -215,6 +215,14 @@ def test_cli_homology_inline_json_space(capsys):
     assert "H_1 = Z" in capsys.readouterr().out
 
 
+def test_cli_homology_inline_json_longer_than_a_file_name(capsys):
+    # a path on 60 vertices: 602 characters, past the OS limit on a file name
+    inline = json.dumps({"vertices": 60, "simplices": [[i, i + 1] for i in range(59)]})
+    assert len(inline) > 255
+    assert main(["homology", "--space", inline, "--construction", "space"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["H_0 = Z", "H_1 = 0", "H_2 = 0"]
+
+
 def test_cli_map(capsys):
     code = main(["map", "--name", "diag", "--space", "builtin:sphere2",
                  "--degree", "2", "--emit", "json"])
@@ -269,6 +277,9 @@ def test_cli_rejects_non_prime_modulus(capsys, space, coeff):
     ["map", "--name", "diag", "--space", "builtin:sphere2", "--degree", "-1"],
     # the coproduct model is integral only
     ["homology", "--space", "builtin:rp2", "--construction", "coproduct", "--coeff", "f2"],
+    # a selection that matches no verification case
+    ["verify", "--suite", "papr"],
+    ["verify", "--filter", "no-such-*"],
 ])
 def test_cli_typed_errors_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -325,6 +336,7 @@ def test_reports_are_deterministic():
     '{"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], "basepoint": 1.9}',
     '{"vertices": true, "simplices": [[0]]}',
     '{"vertices": 3, "simplices": [[0, 1], 2]}',
+    '{"vertices": 1, "simplices": [[]]}',
 ])
 def test_cli_malformed_complex_exit_2(capsys, space):
     assert main(["homology", "--space", space, "--construction", "sp", "--n", "2"]) == 2
