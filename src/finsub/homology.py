@@ -14,12 +14,29 @@ F_p), at its entry in the shortest row.  Only when no queued column holds
 a unit does a Markowitz scan of every remaining entry pick the pivot; by
 then it sees only the small non-unit residual, where gcd steps may create
 new units for the queue.
+
+``homology`` reduces the complex while it eliminates, from the top
+boundary down (Gaussian elimination of chain complexes, as in
+Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).  A pivot
+(tau, sigma) of d_k is a reduction pair when every row operation before it
+only added multiples of earlier pivot rows to later rows: then the pivot
+columns, as the elimination has combined them, are boundaries, so they lie
+in the kernel of d_(k-1), and their block on the pivot rows is unimodular
+(triangular with unit diagonal up to sign).  So each generator tau of
+C_(k-1) equals, modulo that kernel, a combination of generators that are
+not pivot rows.  Dropping
+the columns tau from d_(k-1) therefore leaves its image, and so its rank
+and torsion, unchanged.  Over F_p every pivot is such a pair.  Over Z the
+unit pivots taken from the queue before the first Markowitz scan are; the
+gcd steps after it mix a pivot row with a later row by ``row_combine``,
+which changes the basis of C_(k-1) in both directions, so no pivot from
+then on pairs a generator away.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -206,6 +223,19 @@ class SparseIntMatrix:
                     return False
             lo = hi
         return True
+
+    def without_columns(self, cols) -> "SparseIntMatrix":
+        """The matrix of the same shape with the columns ``cols`` set to zero."""
+        if self._arrays is None:
+            drop = set(cols)
+            return SparseIntMatrix(self.nrows, self.ncols,
+                                   [e for e in self.entries if e[1] not in drop])
+        rows, c, values = self._arrays
+        dropped = np.zeros(self.ncols, dtype=bool)
+        dropped[np.fromiter(cols, dtype=np.int64)] = True
+        keep = ~dropped[c]
+        return SparseIntMatrix.from_arrays(self.nrows, self.ncols, rows[keep], c[keep],
+                                           values[keep])
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -505,26 +535,30 @@ class _PivotQueue:
         return None
 
 
-def _eliminate(work: _Work, is_unit, clear) -> list[tuple[int, int, int]]:
+def _eliminate(work: _Work, is_unit, clear) -> tuple[list[tuple[int, int, int]], int]:
     """The elimination kernel: pivot until no entry is left outside done lines.
 
     Unit pivots come from a :class:`_PivotQueue`; only once it is empty does
     the full Markowitz scan ``_pick_pivot`` look at the non-unit residual.
     ``clear(r, c)`` eliminates around the pivot, leaving no entry of row r
     or column c in any other undone line, and returns the pivot value.
-    Returns the pivots ``(r, c, d)`` in discovery order.
+    Returns the pivots ``(r, c, d)`` in discovery order and the number of
+    them taken before the first Markowitz scan.
     """
     queue = _PivotQueue(work, is_unit)
     done_rows: set[int] = set()
     done_cols: set[int] = set()
     pivots = []
+    unscanned = None
     while True:
         pick = queue.pop(done_cols)
         queued = pick is not None
         if not queued:
+            if unscanned is None:
+                unscanned = len(pivots)
             pick = _pick_pivot(work, done_rows, done_cols)
             if pick is None:
-                return pivots
+                return pivots, unscanned
         r, c = pick
         touched = list(work.rows[r])
         pivots.append((r, c, clear(r, c)))
@@ -542,10 +576,25 @@ def _unit_z(v: int) -> bool:
     return v == 1 or v == -1
 
 
-def _snf_core(M: SparseIntMatrix, track: str | bool) -> SmithNormalForm:
+class Rank(int):
+    """The rank of a boundary d_k, with ``paired_rows``: the rows of the
+    pivots that are reduction pairs (see the module docstring), whose
+    generators of C_(k-1) ``homology`` drops from d_(k-1)."""
+
+    def __new__(cls, rank: int, paired_rows: tuple[int, ...] = ()):
+        self = super().__new__(cls, rank)
+        self.paired_rows = paired_rows
+        return self
+
+
+def _snf_core(M: SparseIntMatrix, track: str | bool) -> tuple[SmithNormalForm, tuple[int, ...]]:
+    """The Smith form, and the rows of the pivots taken before the first
+    Markowitz scan."""
     work = _Work(M.entries, M.nrows, M.ncols)
     tr = _Transforms(M.nrows, M.ncols, track)
-    pivots = _eliminate(work, _unit_z, lambda r, c: _eliminate_at(work, tr, r, c))
+    pivots, unscanned = _eliminate(work, _unit_z,
+                                   lambda r, c: _eliminate_at(work, tr, r, c))
+    paired_rows = tuple(r for r, _, _ in pivots[:unscanned])
 
     # move pivots onto the diagonal in discovery order
     k = len(pivots)
@@ -600,7 +649,7 @@ def _snf_core(M: SparseIntMatrix, track: str | bool) -> SmithNormalForm:
     if tr.right:
         result.V = SparseIntMatrix(M.ncols, M.ncols, tr.V.entries())
         result.V_inv = SparseIntMatrix(M.ncols, M.ncols, tr.Vinv.entries())
-    return result
+    return result, paired_rows
 
 
 def smith_normal_form(M: SparseIntMatrix, transforms: str | bool = "both") -> SmithNormalForm:
@@ -611,16 +660,20 @@ def smith_normal_form(M: SparseIntMatrix, transforms: str | bool = "both") -> Sm
     transforms the certificate ``U * M * V = D`` is re-multiplied exactly,
     and a mismatch raises HomologyError.
     """
-    snf = _snf_core(M, transforms)
+    snf, _ = _snf_core(M, transforms)
     if transforms == "both" and snf.U.matmul(M).matmul(snf.V) != snf.diagonal_matrix():
         raise HomologyError("SNF certificate failed: U*M*V != D")
     return snf
 
 
-def invariant_factors(M: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
-    """(rank, full diagonal) without transform tracking; fast path."""
-    result = _snf_core(M, track=False)
-    return result.rank, result.diagonal
+def invariant_factors(M: SparseIntMatrix) -> tuple[Rank, tuple[int, ...]]:
+    """(rank, full diagonal) without transform tracking; fast path.
+
+    The rank is a :class:`Rank`, whose ``paired_rows`` are the rows of the
+    unit pivots taken before the first Markowitz scan.
+    """
+    result, paired_rows = _snf_core(M, track=False)
+    return Rank(result.rank, paired_rows), result.diagonal
 
 
 def is_prime(p: int) -> bool:
@@ -628,8 +681,12 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
-    """Rank of M over the prime field F_p by sparse elimination."""
+def rank_mod_p(M: SparseIntMatrix, p: int) -> Rank:
+    """Rank of M over the prime field F_p by sparse elimination.
+
+    The rank is a :class:`Rank` whose ``paired_rows`` are all pivot rows:
+    each pivot only adds multiples of its row to the rows not yet pivoted.
+    """
     if not is_prime(p):
         raise HomologyError(f"modulus {p} is not a prime")
     work = _Work([(r, c, v % p) for r, c, v in M.entries if v % p], M.nrows, M.ncols)
@@ -648,7 +705,8 @@ def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
         return 1
 
     # every stored entry is nonzero, hence a unit of F_p
-    return len(_eliminate(work, bool, clear))
+    pivots, _ = _eliminate(work, bool, clear)
+    return Rank(len(pivots), tuple(r for r, _, _ in pivots))
 
 
 # ----------------------------------------------------------------------
@@ -773,26 +831,30 @@ def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     """Homology groups of a complex over Z (default) or F_p (``mod=p``).
 
     Over Z the ranks and invariant factors come from Smith normal forms of
-    consecutive boundaries; over F_p from mod-p elimination.  The top
-    degree of a truncated complex is flagged unreliable unless its chain
-    group vanishes.
+    the boundaries; over F_p from mod-p elimination.  The boundaries are
+    eliminated from the top down, and the generators of C_(k-1) that the
+    pivots of d_k pair away (``Rank.paired_rows``: every pivot over F_p,
+    over Z the unit pivots before the first Markowitz scan) are dropped
+    from the columns of d_(k-1) before it is eliminated.  That leaves the image of
+    d_(k-1), hence its rank and torsion, unchanged; see the module
+    docstring.  The top degree of a truncated complex is flagged unreliable
+    unless its chain group vanishes.
     """
     top = C.top_degree
-    if mod is None:
-        ranks = {}
-        factors = {}
-        for k in range(1, top + 1):
-            r, diag = invariant_factors(C.boundary(k))
-            ranks[k] = r
+    ranks = {}
+    factors = {}
+    paired_rows = ()
+    for k in range(top, 0, -1):
+        M = C.boundary(k).without_columns(paired_rows)
+        if mod is None:
+            ranks[k], diag = invariant_factors(M)
             factors[k] = tuple(d for d in diag if d > 1)
-        groups = []
-        for k in range(top + 1):
-            betti = C.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            groups.append(HomologyGroup(k, betti, factors.get(k + 1, ())))
-    else:
-        ranks = {k: rank_mod_p(C.boundary(k), mod) for k in range(1, top + 1)}
-        groups = [HomologyGroup(k, C.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0))
-                  for k in range(top + 1)]
+        else:
+            ranks[k] = rank_mod_p(M, mod)
+        paired_rows = ranks[k].paired_rows
+    groups = [HomologyGroup(k, C.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
+                            factors.get(k + 1, ()))
+              for k in range(top + 1)]
     unreliable = frozenset({top} if (C.truncated and C.ranks[top] > 0) else set())
     return HomologyResult(tuple(groups), unreliable, mod)
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .homology import ChainComplexZ, HomologyGroup, HomologyResult, SparseIntMatrix, homology
+from .homology import ChainComplexZ, HomologyGroup, SparseIntMatrix, homology
 
 
 class SurfaceModelError(ValueError):

@@ -1,18 +1,27 @@
-"""Differential tests of the elimination kernel against a full-scan reference.
+"""Differential tests of the elimination kernel against a full-scan reference,
+and of ``homology`` against a per-boundary reference.
 
-The reference below is the kernel as it was before the unit-pivot queue:
-every pivot comes from a Markowitz scan of all remaining entries.  It is
-kept here only as an oracle; it shares the row/column primitives of
-``finsub.homology`` but none of the pivot search.
+The first reference is the kernel as it was before the unit-pivot queue:
+every pivot comes from a Markowitz scan of all remaining entries.  The
+second is ``homology`` as it was before it reduced the complex: every
+boundary eliminated whole, with no generator dropped.  Both are kept here
+only as oracles; they share the row/column primitives of
+``finsub.homology`` but none of the pivot search or reduction.
 """
 
 from math import gcd
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finsub.homology import (SparseIntMatrix, _eliminate_at, _Transforms, _Work,
-                             invariant_factors, rank_mod_p, smith_normal_form)
+from finsub.constructions import CONSTRUCTIONS
+from finsub.homology import (ChainComplexZ, HomologyGroup, HomologyResult, SparseIntMatrix,
+                             _eliminate_at, _Transforms, _Work, homology,
+                             invariant_factors, normalized_chains, rank_mod_p,
+                             smith_normal_form)
+from finsub.spaces import builtin_space
+from test_orbits import complexes
 
 
 def _full_scan_pivot(work, done_rows, done_cols):
@@ -133,3 +142,55 @@ def test_rank_mod_p_ignores_done_rows():
     # on it would count the rank as 2
     assert rank_mod_p(SparseIntMatrix.from_dense([[1, 1], [1, 1]]), 2) == 1
     assert rank_mod_p(SparseIntMatrix.from_dense([[1, 2], [2, 1]]), 3) == 1
+
+
+def reference_homology(C, mod=None):
+    """Homology from the rank and torsion of every whole boundary."""
+    top = C.top_degree
+    ranks, factors = {}, {}
+    for k in range(1, top + 1):
+        if mod is None:
+            ranks[k], diag = invariant_factors(C.boundary(k))
+            factors[k] = tuple(d for d in diag if d > 1)
+        else:
+            ranks[k] = rank_mod_p(C.boundary(k), mod)
+    groups = tuple(HomologyGroup(k, C.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
+                                 factors.get(k + 1, ()))
+                   for k in range(top + 1))
+    unreliable = frozenset({top} if C.truncated and C.ranks[top] else ())
+    return HomologyResult(groups, unreliable, mod)
+
+
+def _assert_matches_reference(C):
+    for mod in (None, 2, 3):
+        assert homology(C, mod) == reference_homology(C, mod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=complexes(), construction=st.sampled_from(["sp", "sub", "based_sub3"]),
+       n=st.integers(2, 3))
+def test_homology_matches_per_boundary_reference(spec, construction, n):
+    C = normalized_chains(CONSTRUCTIONS[construction].build(spec, n).space,
+                          with_labels=False)
+    assume(sum(C.ranks) <= 3000)   # keeps the reference under a second
+    _assert_matches_reference(C)
+
+
+@pytest.mark.parametrize("construction, space, n", [
+    ("space", "rp2", 1),       # H_1 = Z/2
+    ("sp", "rp2", 2),          # H_1 = H_3 = Z/2
+    ("sp", "sphere3", 2),      # H_5 = Z/2
+])
+def test_homology_with_torsion_matches_per_boundary_reference(construction, space, n):
+    built = CONSTRUCTIONS[construction].build(builtin_space(space), n)
+    _assert_matches_reference(normalized_chains(built.space, with_labels=False))
+
+
+def test_gcd_step_pivot_pairs_no_generator_away():
+    # Z --(2, 3)^T--> Z^2 --(3 -2)--> Z is exact.  d_2 has no unit, so its
+    # pivot follows a gcd step that mixes both rows of C_1; dropping the
+    # pivot row from d_1 would leave (0 -2) and report H_0 = Z/2.
+    C = ChainComplexZ((1, 2, 1), {1: SparseIntMatrix.from_dense([[3, -2]]),
+                                  2: SparseIntMatrix.from_dense([[2], [3]])})
+    assert [str(g) for g in homology(C)] == ["0", "0", "0"]
+    _assert_matches_reference(C)
