@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import surface as surf
 from .constructions import CONSTRUCTIONS
-from .homology import (HomologyCoordinates, HomologyError, homology, induced_map,
-                       is_prime, normalized_chains)
+from .homology import (MODULUS_BOUND, HomologyCoordinates, HomologyError, homology,
+                       induced_map, is_prime, normalized_chains)
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
 from .verify import SelectionError, catalog, run_suite
 
@@ -40,8 +40,12 @@ def _coeff_mod(coeff: str) -> int | None:
     coeff = coeff.lower()
     if coeff == "z":
         return None
-    if coeff.startswith("f") and coeff[1:].isdigit() and is_prime(int(coeff[1:])):
-        return int(coeff[1:])
+    digits = coeff[1:]
+    if coeff.startswith("f") and digits.isascii() and digits.isdigit():
+        if len(digits) > 10 or int(digits) >= MODULUS_BOUND:
+            raise ComplexError(f"modulus {digits} is not below 2^31")
+        if is_prime(int(digits)):
+            return int(digits)
     raise ComplexError(f"unsupported coefficient ring {coeff!r} "
                        "(use z, or fP for a prime P: f2, f3, f5, ...)")
 

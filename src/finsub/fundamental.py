@@ -19,7 +19,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .homology import HomologyGroup, SparseIntMatrix, smith_normal_form
+from .homology import HomologyGroup, SparseIntMatrix, invariant_factors
 from .simplicial import SimplicialError
 
 
@@ -281,6 +281,5 @@ def abelianization(pres: GroupPresentation) -> HomologyGroup:
             if v:
                 entries.append((g - 1, j, v))
     M = SparseIntMatrix(pres.generator_count, len(pres.relators), entries)
-    snf = smith_normal_form(M, transforms=False)
-    betti = pres.generator_count - snf.rank
-    return HomologyGroup(1, betti, snf.torsion)
+    rank, diagonal = invariant_factors(M)
+    return HomologyGroup(1, pres.generator_count - rank, tuple(d for d in diagonal if d > 1))

@@ -15,6 +15,11 @@ a unit does a Markowitz scan of every remaining entry pick the pivot; by
 then it sees only the small non-unit residual, where gcd steps may create
 new units for the queue.
 
+No pivot is moved: the divisibility pass d_1 | d_2 | ... works on the
+pivots where the elimination left them, and the transforms of
+``smith_normal_form`` (modes "both", "left" and "right") are relabelled
+and signed once, when the result is built.
+
 ``homology`` reduces the complex while it eliminates, from the top
 boundary down (Gaussian elimination of chain complexes, as in
 Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).  A pivot
@@ -289,33 +294,6 @@ class _Work:
         for r in list(self.cols.get(src, set())):
             self._set(r, dest, self.get(r, dest) + q * self.rows[r][src])
 
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        ri, rj = self.rows.pop(i, {}), self.rows.pop(j, {})
-        for c in ri:
-            self.cols[c].discard(i)
-        for c in rj:
-            self.cols[c].discard(j)
-        if rj:
-            self.rows[i] = rj
-            for c in rj:
-                self.cols[c].add(i)
-        if ri:
-            self.rows[j] = ri
-            for c in ri:
-                self.cols[c].add(j)
-
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        touched = self.cols.get(i, set()) | self.cols.get(j, set())
-        for r in list(touched):
-            row = self.rows.get(r, {})
-            vi, vj = row.get(i, 0), row.get(j, 0)
-            self._set(r, i, vj)
-            self._set(r, j, vi)
-
     def row_combine(self, i, j, x, y, z, w):
         """rows (i, j) <- (x*ri + y*rj, z*ri + w*rj); det must be +-1."""
         ri, rj = dict(self.rows.get(i, {})), dict(self.rows.get(j, {}))
@@ -332,14 +310,6 @@ class _Work:
             a, b = row.get(i, 0), row.get(j, 0)
             self._set(r, i, x * a + y * b)
             self._set(r, j, z * a + w * b)
-
-    def row_negate(self, i):
-        for c, v in list(self.rows.get(i, {}).items()):
-            self.rows[i][c] = -v
-
-    def col_negate(self, i):
-        for r in list(self.cols.get(i, set())):
-            self.rows[r][i] = -self.rows[r][i]
 
     def entries(self):
         return [(r, c, v) for r, row in self.rows.items() for c, v in row.items()]
@@ -381,7 +351,7 @@ class _Transforms:
     """U, V and their inverses updated alongside row/column operations.
 
     ``track`` is "both", "left" (row transforms only), "right" (column
-    transforms only) or False.
+    transforms only) or False (none, for :func:`invariant_factors`).
     """
 
     def __init__(self, nrows, ncols, track):
@@ -406,16 +376,6 @@ class _Transforms:
             self.V.col_add(dest, src, q)
             self.Vinv.row_add(src, dest, -q)
 
-    def row_swap(self, i, j):
-        if self.left:
-            self.U.row_swap(i, j)
-            self.Uinv.col_swap(i, j)
-
-    def col_swap(self, i, j):
-        if self.right:
-            self.V.col_swap(i, j)
-            self.Vinv.row_swap(i, j)
-
     def row_combine(self, i, j, x, y, z, w):
         if self.left:
             self.U.row_combine(i, j, x, y, z, w)
@@ -425,11 +385,6 @@ class _Transforms:
         if self.right:
             self.V.col_combine(i, j, x, y, z, w)
             self.Vinv.row_combine(i, j, w, -z, -y, x)
-
-    def row_negate(self, i):
-        if self.left:
-            self.U.row_negate(i)
-            self.Uinv.col_negate(i)
 
 
 def _pick_pivot(work: _Work, done_rows: set[int], done_cols: set[int]):
@@ -587,6 +542,18 @@ class Rank(int):
         return self
 
 
+def _placement(lines: list[int], n: int) -> list[int]:
+    """Where each of n lines lands if, for t = 0, 1, ..., the line
+    ``lines[t]`` is swapped with the line then at place t."""
+    at = list(range(n))      # the line at each place
+    place = list(range(n))   # the place of each line
+    for t, line in enumerate(lines):
+        p, other = place[line], at[t]
+        at[t], at[p] = line, other
+        place[line], place[other] = t, p
+    return place
+
+
 def _snf_core(M: SparseIntMatrix, track: str | bool) -> tuple[SmithNormalForm, tuple[int, ...]]:
     """The Smith form, and the rows of the pivots taken before the first
     Markowitz scan."""
@@ -596,70 +563,54 @@ def _snf_core(M: SparseIntMatrix, track: str | bool) -> tuple[SmithNormalForm, t
                                    lambda r, c: _eliminate_at(work, tr, r, c))
     paired_rows = tuple(r for r, _, _ in pivots[:unscanned])
 
-    # move pivots onto the diagonal in discovery order
-    k = len(pivots)
     prow = [r for r, _, _ in pivots]
     pcol = [c for _, c, _ in pivots]
-    at_row = {r: t for t, r in enumerate(prow)}
-    at_col = {c: t for t, c in enumerate(pcol)}
-    for t in range(k):
-        r, c = prow[t], pcol[t]
-        del at_row[r], at_col[c]
-        if r != t:
-            work.row_swap(r, t)
-            tr.row_swap(r, t)
-            u = at_row.pop(t, None)
-            if u is not None:
-                prow[u] = r
-                at_row[r] = u
-        if c != t:
-            work.col_swap(c, t)
-            tr.col_swap(c, t)
-            u = at_col.pop(t, None)
-            if u is not None:
-                pcol[u] = c
-                at_col[c] = u
 
-    # enforce the divisibility chain d_1 | d_2 | ...
+    # enforce the divisibility chain d_1 | d_2 | ... on the pivots where they stand
     changed = True
     while changed:
         changed = False
-        for t in range(k - 1):
-            a = work.get(t, t)
-            b = work.get(t + 1, t + 1)
-            if a and b % a != 0:
-                work.col_add(t, t + 1, 1)
-                tr.col_add(t, t + 1, 1)
-                _eliminate_at(work, tr, t, t)
+        for t in range(len(pivots) - 1):
+            a = work.get(prow[t], pcol[t])
+            b = work.get(prow[t + 1], pcol[t + 1])
+            if b % a != 0:
+                work.col_add(pcol[t], pcol[t + 1], 1)
+                tr.col_add(pcol[t], pcol[t + 1], 1)
+                _eliminate_at(work, tr, prow[t], pcol[t])
                 changed = True
 
-    diagonal = []
-    for t in range(k):
-        d = work.get(t, t)
-        if d < 0:
-            work.row_negate(t)
-            tr.row_negate(t)
-            d = -d
-        diagonal.append(d)
-
-    result = SmithNormalForm(M.nrows, M.ncols, tuple(diagonal))
+    pivot_values = [work.get(r, c) for r, c in zip(prow, pcol)]
+    result = SmithNormalForm(M.nrows, M.ncols, tuple(abs(d) for d in pivot_values))
+    # pivot t goes to (t, t); its row of U, and column of U_inv, take its sign
     if tr.left:
-        result.U = SparseIntMatrix(M.nrows, M.nrows, tr.U.entries())
-        result.U_inv = SparseIntMatrix(M.nrows, M.nrows, tr.Uinv.entries())
+        place = _placement(prow, M.nrows)
+        sign = {r: -1 for r, d in zip(prow, pivot_values) if d < 0}
+        result.U = SparseIntMatrix(M.nrows, M.nrows, [
+            (place[r], c, sign.get(r, 1) * v) for r, c, v in tr.U.entries()])
+        result.U_inv = SparseIntMatrix(M.nrows, M.nrows, [
+            (r, place[c], sign.get(c, 1) * v) for r, c, v in tr.Uinv.entries()])
     if tr.right:
-        result.V = SparseIntMatrix(M.ncols, M.ncols, tr.V.entries())
-        result.V_inv = SparseIntMatrix(M.ncols, M.ncols, tr.Vinv.entries())
+        place = _placement(pcol, M.ncols)
+        result.V = SparseIntMatrix(M.ncols, M.ncols, [
+            (r, place[c], v) for r, c, v in tr.V.entries()])
+        result.V_inv = SparseIntMatrix(M.ncols, M.ncols, [
+            (place[r], c, v) for r, c, v in tr.Vinv.entries()])
     return result, paired_rows
 
 
-def smith_normal_form(M: SparseIntMatrix, transforms: str | bool = "both") -> SmithNormalForm:
+def smith_normal_form(M: SparseIntMatrix, transforms: str = "both") -> SmithNormalForm:
     """Smith normal form with unimodular transforms ``U * M * V = D``.
 
-    ``transforms`` is "both", "left" (U and its inverse only), "right" (V
-    and its inverse only) or False (the diagonal only).  With both
-    transforms the certificate ``U * M * V = D`` is re-multiplied exactly,
-    and a mismatch raises HomologyError.
+    ``transforms`` is "both", "left" (U and its inverse only) or "right" (V
+    and its inverse only); :func:`invariant_factors` gives the diagonal
+    alone.  The pivots stay where the elimination found them, and the
+    transforms are placed once, at the end: the t-th pivot's row of U and
+    column of V become the t-th, with the row of U signed so that d_t > 0.
+    With both transforms the certificate ``U * M * V = D`` is
+    re-multiplied exactly, and a mismatch raises HomologyError.
     """
+    if transforms not in ("both", "left", "right"):
+        raise HomologyError(f"transforms must be 'both', 'left' or 'right', not {transforms!r}")
     snf, _ = _snf_core(M, transforms)
     if transforms == "both" and snf.U.matmul(M).matmul(snf.V) != snf.diagonal_matrix():
         raise HomologyError("SNF certificate failed: U*M*V != D")
@@ -676,8 +627,12 @@ def invariant_factors(M: SparseIntMatrix) -> tuple[Rank, tuple[int, ...]]:
     return Rank(result.rank, paired_rows), result.diagonal
 
 
+# moduli are below this bound, so trial division in is_prime takes milliseconds
+MODULUS_BOUND = 1 << 31
+
+
 def is_prime(p: int) -> bool:
-    """Trial division; moduli are small."""
+    """Trial division; moduli are below ``MODULUS_BOUND``."""
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
@@ -687,6 +642,8 @@ def rank_mod_p(M: SparseIntMatrix, p: int) -> Rank:
     The rank is a :class:`Rank` whose ``paired_rows`` are all pivot rows:
     each pivot only adds multiples of its row to the rows not yet pivoted.
     """
+    if p >= MODULUS_BOUND:
+        raise HomologyError(f"modulus {p} is not below 2^31")
     if not is_prime(p):
         raise HomologyError(f"modulus {p} is not a prime")
     work = _Work([(r, c, v % p) for r, c, v in M.entries if v % p], M.nrows, M.ncols)

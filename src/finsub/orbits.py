@@ -324,14 +324,21 @@ def default_truncation(spec: OrderedComplexSpec, n: int) -> int:
 
 
 def _cell_counts(forms: list[tuple[Form, str]], N: list[int], cap: int) -> list[list[int]]:
-    """All cells per level of each form's space when X has N[k] k-cells,
-    after checking their total against the cap."""
-    counts = [[form.count(c) for c in N] for form, _ in forms]
-    total = sum(map(sum, counts))
-    if total > cap:
-        raise CellCapExceeded(
-            f"the spaces of this construction have at least {total} cells, degenerate "
-            f"ones included (cap {cap}; raise FINSUB_CELL_CAP to override)")
+    """All cells per level of each form's space when X has N[k] k-cells.
+
+    Raises :class:`CellCapExceeded` as soon as the running total passes the
+    cap, so a huge n costs no more counts than a small one.
+    """
+    counts = [[] for _ in forms]
+    total = 0
+    for (form, _), row in zip(forms, counts):
+        for c in N:
+            row.append(form.count(c))
+            total += row[-1]
+            if total > cap:
+                raise CellCapExceeded(
+                    f"the spaces of this construction have more than the cap of {cap} "
+                    "cells, degenerate ones included (raise FINSUB_CELL_CAP to override)")
     return counts
 
 

@@ -125,6 +125,8 @@ def load_complex(text: str) -> OrderedComplexSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ComplexError(f"parse failure: {exc}") from None
+    except RecursionError:
+        raise ComplexError("parse failure: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ComplexError("expected a JSON object")
     unknown = set(data) - {"name", "vertices", "simplices", "basepoint"}

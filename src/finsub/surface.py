@@ -69,6 +69,8 @@ def load_surface_presentation(text: str) -> SurfacePresentation:
         word = tuple(int(g) for g in data["word"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SurfaceModelError(f"parse failure: {exc}") from None
+    except RecursionError:
+        raise SurfaceModelError("parse failure: JSON nested too deeply") from None
     return SurfacePresentation(r, word, name=str(data.get("name", "")))
 
 

@@ -1,12 +1,16 @@
 """Differential tests of the elimination kernel against a full-scan reference,
-and of ``homology`` against a per-boundary reference.
+of the Smith form's placement against a swap-and-negate reference, and of
+``homology`` against a per-boundary reference.
 
 The first reference is the kernel as it was before the unit-pivot queue:
 every pivot comes from a Markowitz scan of all remaining entries.  The
-second is ``homology`` as it was before it reduced the complex: every
-boundary eliminated whole, with no generator dropped.  Both are kept here
-only as oracles; they share the row/column primitives of
-``finsub.homology`` but none of the pivot search or reduction.
+second is the Smith form as it was before the pivots stayed in place:
+every pivot swapped onto the diagonal, the swaps mirrored on U, U_inv, V
+and V_inv, and the signs fixed by negating rows.  The third is
+``homology`` as it was before it reduced the complex: every boundary
+eliminated whole, with no generator dropped.  All are kept here only as
+oracles; they share the row/column primitives of ``finsub.homology`` but
+none of the pivot search, placement or reduction.
 """
 
 from math import gcd
@@ -16,10 +20,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finsub.constructions import CONSTRUCTIONS
-from finsub.homology import (ChainComplexZ, HomologyGroup, HomologyResult, SparseIntMatrix,
-                             _eliminate_at, _Transforms, _Work, homology,
-                             invariant_factors, normalized_chains, rank_mod_p,
-                             smith_normal_form)
+from finsub.homology import (ChainComplexZ, HomologyGroup, HomologyResult, SmithNormalForm,
+                             SparseIntMatrix, _eliminate, _eliminate_at, _snf_core,
+                             _Transforms, _unit_z, _Work, homology, invariant_factors,
+                             normalized_chains, rank_mod_p, smith_normal_form)
 from finsub.spaces import builtin_space
 from test_orbits import complexes
 
@@ -65,6 +69,90 @@ def reference_invariant_factors(M):
             g = gcd(a, b)
             diag[i], diag[j] = g, a // g * b
     return len(diag), tuple(diag)
+
+
+def _row_swap(work, i, j):
+    if i == j:
+        return
+    ri, rj = work.rows.pop(i, {}), work.rows.pop(j, {})
+    for c in ri:
+        work.cols[c].discard(i)
+    for c in rj:
+        work.cols[c].discard(j)
+    for r, row in ((i, rj), (j, ri)):
+        if row:
+            work.rows[r] = row
+            for c in row:
+                work.cols[c].add(r)
+
+
+def _col_swap(work, i, j):
+    if i == j:
+        return
+    for r in list(work.cols.get(i, set()) | work.cols.get(j, set())):
+        row = work.rows.get(r, {})
+        vi, vj = row.get(i, 0), row.get(j, 0)
+        work._set(r, i, vj)
+        work._set(r, j, vi)
+
+
+def reference_smith_normal_form(M, track):
+    """The Smith form and paired rows, every pivot swapped onto the diagonal
+    in discovery order before the divisibility pass, and each negative
+    pivot's row negated after it."""
+    work = _Work(M.entries, M.nrows, M.ncols)
+    tr = _Transforms(M.nrows, M.ncols, track)
+    pivots, unscanned = _eliminate(work, _unit_z,
+                                   lambda r, c: _eliminate_at(work, tr, r, c))
+    paired_rows = tuple(r for r, _, _ in pivots[:unscanned])
+    k = len(pivots)
+    prow = [r for r, _, _ in pivots]
+    pcol = [c for _, c, _ in pivots]
+    for t in range(k):
+        r, c = prow[t], pcol[t]
+        _row_swap(work, r, t)
+        _col_swap(work, c, t)
+        if tr.left:
+            _row_swap(tr.U, r, t)
+            _col_swap(tr.Uinv, r, t)
+        if tr.right:
+            _col_swap(tr.V, c, t)
+            _row_swap(tr.Vinv, c, t)
+        # the pivot lines still to come that stood at place t now stand at r, c
+        prow[t + 1:] = [r if x == t else x for x in prow[t + 1:]]
+        pcol[t + 1:] = [c if x == t else x for x in pcol[t + 1:]]
+    changed = True
+    while changed:
+        changed = False
+        for t in range(k - 1):
+            if work.get(t + 1, t + 1) % work.get(t, t):
+                work.col_add(t, t + 1, 1)
+                tr.col_add(t, t + 1, 1)
+                _eliminate_at(work, tr, t, t)
+                changed = True
+    diagonal = []
+    for t in range(k):
+        d = work.get(t, t)
+        if d < 0 and tr.left:
+            for c in list(tr.U.rows.get(t, {})):
+                tr.U.rows[t][c] *= -1
+            for r in list(tr.Uinv.cols.get(t, set())):
+                tr.Uinv.rows[r][t] *= -1
+        diagonal.append(abs(d))
+    result = SmithNormalForm(M.nrows, M.ncols, tuple(diagonal))
+    if tr.left:
+        result.U = SparseIntMatrix(M.nrows, M.nrows, tr.U.entries())
+        result.U_inv = SparseIntMatrix(M.nrows, M.nrows, tr.Uinv.entries())
+    if tr.right:
+        result.V = SparseIntMatrix(M.ncols, M.ncols, tr.V.entries())
+        result.V_inv = SparseIntMatrix(M.ncols, M.ncols, tr.Vinv.entries())
+    return result, paired_rows
+
+
+def _assert_placement_matches_reference(M):
+    for track in ("both", "left", "right"):
+        assert _snf_core(M, track) == reference_smith_normal_form(M, track)
+    assert invariant_factors(M)[0].paired_rows == reference_smith_normal_form(M, False)[1]
 
 
 def reference_rank_mod_p(M, p):
@@ -132,8 +220,16 @@ def test_kernel_matches_full_scan_reference(rows):
     assert _is_identity(right.V.matmul(right.V_inv), M.ncols)
     # columns of M*V past the rank are a kernel basis
     assert all(c < rank for _, c, _ in M.matmul(right.V).entries)
-    none = smith_normal_form(M, transforms=False)
-    assert none.diagonal == diag and none.U is None and none.V is None
+    _assert_placement_matches_reference(M)
+
+
+@pytest.mark.parametrize("construction, space, n", [
+    ("sp", "torus", 2), ("sp", "rp2", 2), ("sub", "circle3", 3)])
+def test_placement_matches_swap_reference_on_boundaries(construction, space, n):
+    C = normalized_chains(CONSTRUCTIONS[construction].build(builtin_space(space), n).space,
+                          with_labels=False)
+    for M in C.boundaries.values():
+        _assert_placement_matches_reference(M)
 
 
 def test_rank_mod_p_ignores_done_rows():

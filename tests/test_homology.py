@@ -109,6 +109,18 @@ def test_rank_mod_p_rejects_non_prime(p):
         rank_mod_p(SparseIntMatrix.identity(2), p)
 
 
+def test_rank_mod_p_rejects_a_modulus_above_the_bound():
+    with pytest.raises(HomologyError, match="2\\^31"):
+        rank_mod_p(SparseIntMatrix.identity(2), 2305843009213693951)
+    assert rank_mod_p(SparseIntMatrix.identity(2), 2147483647) == 2
+
+
+@pytest.mark.parametrize("transforms", [False, True, "none", None])
+def test_smith_normal_form_takes_three_modes(transforms):
+    with pytest.raises(HomologyError, match="transforms"):
+        smith_normal_form(SparseIntMatrix.identity(2), transforms=transforms)
+
+
 # ----------------------------------------------------------------------
 # chain complexes and homology
 # ----------------------------------------------------------------------

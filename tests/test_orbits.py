@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from importlib import import_module
 
 import numpy as np
@@ -114,6 +115,16 @@ def test_cap_counts_all_cells(monkeypatch):
         finite_subset_space(spec, 3, with_filtration=False)
     monkeypatch.setenv("FINSUB_CELL_CAP", str(total))
     finite_subset_space(spec, 3, with_filtration=False)
+
+
+def test_cap_stops_counting_once_passed():
+    """SP^10000 of a circle has a cell count of thousands of digits; the
+    check stops at the cap instead of summing and printing it."""
+    start = time.perf_counter()
+    with pytest.raises(CellCapExceeded, match="cap") as exc:
+        symmetric_product(builtin_space("circle3"), 10_000)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(exc.value)) < 200
 
 
 def _form(faces, ranks):

@@ -18,6 +18,8 @@ def test_presentation_parsing():
         load_surface_presentation('{"r":1,"word":[2]}')
     with pytest.raises(SurfaceModelError):
         load_surface_presentation("nope")
+    with pytest.raises(SurfaceModelError, match="parse failure"):
+        load_surface_presentation("[" * 200_000)
 
 
 def test_disk_boundary_coefficients():

@@ -260,7 +260,7 @@ def test_cli_unknown_space_errors(capsys):
 
 
 @pytest.mark.parametrize("space", ["builtin:rp2", "builtin:circle3"])
-@pytest.mark.parametrize("coeff", ["f4", "f1", "f9"])
+@pytest.mark.parametrize("coeff", ["f4", "f1", "f9", "f\u00b2"])
 def test_cli_rejects_non_prime_modulus(capsys, space, coeff):
     code = main(["homology", "--space", space, "--construction", "sp",
                  "--n", "2", "--coeff", coeff])
@@ -268,6 +268,28 @@ def test_cli_rejects_non_prime_modulus(capsys, space, coeff):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error:") and coeff in out.err
+
+
+def test_cli_largest_modulus_below_the_bound(capsys):
+    code = main(["homology", "--space", "builtin:circle3", "--construction", "space",
+                 "--coeff", "f2147483647"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["H_0 = F_2147483647",
+                                                        "H_1 = F_2147483647"]
+
+
+@pytest.mark.parametrize("coeff", ["f2147483659", "f2305843009213693951"])
+def test_cli_rejects_modulus_above_the_bound(capsys, coeff):
+    # both are prime: trial division up to their square roots would take
+    # from milliseconds past 2^31 to minutes at 2^61 - 1
+    start = time.perf_counter()
+    code = main(["homology", "--space", "builtin:circle3", "--construction", "sp",
+                 "--n", "2", "--coeff", coeff])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "2^31" in out.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,6 +359,7 @@ def test_reports_are_deterministic():
     '{"vertices": true, "simplices": [[0]]}',
     '{"vertices": 3, "simplices": [[0, 1], 2]}',
     '{"vertices": 1, "simplices": [[]]}',
+    "[" * 200_000,
 ])
 def test_cli_malformed_complex_exit_2(capsys, space):
     assert main(["homology", "--space", space, "--construction", "sp", "--n", "2"]) == 2
