@@ -5,12 +5,14 @@ A connected simplicial set yields generators from its nondegenerate
 Simplification is best-effort under a move budget: reaching the empty
 presentation certifies triviality, while a stalled simplification is
 inconclusive (the word problem does not let us conclude nontriviality).
-Almost every move eliminates a generator that occurs in a few relators,
-so the simplifier keeps an index from each generator to the relators that
-contain it and rewrites only those; lazy heaps give the next relator of
-length at most 2 and the next generator that occurs once, and the
-generators are renumbered once, at the end.  The abelianization is always
-computed exactly.
+There is one elimination move: a generator that occurs once in a relator
+is solved for by that relator and substituted into the others.  Overlap
+shortening of relators is the fallback when no relator offers one.  Each
+move touches a few relators, so the simplifier keeps an index from each
+generator to the relators that contain it and rewrites only those; a lazy
+heap gives the next relator to eliminate by, and the generators are
+renumbered once, at the end.  The abelianization is always computed
+exactly.
 """
 
 from __future__ import annotations
@@ -150,59 +152,53 @@ def _shorten_with(short: tuple[int, ...], long_word: tuple[int, ...]):
 
 
 def _key(word: tuple[int, ...]):
-    """Order in which relators are scanned: shortest, then least letters."""
-    return (len(word), tuple(abs(g) for g in word), word)
+    """Order in which relators are scanned: shortest, then least signed word."""
+    return (len(word), word)
 
 
-def _pins(word: tuple[int, ...]) -> bool:
-    """Whether ``word`` alone eliminates a generator (length 1, or 2 on two)."""
-    return len(word) == 1 or (len(word) == 2 and abs(word[0]) != abs(word[1]))
+def _once(word: tuple[int, ...]) -> list[int]:
+    """The generators that occur exactly once in ``word``."""
+    letters = [abs(g) for g in word]
+    return [g for g in letters if letters.count(g) == 1]
 
 
 def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresentation:
     """Bounded best-effort simplification by Tietze transformations.
 
-    Applies generator eliminations (length-1 and length-2 relators,
-    generators occurring exactly once overall) and relator shortening via
-    overlaps, until stable or the move budget runs out.
+    One move eliminates a generator: in the least relator under
+    :func:`_key` in which some generator occurs exactly once, take such a
+    generator g held by the fewest relators (then the least), write the
+    relator as g^e rest, substitute g = rest^-e into every other relator
+    and drop this one.  When no relator has such a generator, relators are
+    shortened via overlaps.  Moves run until stable or the budget runs out.
 
     The relators are kept one per class of rotations and inversions, the
     least under :func:`_key`, with an index from each generator to the
-    relators that contain it and its number of occurrences.  Eliminating a
-    generator rewrites only the relators in its index entry; a lazy heap
-    yields the least pinning relator and another the least generator that
-    occurs once.  Generators keep their input numbers until one order- and
-    sign-preserving renumbering at the end, so every choice is the one a
-    scan of the whole renumbered presentation would make.
+    relators that contain it.  Eliminating a generator rewrites only the
+    relators in its index entry; a lazy heap yields the least relator with
+    a generator that occurs once.  Generators keep their input numbers
+    until one order- and sign-preserving renumbering at the end, so every
+    choice is the one a scan of the whole renumbered presentation would
+    make.
     """
     count = pres.generator_count
     rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}    # canonical form -> relator
     canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # relator -> canonical form
     holders: list[set[tuple[int, ...]]] = [set() for _ in range(count + 1)]
-    occurrences = [0] * (count + 1)
-    pinning: list[tuple] = []    # (_key(w), w) for pinning relators, lazily stale
-    once: list[int] = []         # generators that occurred once, lazily stale
+    ready: list[tuple] = []    # _key(w) of relators with a letter once, lazily stale
 
     def add(canon, word):
         rep_of[canon] = word
         canon_of[word] = canon
         for g in word:
-            occurrences[abs(g)] += 1
             holders[abs(g)].add(word)
-        for g in word:
-            if occurrences[abs(g)] == 1:
-                heapq.heappush(once, abs(g))
-        if _pins(word):
-            heapq.heappush(pinning, (_key(word), word))
+        if _once(word):
+            heapq.heappush(ready, _key(word))
 
     def remove(word):
         del rep_of[canon_of.pop(word)]
         for g in word:
-            occurrences[abs(g)] -= 1
             holders[abs(g)].discard(word)
-        for g in word:
-            if occurrences[abs(g)] == 1:
-                heapq.heappush(once, abs(g))
 
     def reduced(words):
         return [w for w in map(_cyclic_reduce, words) if w]
@@ -221,23 +217,21 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresen
                 add(canon, word)
         pending = []
 
-        while pinning and pinning[0][1] not in canon_of:
-            heapq.heappop(pinning)
-        while once and occurrences[once[0]] != 1:
-            heapq.heappop(once)
-        if pinning:
-            word = pinning[0][1]
-            g = abs(word[0])
-            replacement = () if len(word) == 1 else (
-                (-word[1],) if word[0] > 0 else (word[1],))
-            touched = list(holders[g])
-            for w in touched:
+        while ready and ready[0][1] not in canon_of:
+            heapq.heappop(ready)
+        if ready:
+            word = ready[0][1]
+            g = min(_once(word), key=lambda h: (len(holders[h]), h))
+            j = next(i for i, h in enumerate(word) if abs(h) == g)
+            rotated = word[j:] + word[:j]
+            # g^e rest = 1, so g = rest^-1 for e = +1 and g = rest for e = -1
+            rest = rotated[1:]
+            replacement = _invert(rest) if rotated[0] > 0 else rest
+            others = holders[g] - {word}
+            for w in (word, *others):
                 remove(w)
-            pending = reduced(_substitute(w, g, replacement) for w in touched)
-        elif once:
-            # g = rest of its one relator, which drops out; no other relator has g
-            g = once[0]
-            remove(next(iter(holders[g])))
+            pending = reduced(_substitute(w, g, replacement) for w in others)
+            eliminated.add(g)
         else:
             shortened = _shorten_once(sorted(canon_of, key=_key))
             if shortened is None:
@@ -245,9 +239,6 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresen
             target, candidate = shortened
             remove(target)
             pending = reduced([candidate])
-            moves += 1
-            continue
-        eliminated.add(g)
         moves += 1
 
     number = {}

@@ -1,16 +1,14 @@
 """Tests of pi_1 presentations, including a differential test of Tietze moves.
 
-``reference_tietze_simplify`` is the simplifier as it was before the
-occurrence index: every move re-reduces, re-sorts and re-deduplicates the
-whole presentation and renumbers the generators.  It is kept here only as
-an oracle; it shares the word primitives of ``finsub.fundamental`` but none
-of the bookkeeping.
+``reference_tietze_simplify`` applies the simplifier's rule without its
+index and heap: every move re-reduces, re-sorts and re-deduplicates the
+whole presentation, counts occurrences afresh and renumbers the
+generators.  It is kept here only as an oracle; it shares the word
+primitives of ``finsub.fundamental`` but none of the bookkeeping.
 """
 
 import random
-import sys
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +23,9 @@ from finsub.constructions import finite_subset_space, symmetric_product
 from finsub.simplicial import SimplicialError, from_ordered_complex
 from finsub.spaces import builtin_space
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import relabel  # noqa: E402
+from conftest import import_perfbench
+
+relabel = import_perfbench("workloads").relabel
 
 
 def _renumber(generator_count, relators, removed):
@@ -42,16 +41,6 @@ def _renumber(generator_count, relators, removed):
     return GroupPresentation(nxt - 1, tuple(new_relators))
 
 
-def _occurrences(relators, generator_count):
-    occ = [0] * (generator_count + 1)
-    where = [(-1, -1)] * (generator_count + 1)
-    for i, w in enumerate(relators):
-        for j, g in enumerate(w):
-            occ[abs(g)] += 1
-            where[abs(g)] = (i, j)
-    return occ, where
-
-
 def reference_tietze_simplify(pres, budget=20000):
     """Tietze moves that rebuild the whole presentation after each one."""
     gens = pres.generator_count
@@ -60,35 +49,24 @@ def reference_tietze_simplify(pres, budget=20000):
 
     while moves < budget:
         relators = sorted({w for w in (_cyclic_reduce(r) for r in relators) if w},
-                          key=lambda w: (len(w), [abs(g) for g in w], w))
+                          key=lambda w: (len(w), w))
         dedup = {}
         for w in relators:
             dedup.setdefault(_canonical(w), w)
         relators = list(dedup.values())
 
         elim = None
-        for w in relators:
-            if len(w) == 1:
-                elim = (abs(w[0]), ())
+        for i, w in enumerate(relators):
+            once = [abs(g) for g in w if w.count(g) + w.count(-g) == 1]
+            if once:
+                g = min(once, key=lambda h: (
+                    sum(1 for r in relators if h in r or -h in r), h))
+                j = [abs(h) for h in w].index(g)
+                rotated = w[j:] + w[:j]
+                rest = rotated[1:]
+                elim = (g, _invert(rest) if rotated[0] > 0 else rest)
+                relators = relators[:i] + relators[i + 1:]
                 break
-            if len(w) == 2 and abs(w[0]) != abs(w[1]):
-                g = w[0]
-                rest = (-w[1],) if g > 0 else (w[1],)
-                elim = (abs(g), rest)
-                break
-        if elim is None:
-            occ, where = _occurrences(relators, gens)
-            for g in range(1, gens + 1):
-                if occ[g] == 1:
-                    i, j = where[g]
-                    w = relators[i]
-                    rotated = w[j:] + w[:j]
-                    if rotated[0] < 0:
-                        rotated = _invert(rotated)
-                        rotated = rotated[-1:] + rotated[:-1]
-                    elim = (g, _invert(rotated[1:]))
-                    relators = relators[:i] + relators[i + 1:]
-                    break
         if elim is not None:
             g, repl = elim
             relators = [w for w in (_substitute(w, g, repl) for w in relators) if w]
@@ -268,19 +246,19 @@ def _abelian(pres):
     return ab.betti, ab.torsion
 
 
-def _sp2_torus(seed):
-    spec = relabel(builtin_space("torus"), random.Random(seed))
-    return symmetric_product(spec, 2).space
-
-
-def _sub3(name):
-    return finite_subset_space(builtin_space(name), 3, with_filtration=False).space
-
-
 @lru_cache(maxsize=None)
 def _real_presentation(key):
+    """pi_1 presentation of SP^2 of the torus relabelled by a seed
+    (("sp2-torus", seed)), or of SP^2, SP^3 or Sub_3 of a built-in space
+    (("sp2", name), ("sp3", name), ("sub3", name))."""
     kind, arg = key
-    return fundamental_presentation(_sp2_torus(arg) if kind == "sp2-torus" else _sub3(arg))
+    if kind == "sp2-torus":
+        space = symmetric_product(relabel(builtin_space("torus"), random.Random(arg)), 2)
+    elif kind == "sub3":
+        space = finite_subset_space(builtin_space(arg), 3, with_filtration=False)
+    else:
+        space = symmetric_product(builtin_space(arg), int(kind[2:]))
+    return fundamental_presentation(space.space)
 
 
 @pytest.mark.parametrize("key", [("sp2-torus", 0), ("sp2-torus", 1), ("sp2-torus", 2),
@@ -292,3 +270,13 @@ def test_tietze_matches_reference_on_real_presentations(key, budget):
     simplified = tietze_simplify(pres, budget=budget)
     assert simplified == reference_tietze_simplify(pres, budget=budget)
     assert _abelian(simplified) == _abelian(pres)
+
+
+@pytest.mark.parametrize("key", [("sp2-torus", 0), ("sp2-torus", 1), ("sp2-torus", 2),
+                                 ("sp2", "wedge_circles2"), ("sp3", "circle3"),
+                                 ("sp2", "rp2")])
+def test_tietze_reaches_a_minimal_presentation(key):
+    """As many generators as H_1 needs: b_1 plus one per torsion factor."""
+    pres = _real_presentation(key)
+    betti, torsion = _abelian(pres)
+    assert tietze_simplify(pres).generator_count == betti + len(torsion)

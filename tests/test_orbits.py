@@ -24,17 +24,18 @@ homology = import_module("finsub.homology")
 
 
 @st.composite
-def complexes(draw):
-    """A connected complex on at most 5 vertices, of dimension at most 2,
-    with a random vertex order and basepoint."""
-    count = draw(st.integers(1, 5))
+def complexes(draw, vertices=5, extra=4):
+    """A connected complex on at most ``vertices`` vertices, of dimension at
+    most 2, with at most ``extra`` edges and triangles besides a spanning
+    tree, a random vertex order and a random basepoint."""
+    count = draw(st.integers(1, vertices))
     perm = draw(st.permutations(range(count)))
     simplices = [[v] for v in range(count)]
     for v in range(1, count):   # a spanning tree keeps it connected
         simplices.append([draw(st.integers(0, v - 1)), v])
     if count > 1:
-        extra = st.lists(st.integers(0, count - 1), min_size=2, max_size=3, unique=True)
-        simplices += draw(st.lists(extra, max_size=4))
+        simplex = st.lists(st.integers(0, count - 1), min_size=2, max_size=3, unique=True)
+        simplices += draw(st.lists(simplex, max_size=extra))
     return load_complex(json.dumps({
         "vertices": count,
         "simplices": [sorted(perm[v] for v in s) for s in simplices],
