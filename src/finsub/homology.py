@@ -5,37 +5,47 @@ Smith normal form with unimodular transforms (and their inverses) yields
 Betti numbers, torsion coefficients, homology coordinate systems, and
 induced maps.
 
-One elimination kernel, ``_eliminate``, serves every mode: invariant
-factors, Smith form with any choice of tracked transforms, and ranks over
-F_p.  Almost every pivot of a simplicial boundary matrix is a unit, so the
-kernel takes pivots from a lazy min-heap of columns keyed by occupancy:
-the shortest column that holds a unit (+-1 over Z, anything nonzero over
-F_p), at its entry in the shortest row.  Only when no queued column holds
-a unit does a Markowitz scan of every remaining entry pick the pivot; by
-then it sees only the small non-unit residual, where gcd steps may create
-new units for the queue.
+One pivot queue serves every elimination.  Almost every pivot of a
+simplicial boundary matrix is a unit, so pivots come from a lazy min-heap
+of columns keyed by occupancy: the shortest column that holds a unit (+-1
+over Z, anything nonzero over F_p), at its entry in the shortest row.  The
+Smith form kernel ``_eliminate`` turns to a Markowitz scan of every
+remaining entry only when no queued column holds a unit; by then it sees
+only the small non-unit residual, where gcd steps may create new units for
+the queue.  No pivot is moved: the divisibility pass d_1 | d_2 | ... works
+on the pivots where the elimination left them, and the transforms of
+``smith_normal_form`` are relabelled and signed once, when the result is
+built.
 
-No pivot is moved: the divisibility pass d_1 | d_2 | ... works on the
-pivots where the elimination left them, and the transforms of
-``smith_normal_form`` (modes "both", "left" and "right") are relabelled
-and signed once, when the result is built.
+Before any Smith form, the complex is reduced by Gaussian elimination of
+chain complexes (Kaczynski-Mischaikow-Mrozek, *Computational Homology*,
+2004; Harker-Mischaikow-Mrozek-Nanda, *FoCM* 2014).  ``_reduce`` takes
+the unit pivots of a boundary d_k from the queue; each pivot (b, a, lam),
+lam = <d_k a, b> a unit, is a reduction pair.  Write
+d_k = [[lam, beta], [alpha, D]] on C_k = <a> + C'_k and
+C_(k-1) = <b> + C'_(k-1).  The pair is eliminated by clearing column a
+with row operations and dropping row b, which leaves the Schur complement
+d'_k = D - alpha lam^-1 beta; d_(k+1) loses row a and d_(k-1) loses
+column b.  The boundaries are reduced from the top down, so each d_k
+drops the columns that d_(k+1) paired before its own pivots are taken.
+The residual complex has the homology of the original, and the Smith
+forms see only it.
 
-``homology`` reduces the complex while it eliminates, from the top
-boundary down (Gaussian elimination of chain complexes, as in
-Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).  A pivot
-(tau, sigma) of d_k is a reduction pair when every row operation before it
-only added multiples of earlier pivot rows to later rows: then the pivot
-columns, as the elimination has combined them, are boundaries, so they lie
-in the kernel of d_(k-1), and their block on the pivot rows is unimodular
-(triangular with unit diagonal up to sign).  So each generator tau of
-C_(k-1) equals, modulo that kernel, a combination of generators that are
-not pivot rows.  Dropping
-the columns tau from d_(k-1) therefore leaves its image, and so its rank
-and torsion, unchanged.  Over F_p every pivot is such a pair.  Over Z the
-unit pivots taken from the queue before the first Markowitz scan are; the
-gcd steps after it mix a pivot row with a later row by ``row_combine``,
-which changes the basis of C_(k-1) in both directions, so no pivot from
-then on pairs a generator away.
+The reduction is a chain equivalence, and ``HomologyCoordinates`` records
+it as a log of its pivots: each with the pivot column just before it was
+cleared and the pivot row.  Between cycles of the original complex and of
+the residual it maps by
+
+- phi_k (original to residual): for each pivot (b, a, lam) of d_(k+1), in
+  order, v[x] -= col[x] * lam^-1 * v[b] for every row x != b of its column,
+  and v[b] is dropped; then the generators paired by d_k are dropped;
+- psi_k (residual to original): for each pivot (b, a, lam) of d_k, in
+  reverse order, z[a] = -lam^-1 * sum over x != a of row[x] * z[x].
+
+phi o psi is the identity of the residual, and psi o phi is homotopic to
+the identity, so the two induce inverse isomorphisms on homology.  ``homology`` takes the same unit pivots, over F_p when
+``mod=p`` (where every pivot is a unit, so no residual is left), one
+boundary at a time and without a log.
 """
 
 from __future__ import annotations
@@ -123,8 +133,14 @@ class SparseIntMatrix:
     @property
     def entries(self) -> tuple[tuple[int, int, int], ...]:
         if self._entries is None:
-            self._entries = tuple(zip(*(a.tolist() for a in self._arrays)))
+            self._entries = tuple(self.iter_entries())
         return self._entries
+
+    def iter_entries(self):
+        """The entries, in order, without keeping them as triples."""
+        if self._entries is not None:
+            return iter(self._entries)
+        return zip(*(a.tolist() for a in self._arrays))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseIntMatrix":
@@ -228,19 +244,6 @@ class SparseIntMatrix:
                     return False
             lo = hi
         return True
-
-    def without_columns(self, cols) -> "SparseIntMatrix":
-        """The matrix of the same shape with the columns ``cols`` set to zero."""
-        if self._arrays is None:
-            drop = set(cols)
-            return SparseIntMatrix(self.nrows, self.ncols,
-                                   [e for e in self.entries if e[1] not in drop])
-        rows, c, values = self._arrays
-        dropped = np.zeros(self.ncols, dtype=bool)
-        dropped[np.fromiter(cols, dtype=np.int64)] = True
-        keep = ~dropped[c]
-        return SparseIntMatrix.from_arrays(self.nrows, self.ncols, rows[keep], c[keep],
-                                           values[keep])
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -490,33 +493,28 @@ class _PivotQueue:
         return None
 
 
-def _eliminate(work: _Work, is_unit, clear) -> tuple[list[tuple[int, int, int]], int]:
-    """The elimination kernel: pivot until no entry is left outside done lines.
+def _eliminate(work: _Work, tr: _Transforms) -> list[tuple[int, int, int]]:
+    """The Smith form kernel: pivot until no entry is left outside done lines.
 
     Unit pivots come from a :class:`_PivotQueue`; only once it is empty does
     the full Markowitz scan ``_pick_pivot`` look at the non-unit residual.
-    ``clear(r, c)`` eliminates around the pivot, leaving no entry of row r
-    or column c in any other undone line, and returns the pivot value.
-    Returns the pivots ``(r, c, d)`` in discovery order and the number of
-    them taken before the first Markowitz scan.
+    ``_eliminate_at`` clears the row and column of each pivot.  Returns the
+    pivots ``(r, c, d)`` in discovery order.
     """
-    queue = _PivotQueue(work, is_unit)
+    queue = _PivotQueue(work, _unit_z)
     done_rows: set[int] = set()
     done_cols: set[int] = set()
     pivots = []
-    unscanned = None
     while True:
         pick = queue.pop(done_cols)
         queued = pick is not None
         if not queued:
-            if unscanned is None:
-                unscanned = len(pivots)
             pick = _pick_pivot(work, done_rows, done_cols)
             if pick is None:
-                return pivots, unscanned
+                return pivots
         r, c = pick
         touched = list(work.rows[r])
-        pivots.append((r, c, clear(r, c)))
+        pivots.append((r, c, _eliminate_at(work, tr, r, c)))
         done_rows.add(r)
         done_cols.add(c)
         if queued:
@@ -531,15 +529,77 @@ def _unit_z(v: int) -> bool:
     return v == 1 or v == -1
 
 
-class Rank(int):
-    """The rank of a boundary d_k, with ``paired_rows``: the rows of the
-    pivots that are reduction pairs (see the module docstring), whose
-    generators of C_(k-1) ``homology`` drops from d_(k-1)."""
+def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]:
+    """Eliminate the unit pivots of a boundary, leaving its Schur complement.
 
-    def __new__(cls, rank: int, paired_rows: tuple[int, ...] = ()):
-        self = super().__new__(cls, rank)
-        self.paired_rows = paired_rows
-        return self
+    Pivots come from a :class:`_PivotQueue` until no queued column holds a
+    unit: +-1 over Z (``p`` None), any entry over F_p (the entries of
+    ``work`` are then residues mod p, and none is left).  Each pivot's
+    column is cleared with multiples of its row, and the row is dropped, so
+    ``work`` ends as the residual on the rows and columns no pivot took.
+    Returns the pivots ``(r, c)`` in order, or with ``log`` the records
+    ``(r, c, lam, col, row)``: the pivot value, the pivot column just
+    before it was cleared and the pivot row (see the module docstring).
+    """
+    rows, cols = work.rows, work.cols
+    queue = _PivotQueue(work, _unit_z if p is None else bool)
+    pivots = []
+    while (pick := queue.pop(())) is not None:
+        r, c = pick
+        row = rows.pop(r)
+        for cc in row:
+            cols[cc].discard(r)
+        lam = row[c]
+        inv = lam if p is None else pow(lam, -1, p)
+        col = {r: lam}
+        for rr in list(cols[c]):
+            target = rows[rr]
+            col[rr] = target[c]
+            q = -target[c] * inv
+            for cc, v in row.items():
+                x = target.get(cc, 0) + q * v
+                if p is not None:
+                    x %= p
+                if x:
+                    if cc not in target:
+                        cols[cc].add(rr)
+                    target[cc] = x
+                else:
+                    del target[cc]
+                    cols[cc].discard(rr)
+        # the cleared column is empty, so the queue never offers it again
+        queue.push(row)
+        pivots.append((r, c, lam, col, row) if log else (r, c))
+    return pivots
+
+
+def _work(M: SparseIntMatrix, p: int | None = None, drop=frozenset()) -> _Work:
+    """M without the columns ``drop``, over Z or as residues mod p."""
+    if p is None:
+        entries = (e for e in M.iter_entries() if e[1] not in drop)
+    else:
+        entries = ((r, c, v % p) for r, c, v in M.iter_entries() if c not in drop and v % p)
+    return _Work(entries, M.nrows, M.ncols)
+
+
+def _unit_reduction(C: ChainComplexZ, p: int | None = None, log: bool = False):
+    """Reduce the boundaries of C from the top down, one at a time.
+
+    Yields ``(k, residual, pivots)`` for k = top, ..., 1: the pivots and
+    the residual that :func:`_reduce` leaves of d_k (over Z, or its
+    residues mod p) without the columns that the pivots of d_(k+1) paired.
+    The residual keeps d_k's shape.  Each boundary's work is released
+    before the next is built.
+    """
+    paired: set[int] = set()
+    for k in range(C.top_degree, 0, -1):
+        M = C.boundary(k)
+        work = _work(M, p, paired)
+        pivots = _reduce(work, p, log)
+        residual = SparseIntMatrix(M.nrows, M.ncols, work.entries())
+        del work
+        yield k, residual, pivots
+        paired = {pivot[0] for pivot in pivots}
 
 
 def _placement(lines: list[int], n: int) -> list[int]:
@@ -554,14 +614,10 @@ def _placement(lines: list[int], n: int) -> list[int]:
     return place
 
 
-def _snf_core(M: SparseIntMatrix, track: str | bool) -> tuple[SmithNormalForm, tuple[int, ...]]:
-    """The Smith form, and the rows of the pivots taken before the first
-    Markowitz scan."""
+def _snf_core(M: SparseIntMatrix, track: str | bool) -> SmithNormalForm:
     work = _Work(M.entries, M.nrows, M.ncols)
     tr = _Transforms(M.nrows, M.ncols, track)
-    pivots, unscanned = _eliminate(work, _unit_z,
-                                   lambda r, c: _eliminate_at(work, tr, r, c))
-    paired_rows = tuple(r for r, _, _ in pivots[:unscanned])
+    pivots = _eliminate(work, tr)
 
     prow = [r for r, _, _ in pivots]
     pcol = [c for _, c, _ in pivots]
@@ -595,7 +651,7 @@ def _snf_core(M: SparseIntMatrix, track: str | bool) -> tuple[SmithNormalForm, t
             (r, place[c], v) for r, c, v in tr.V.entries()])
         result.V_inv = SparseIntMatrix(M.ncols, M.ncols, [
             (place[r], c, v) for r, c, v in tr.Vinv.entries()])
-    return result, paired_rows
+    return result
 
 
 def smith_normal_form(M: SparseIntMatrix, transforms: str = "both") -> SmithNormalForm:
@@ -611,20 +667,16 @@ def smith_normal_form(M: SparseIntMatrix, transforms: str = "both") -> SmithNorm
     """
     if transforms not in ("both", "left", "right"):
         raise HomologyError(f"transforms must be 'both', 'left' or 'right', not {transforms!r}")
-    snf, _ = _snf_core(M, transforms)
+    snf = _snf_core(M, transforms)
     if transforms == "both" and snf.U.matmul(M).matmul(snf.V) != snf.diagonal_matrix():
         raise HomologyError("SNF certificate failed: U*M*V != D")
     return snf
 
 
-def invariant_factors(M: SparseIntMatrix) -> tuple[Rank, tuple[int, ...]]:
-    """(rank, full diagonal) without transform tracking; fast path.
-
-    The rank is a :class:`Rank`, whose ``paired_rows`` are the rows of the
-    unit pivots taken before the first Markowitz scan.
-    """
-    result, paired_rows = _snf_core(M, track=False)
-    return Rank(result.rank, paired_rows), result.diagonal
+def invariant_factors(M: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(rank, full diagonal) without transform tracking; fast path."""
+    result = _snf_core(M, track=False)
+    return result.rank, result.diagonal
 
 
 # moduli are below this bound, so trial division in is_prime takes milliseconds
@@ -636,34 +688,17 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-def rank_mod_p(M: SparseIntMatrix, p: int) -> Rank:
-    """Rank of M over the prime field F_p by sparse elimination.
-
-    The rank is a :class:`Rank` whose ``paired_rows`` are all pivot rows:
-    each pivot only adds multiples of its row to the rows not yet pivoted.
-    """
+def _check_modulus(p: int) -> None:
     if p >= MODULUS_BOUND:
         raise HomologyError(f"modulus {p} is not below 2^31")
     if not is_prime(p):
         raise HomologyError(f"modulus {p} is not a prime")
-    work = _Work([(r, c, v % p) for r, c, v in M.entries if v % p], M.nrows, M.ncols)
 
-    def clear(r, c):
-        # clear column c in the other rows, then drop the pivot row: the rank
-        # needs no back-substitution, and no done row stays in a column
-        pivot_row = work.rows.pop(r)
-        for cc in pivot_row:
-            work.cols[cc].discard(r)
-        inv = pow(pivot_row[c], -1, p)
-        for rr in list(work.cols[c]):
-            q = -work.rows[rr][c] * inv
-            for cc, v in pivot_row.items():
-                work._set(rr, cc, (work.get(rr, cc) + q * v) % p)
-        return 1
 
-    # every stored entry is nonzero, hence a unit of F_p
-    pivots, _ = _eliminate(work, bool, clear)
-    return Rank(len(pivots), tuple(r for r, _, _ in pivots))
+def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
+    """Rank of M over the prime field F_p by sparse elimination."""
+    _check_modulus(p)
+    return len(_reduce(_work(M, p), p))
 
 
 # ----------------------------------------------------------------------
@@ -787,28 +822,25 @@ class HomologyResult:
 def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     """Homology groups of a complex over Z (default) or F_p (``mod=p``).
 
-    Over Z the ranks and invariant factors come from Smith normal forms of
-    the boundaries; over F_p from mod-p elimination.  The boundaries are
-    eliminated from the top down, and the generators of C_(k-1) that the
-    pivots of d_k pair away (``Rank.paired_rows``: every pivot over F_p,
-    over Z the unit pivots before the first Markowitz scan) are dropped
-    from the columns of d_(k-1) before it is eliminated.  That leaves the image of
-    d_(k-1), hence its rank and torsion, unchanged; see the module
-    docstring.  The top degree of a truncated complex is flagged unreliable
-    unless its chain group vanishes.
+    Each boundary, from the top down and without the columns the boundary
+    above paired, is reduced by its unit pivots (see the module docstring).
+    Over Z its rank is the number of pivots plus the rank of the residual,
+    and its torsion is that of the residual, from :func:`invariant_factors`;
+    over F_p every pivot is a unit, so the pivots count the rank.  The top
+    degree of a truncated complex is flagged unreliable unless its chain
+    group vanishes.
     """
+    if mod is not None:
+        _check_modulus(mod)
     top = C.top_degree
     ranks = {}
     factors = {}
-    paired_rows = ()
-    for k in range(top, 0, -1):
-        M = C.boundary(k).without_columns(paired_rows)
+    for k, residual, pivots in _unit_reduction(C, mod):
+        ranks[k] = len(pivots)
         if mod is None:
-            ranks[k], diag = invariant_factors(M)
+            rank, diag = invariant_factors(residual)
+            ranks[k] += rank
             factors[k] = tuple(d for d in diag if d > 1)
-        else:
-            ranks[k] = rank_mod_p(M, mod)
-        paired_rows = ranks[k].paired_rows
     groups = [HomologyGroup(k, C.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
                             factors.get(k + 1, ()))
               for k in range(top + 1)]
@@ -852,27 +884,49 @@ class HomologyCoordinates:
 
     Expresses cycles in a fixed basis of each homology group (torsion
     coordinates are reported modulo their order), and produces cycle
-    representatives for the chosen generators.  Intended for the small
-    complexes on which induced maps are computed.
+    representatives for the chosen generators.  The complex is reduced once
+    by its unit pivots; ``residual`` is the reduced complex, on whose
+    boundaries alone the Smith forms run, and cycles cross the reduction by
+    the chain equivalences phi and psi of the module docstring.
     """
 
     def __init__(self, C: ChainComplexZ):
         self.complex = C
+        self._log: dict[int, list[tuple]] = {}
+        left = {}
+        paired = [set() for _ in C.ranks]
+        for k, residual, pivots in _unit_reduction(C, log=True):
+            self._log[k] = pivots
+            left[k] = residual.entries
+            for r, c, *_ in pivots:
+                paired[k - 1].add(r)
+                paired[k].add(c)
+        # the generators of the residual, in the original numbering
+        self._kept = [[g for g in range(n) if g not in paired[k]]
+                      for k, n in enumerate(C.ranks)]
+        self._index = [{g: i for i, g in enumerate(kept)} for kept in self._kept]
+        boundaries = {}
+        for k, entries in left.items():
+            rows, cols = self._index[k - 1], self._index[k]
+            boundaries[k] = SparseIntMatrix(len(rows), len(cols), [
+                (rows[r], cols[c], v) for r, c, v in entries if r in rows])
+        self.residual = ChainComplexZ([len(kept) for kept in self._kept], boundaries,
+                                      truncated=C.truncated)
         self._data: dict[int, _DegreeData] = {}
 
     def _degree(self, k: int) -> _DegreeData:
         if k in self._data:
             return self._data[k]
-        C = self.complex
-        n_k = C.ranks[k] if 0 <= k <= C.top_degree else 0
+        R = self.residual
+        n_k = R.ranks[k] if 0 <= k <= R.top_degree else 0
         data = _DegreeData()
-        snf_bnd = (smith_normal_form(C.boundary(k), transforms="right")
+        snf_bnd = (smith_normal_form(R.boundary(k), transforms="right")
                    if k >= 1 else None)
         data.snf_bnd = snf_bnd
         data.r = snf_bnd.rank if snf_bnd else 0
         data.z = n_k - data.r
         # present H_k as Z^z / image of the next boundary, in kernel coordinates
-        bnd_next = C.boundary(k + 1)
+        bnd_next = R.boundary(k + 1)
         if snf_bnd is not None:
             in_kernel = snf_bnd.V_inv.matmul(bnd_next)
         else:
@@ -905,30 +959,41 @@ class HomologyCoordinates:
         """A cycle vector representing the j-th homology generator."""
         data = self._degree(k)
         pos = data.kept[j]
-        x = {r: v for r, v in data.pres.U_inv.columns().get(pos, ())}
-        if data.snf_bnd is None:
-            return x
-        vcols = data.snf_bnd.V.columns()
-        out: dict[int, int] = {}
-        for t, coef in x.items():
-            for r, v in vcols.get(data.r + t, ()):
-                acc = out.get(r, 0) + coef * v
-                if acc:
-                    out[r] = acc
-                else:
-                    del out[r]
-        return out
+        z = {r: v for r, v in data.pres.U_inv.columns().get(pos, ())}
+        if data.snf_bnd is not None:
+            z = data.snf_bnd.V.matvec({data.r + t: v for t, v in z.items()})
+        # psi_k: back across the pivots of d_k, last first
+        kept = self._kept[k]
+        z = {kept[g]: v for g, v in z.items()}
+        for _, c, lam, _, row in reversed(self._log.get(k, ())):
+            t = -lam * sum(v * z.get(x, 0) for x, v in row.items() if x != c)
+            if t:
+                z[c] = t
+        return z
 
     def coords_of_cycle(self, k: int, vec: dict[int, int]) -> tuple[int, ...]:
         """Coordinates of a cycle in the homology basis at degree k."""
+        if self.complex.boundary(k).matvec(vec):
+            raise HomologyError("vector is not a cycle")
         data = self._degree(k)
+        # phi_k: forward across the pivots of d_(k+1), then onto the residual
+        v = dict(vec)
+        for r, _, lam, col, _ in self._log.get(k + 1, ()):
+            t = v.pop(r, 0) * lam
+            if t:
+                for x, a in col.items():
+                    if x == r:
+                        continue
+                    acc = v.get(x, 0) - a * t
+                    if acc:
+                        v[x] = acc
+                    else:
+                        v.pop(x, None)
+        index = self._index[k] if 0 <= k <= self.complex.top_degree else {}
+        x = {index[g]: a for g, a in v.items() if g in index}
         if data.snf_bnd is not None:
-            w = data.snf_bnd.V_inv.matvec(vec)
-            if any(r < data.r and v for r, v in w.items()):
-                raise HomologyError("vector is not a cycle")
-            x = {r - data.r: v for r, v in w.items() if r >= data.r}
-        else:
-            x = dict(vec)
+            w = data.snf_bnd.V_inv.matvec(x)
+            x = {r - data.r: a for r, a in w.items() if r >= data.r}
         y = data.pres.U.matvec(x)
         coords = []
         for j, pos in enumerate(data.kept):

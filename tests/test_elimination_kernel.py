@@ -1,6 +1,7 @@
 """Differential tests of the elimination kernel against a full-scan reference,
-of the Smith form's placement against a swap-and-negate reference, and of
-``homology`` against a per-boundary reference.
+of the Smith form's placement against a swap-and-negate reference, of
+``homology`` against a per-boundary reference, and of
+``HomologyCoordinates`` against whole-boundary coordinates.
 
 The first reference is the kernel as it was before the unit-pivot queue:
 every pivot comes from a Markowitz scan of all remaining entries.  The
@@ -8,11 +9,14 @@ second is the Smith form as it was before the pivots stayed in place:
 every pivot swapped onto the diagonal, the swaps mirrored on U, U_inv, V
 and V_inv, and the signs fixed by negating rows.  The third is
 ``homology`` as it was before it reduced the complex: every boundary
-eliminated whole, with no generator dropped.  All are kept here only as
-oracles; they share the row/column primitives of ``finsub.homology`` but
-none of the pivot search, placement or reduction.
+eliminated whole, with no generator dropped.  The fourth is
+``HomologyCoordinates`` as it was before it reduced the complex: Smith
+forms with transforms of every whole boundary.  All are kept here only as
+oracles; they share the row/column primitives and ``smith_normal_form`` of
+``finsub.homology`` but none of the pivot search, placement or reduction.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -20,10 +24,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finsub.constructions import CONSTRUCTIONS
-from finsub.homology import (ChainComplexZ, HomologyGroup, HomologyResult, SmithNormalForm,
-                             SparseIntMatrix, _eliminate, _eliminate_at, _snf_core,
-                             _Transforms, _unit_z, _Work, homology, invariant_factors,
-                             normalized_chains, rank_mod_p, smith_normal_form)
+from finsub.homology import (ChainComplexZ, HomologyCoordinates, HomologyError, HomologyGroup,
+                             HomologyResult, SmithNormalForm, SparseIntMatrix, _eliminate,
+                             _eliminate_at, _snf_core, _Transforms, _Work, homology,
+                             invariant_factors, normalized_chains, rank_mod_p,
+                             smith_normal_form)
 from finsub.spaces import builtin_space
 from test_orbits import complexes
 
@@ -97,14 +102,12 @@ def _col_swap(work, i, j):
 
 
 def reference_smith_normal_form(M, track):
-    """The Smith form and paired rows, every pivot swapped onto the diagonal
-    in discovery order before the divisibility pass, and each negative
-    pivot's row negated after it."""
+    """The Smith form, every pivot swapped onto the diagonal in discovery
+    order before the divisibility pass, and each negative pivot's row
+    negated after it."""
     work = _Work(M.entries, M.nrows, M.ncols)
     tr = _Transforms(M.nrows, M.ncols, track)
-    pivots, unscanned = _eliminate(work, _unit_z,
-                                   lambda r, c: _eliminate_at(work, tr, r, c))
-    paired_rows = tuple(r for r, _, _ in pivots[:unscanned])
+    pivots = _eliminate(work, tr)
     k = len(pivots)
     prow = [r for r, _, _ in pivots]
     pcol = [c for _, c, _ in pivots]
@@ -146,13 +149,12 @@ def reference_smith_normal_form(M, track):
     if tr.right:
         result.V = SparseIntMatrix(M.ncols, M.ncols, tr.V.entries())
         result.V_inv = SparseIntMatrix(M.ncols, M.ncols, tr.Vinv.entries())
-    return result, paired_rows
+    return result
 
 
 def _assert_placement_matches_reference(M):
     for track in ("both", "left", "right"):
         assert _snf_core(M, track) == reference_smith_normal_form(M, track)
-    assert invariant_factors(M)[0].paired_rows == reference_smith_normal_form(M, False)[1]
 
 
 def reference_rank_mod_p(M, p):
@@ -290,3 +292,118 @@ def test_gcd_step_pivot_pairs_no_generator_away():
                                   2: SparseIntMatrix.from_dense([[2], [3]])})
     assert [str(g) for g in homology(C)] == ["0", "0", "0"]
     _assert_matches_reference(C)
+
+
+class ReferenceHomologyCoordinates:
+    """Homology coordinates from Smith forms of the whole boundaries: a
+    right Smith form of d_k gives a basis of the cycles, and a left Smith
+    form presents H_k as the cycles modulo the image of d_(k+1)."""
+
+    def __init__(self, C):
+        self.complex = C
+        self._data = {}
+
+    def _degree(self, k):
+        if k in self._data:
+            return self._data[k]
+        C = self.complex
+        n_k = C.ranks[k] if 0 <= k <= C.top_degree else 0
+        snf_bnd = smith_normal_form(C.boundary(k), transforms="right") if k >= 1 else None
+        r = snf_bnd.rank if snf_bnd else 0
+        z = n_k - r
+        bnd_next = C.boundary(k + 1)
+        in_kernel = snf_bnd.V_inv.matmul(bnd_next) if snf_bnd is not None else bnd_next
+        assert all(row >= r for row, _, _ in in_kernel.entries)
+        X = SparseIntMatrix(z, bnd_next.ncols,
+                            [(row - r, c, v) for row, c, v in in_kernel.entries])
+        pres = smith_normal_form(X, transforms="left")
+        diag = pres.diagonal
+        torsion = [i for i, d in enumerate(diag) if d > 1]
+        kept = torsion + list(range(pres.rank, z))
+        moduli = tuple([diag[i] for i in torsion] + [0] * (z - pres.rank))
+        self._data[k] = (snf_bnd, r, pres, kept, moduli)
+        return self._data[k]
+
+    def generator_count(self, k):
+        return len(self._degree(k)[3])
+
+    def moduli(self, k):
+        return self._degree(k)[4]
+
+    def generator_cycle(self, k, j):
+        snf_bnd, r, pres, kept, _ = self._degree(k)
+        x = {row: v for row, v in pres.U_inv.columns().get(kept[j], ())}
+        if snf_bnd is None:
+            return x
+        return snf_bnd.V.matvec({r + t: v for t, v in x.items()})
+
+    def coords_of_cycle(self, k, vec):
+        snf_bnd, r, pres, kept, moduli = self._degree(k)
+        if snf_bnd is not None:
+            w = snf_bnd.V_inv.matvec(vec)
+            if any(row < r for row in w):
+                raise HomologyError("vector is not a cycle")
+            vec = {row - r: v for row, v in w.items() if row >= r}
+        y = pres.U.matvec(vec)
+        return tuple(y.get(pos, 0) % m if m else y.get(pos, 0)
+                     for pos, m in zip(kept, moduli))
+
+
+def _determinant(rows):
+    """Determinant of a square integer matrix by exact elimination over Q."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+def _assert_coordinates_match_reference(C):
+    """Equal groups and moduli in every degree (and none outside 0..top),
+    generators that are cycles with unit coordinates, zero coordinates on
+    boundaries, and a free part whose reference coordinates are unimodular."""
+    coords, reference = HomologyCoordinates(C), ReferenceHomologyCoordinates(C)
+    for k in range(-1, C.top_degree + 2):
+        moduli = coords.moduli(k)
+        assert moduli == reference.moduli(k), k
+        n = len(moduli)
+        cycles = [coords.generator_cycle(k, j) for j in range(n)]
+        for j, z in enumerate(cycles):
+            assert C.boundary(k).matvec(z) == {}, (k, j)
+            assert coords.coords_of_cycle(k, z) == tuple(int(i == j) for i in range(n))
+        d_next = C.boundary(k + 1)
+        chain = {c: c % 5 - 2 for c in range(d_next.ncols)}
+        for b in [d_next.matvec(chain)] + [d_next.matvec({c: 1}) for c in range(3)]:
+            assert coords.coords_of_cycle(k, b) == (0,) * n, k
+        free = [j for j, m in enumerate(moduli) if m == 0]
+        old = [reference.coords_of_cycle(k, cycles[j]) for j in free]
+        assert abs(_determinant([[old[j][i] for j in range(len(free))] for i in free])) == 1
+
+
+@pytest.mark.parametrize("construction, space", [
+    (construction, space) for construction in ("sp", "based_sub3")
+    for space in ("torus", "rp2", "sphere2", "wedge_circles2")] + [("sub", "sphere2")])
+def test_coordinates_match_whole_boundary_reference(construction, space):
+    n = 2 if construction == "sp" else 3
+    C = normalized_chains(CONSTRUCTIONS[construction].build(builtin_space(space), n).space,
+                          with_labels=False)
+    _assert_coordinates_match_reference(C)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=complexes(), construction=st.sampled_from(["space", "sp", "sub", "based_sub3"]),
+       n=st.integers(2, 3))
+def test_coordinates_match_whole_boundary_reference_on_random_complexes(spec, construction, n):
+    C = normalized_chains(CONSTRUCTIONS[construction].build(spec, n).space,
+                          with_labels=False)
+    assume(sum(C.ranks) <= 3000)   # keeps the reference under a second
+    _assert_coordinates_match_reference(C)

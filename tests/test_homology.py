@@ -234,6 +234,28 @@ def test_coords_reject_non_cycle():
         coords.coords_of_cycle(1, {0: 1})  # a single edge is not a cycle
 
 
+def test_coordinates_outside_the_degrees_have_no_generators():
+    C = normalized_chains(from_ordered_complex(builtin_space("circle3"), 2), with_labels=False)
+    coords = HomologyCoordinates(C)
+    for k in (-1, C.top_degree + 1):
+        assert coords.generator_count(k) == 0
+        assert coords.moduli(k) == ()
+        assert coords.group(k).is_zero
+        assert coords.coords_of_cycle(k, {}) == ()
+
+
+def test_coordinates_reduce_sp2_torus_to_its_homology():
+    # SP^2(T) has chain ranks (28, 378, 1232, 1470, 588, 0) and Betti numbers
+    # (1, 2, 2, 2, 1): the unit pivots leave a residual with zero boundaries
+    from finsub.constructions import symmetric_product
+
+    C = normalized_chains(symmetric_product(builtin_space("torus"), 2).space,
+                          with_labels=False)
+    residual = HomologyCoordinates(C).residual
+    assert isinstance(residual, ChainComplexZ)
+    assert residual.ranks == (1, 2, 2, 2, 1, 0)
+
+
 def test_sparse_matrix_ops():
     a = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
     b = SparseIntMatrix.from_dense([[0, 1], [1, 0]])
