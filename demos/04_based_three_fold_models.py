@@ -35,5 +35,6 @@ for name in ("circle3", "sphere2", "torus"):
 model = sub3_homology_via_coproduct(builtin_space("torus"))
 column = [row[0] for row in model.j_matrix[2]]
 print("\ntorus fundamental class in H_2(SP^2 T) coordinates:", column)
-print("reduced in the quotient:", model.quotients[2].reduce(column))
+print("coordinates in the quotient:",
+      model.quotients[2].coords_of_cycle(0, dict(enumerate(column))))
 print("is zero?", model.image_is_zero(2, "j", 0))

@@ -14,7 +14,7 @@ from .simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap
                          TruncatedSimplicialSet, cell_cap, collapse,
                          compose_maps, from_ordered_complex,
                          power, quotient, sub_object)
-from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
+from .homology import (ChainComplexZ, HomologyCoordinates,
                        HomologyError, HomologyGroup, HomologyResult,
                        SmithNormalForm, SparseIntMatrix, chain_map_matrices,
                        euler_characteristic, homology, homology_of_sset,

@@ -15,8 +15,9 @@ from pathlib import Path
 
 from . import surface as surf
 from .constructions import CONSTRUCTIONS
-from .homology import (MODULUS_BOUND, HomologyCoordinates, HomologyError, homology,
-                       induced_map, is_prime, normalized_chains)
+from .homology import (MODULUS_BOUND, HomologyCoordinates, HomologyError,
+                       check_map_degree, homology, induced_map, is_prime,
+                       normalized_chains)
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
 from .verify import SelectionError, catalog, run_suite
 
@@ -116,6 +117,7 @@ def _cmd_map(args) -> int:
     if args.name not in MAP_OWNERS:
         raise ComplexError(f"unknown map {args.name!r} (use {', '.join(MAP_OWNERS)})")
     f = CONSTRUCTIONS[MAP_OWNERS[args.name]].build(spec, args.n).maps[args.name]
+    check_map_degree(f, args.degree)
     src = HomologyCoordinates(normalized_chains(f.source, with_labels=False))
     dst = HomologyCoordinates(normalized_chains(f.target, with_labels=False))
     matrix = induced_map(f, args.degree, src, dst)

@@ -19,11 +19,11 @@ verification cases name) to its builder of (space, n).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import orbits
-from .homology import (AbelianQuotient, ChainComplexZ, HomologyCoordinates,
-                       HomologyGroup, SparseIntMatrix, chain_map_matrices,
+from .homology import (ChainComplexZ, HomologyCoordinates, HomologyGroup,
+                       SparseIntMatrix, chain_map_matrices,
                        induced_matrix_from_chain_map, normalized_chains)
 from .simplicial import SimplicialError
 from .spaces import OrderedComplexSpec, builtin_space
@@ -118,8 +118,8 @@ def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
     """
     sp = symmetric_product(spec, 2)
     X = sp.parts["base"]
-    CSP = normalized_chains(sp.space)
-    CX = normalized_chains(X)
+    CSP = normalized_chains(sp.space, with_labels=False)
+    CX = normalized_chains(X, with_labels=False)
     J = chain_map_matrices(sp.maps["j_n"])
     DG = chain_map_matrices(sp.maps["diag"])
 
@@ -159,15 +159,7 @@ def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
                         if r in rows_prev:
                             entries.append((CSP.ranks[k - 1] + rows_prev[r], col, -v))
         boundaries[k] = SparseIntMatrix(ranks[k - 1], ranks[k], entries)
-
-    labels = None
-    if CSP.labels is not None:
-        labels = []
-        for k in range(top + 1):
-            lab = list(CSP.labels[k])
-            lab.extend(("cyl", CX.labels[k - 1][c]) for c in keep.get(k - 1, []))
-            labels.append(tuple(lab))
-    return ChainComplexZ(ranks, boundaries, labels=labels, truncated=True)
+    return ChainComplexZ(ranks, boundaries, truncated=True)
 
 
 
@@ -204,21 +196,23 @@ def reduced(spec: OrderedComplexSpec, n: int, kind: str) -> ConstructionResult:
 class CoproductModelResult:
     """Homology of Sub_3(X, x0) as a quotient of the homology of SP^2(X).
 
-    ``quotients[k]`` presents H_k(SP^2 X) / (diag_* - j_*) H_k(X);
+    ``quotients[k]`` presents H_k(SP^2 X) / (diag_* - j_*) H_k(X) as the
+    degree-0 homology coordinates of the relation complex (see
+    :func:`sub3_homology_via_coproduct`);
     ``j_matrix``/``diag_matrix`` give the induced maps in the chosen
     homology bases, so images of specific classes can be tested.
     """
 
     groups: tuple[HomologyGroup, ...]
-    quotients: dict[int, AbelianQuotient]
+    quotients: dict[int, HomologyCoordinates]
     j_matrix: dict[int, list[list[int]]]
     diag_matrix: dict[int, list[list[int]]]
 
     def image_is_zero(self, degree: int, which: str, generator: int) -> bool:
         """Is the image of a homology generator of X zero in the quotient?"""
         matrix = (self.j_matrix if which == "j" else self.diag_matrix)[degree]
-        vec = [row[generator] for row in matrix]
-        return self.quotients[degree].is_zero(vec)
+        vec = {i: row[generator] for i, row in enumerate(matrix) if row[generator]}
+        return not any(self.quotients[degree].coords_of_cycle(0, vec))
 
 
 def sub3_homology_via_coproduct(spec: OrderedComplexSpec) -> CoproductModelResult:
@@ -226,7 +220,10 @@ def sub3_homology_via_coproduct(spec: OrderedComplexSpec) -> CoproductModelResul
 
     Computes H_*(SP^2 X) with explicit bases, the maps induced by the
     basepoint inclusion j and the diagonal, and divides out the subgroup
-    generated by (diag_* - j_*) of every generator of H_*(X).
+    generated by (diag_* - j_*) of every generator of H_*(X).  In degree k
+    the quotient is H_0 of the two-term complex Z^m -> Z^g on the g
+    generators of H_k(SP^2 X), whose m columns are the orders of its
+    torsion generators and the images (diag_* - j_*) of H_k(X).
     """
     sp = symmetric_product(spec, 2)
     X = sp.parts["base"]
@@ -246,16 +243,14 @@ def sub3_homology_via_coproduct(spec: OrderedComplexSpec) -> CoproductModelResul
         jk = induced_matrix_from_chain_map(Jm[k], k, coords_x, coords_sp)
         dk = induced_matrix_from_chain_map(Dm[k], k, coords_x, coords_sp)
         j_matrix[k], diag_matrix[k] = jk, dk
-        n_src = coords_x.generator_count(k)
-        n_dst = coords_sp.generator_count(k)
-        extra = []
-        for g in range(n_src):
-            col = {i: dk[i][g] - jk[i][g] for i in range(n_dst)
-                   if dk[i][g] - jk[i][g]}
-            extra.append(col)
-        quotient_k = AbelianQuotient(coords_sp.moduli(k), extra)
-        quotients[k] = quotient_k
-        groups.append(quotient_k.group(k))
+        moduli = coords_sp.moduli(k)
+        relations = [{i: m} for i, m in enumerate(moduli) if m]
+        relations.extend({i: d[g] - j[g] for i, (d, j) in enumerate(zip(dk, jk))
+                          if d[g] != j[g]} for g in range(coords_x.generator_count(k)))
+        R = SparseIntMatrix(len(moduli), len(relations), [
+            (i, c, v) for c, col in enumerate(relations) for i, v in col.items()])
+        quotients[k] = HomologyCoordinates(ChainComplexZ((R.nrows, R.ncols), {1: R}))
+        groups.append(replace(quotients[k].group(0), degree=k))
     return CoproductModelResult(tuple(groups), quotients, j_matrix, diag_matrix)
 
 

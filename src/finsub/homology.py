@@ -5,14 +5,17 @@ Smith normal form with unimodular transforms (and their inverses) yields
 Betti numbers, torsion coefficients, homology coordinate systems, and
 induced maps.
 
-One pivot queue serves every elimination.  Almost every pivot of a
-simplicial boundary matrix is a unit, so pivots come from a lazy min-heap
-of columns keyed by occupancy: the shortest column that holds a unit (+-1
-over Z, anything nonzero over F_p), at its entry in the shortest row.  The
-Smith form kernel ``_eliminate`` turns to a Markowitz scan of every
-remaining entry only when no queued column holds a unit; by then it sees
-only the small non-unit residual, where gcd steps may create new units for
-the queue.  No pivot is moved: the divisibility pass d_1 | d_2 | ... works
+One unit-pivot reduction, ``_reduce``, serves every elimination.  Almost
+every pivot of a simplicial boundary matrix is a unit, so pivots come from
+a lazy min-heap of columns keyed by occupancy: the shortest column that
+holds a unit (+-1 over Z, anything nonzero over F_p), at its entry in the
+shortest row.  ``homology`` and ``rank_mod_p`` count its pivots,
+``HomologyCoordinates`` logs them as a chain equivalence (below), and the
+Smith form kernel ``_eliminate`` records each logged pivot's row and
+column operations on its transforms.  Only when no unit is left does the
+kernel turn to a Markowitz scan of the small non-unit residual, where the
+gcd steps of ``_eliminate_at`` may create new units for the next
+``_reduce``.  No pivot is moved: the divisibility pass d_1 | d_2 | ... works
 on the pivots where the elimination left them, and the transforms of
 ``smith_normal_form`` are relabelled and signed once, when the result is
 built.
@@ -43,9 +46,10 @@ the residual it maps by
   reverse order, z[a] = -lam^-1 * sum over x != a of row[x] * z[x].
 
 phi o psi is the identity of the residual, and psi o phi is homotopic to
-the identity, so the two induce inverse isomorphisms on homology.  ``homology`` takes the same unit pivots, over F_p when
-``mod=p`` (where every pivot is a unit, so no residual is left), one
-boundary at a time and without a log.
+the identity, so the two induce inverse isomorphisms on homology.
+``homology`` takes the same unit pivots, over F_p when ``mod=p`` (where
+every pivot is a unit, so no residual is left), one boundary at a time
+and without a log.
 """
 
 from __future__ import annotations
@@ -390,24 +394,17 @@ class _Transforms:
             self.Vinv.row_combine(i, j, w, -z, -y, x)
 
 
-def _pick_pivot(work: _Work, done_rows: set[int], done_cols: set[int]):
-    """Markowitz scan of every entry: a unit of least fill-in, else the least entry."""
+def _pick_pivot(work: _Work):
+    """Markowitz scan of the non-unit residual: the least entry of least fill-in."""
     best = None
     best_key = None
     for r, row in work.rows.items():
-        if r in done_rows or not row:
-            continue
         rlen = len(row)
         for c, v in row.items():
-            if c in done_cols:
-                continue
-            cost = (rlen - 1) * (len(work.cols[c]) - 1)
-            key = (abs(v) != 1, abs(v), cost, r, c)
+            key = (abs(v), (rlen - 1) * (len(work.cols[c]) - 1), r, c)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (r, c)
-                if key[0] is False and cost == 0:
-                    return best
     return best
 
 
@@ -469,7 +466,7 @@ class _PivotQueue:
             if n:
                 heapq.heappush(self.heap, (n, c))
 
-    def pop(self, done_cols: set[int]):
+    def pop(self):
         """The shortest column holding a unit, at its unit in the shortest row.
 
         Returns the pivot (r, c), or None once no queued column holds a unit.
@@ -477,8 +474,6 @@ class _PivotQueue:
         heap, work, is_unit = self.heap, self.work, self.is_unit
         while heap:
             n, c = heapq.heappop(heap)
-            if c in done_cols:
-                continue
             col = work.cols[c]
             if len(col) != n:
                 self.push((c,))
@@ -494,35 +489,38 @@ class _PivotQueue:
 
 
 def _eliminate(work: _Work, tr: _Transforms) -> list[tuple[int, int, int]]:
-    """The Smith form kernel: pivot until no entry is left outside done lines.
+    """The Smith form kernel: pivot until no entry is left.
 
-    Unit pivots come from a :class:`_PivotQueue`; only once it is empty does
-    the full Markowitz scan ``_pick_pivot`` look at the non-unit residual.
-    ``_eliminate_at`` clears the row and column of each pivot.  Returns the
-    pivots ``(r, c, d)`` in discovery order.
+    Unit pivots come from :func:`_reduce`, whose log gives each pivot's row
+    operations (from its column before clearing) and column operations
+    (from its row) to record on ``tr``.  Only when no unit is left does the
+    Markowitz scan ``_pick_pivot`` take a non-unit pivot of the residual,
+    which ``_eliminate_at`` clears with gcd steps that may create new units
+    for the next ``_reduce``.  Pivots are set aside as taken and put back,
+    each as the single entry of its row and column, before the return.
+    Returns the pivots ``(r, c, d)`` in discovery order.
     """
-    queue = _PivotQueue(work, _unit_z)
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
     pivots = []
     while True:
-        pick = queue.pop(done_cols)
-        queued = pick is not None
-        if not queued:
-            pick = _pick_pivot(work, done_rows, done_cols)
-            if pick is None:
-                return pivots
+        for r, c, lam, col, row in _reduce(work, log=True):
+            for rr, b in col.items():
+                if rr != r:
+                    tr.row_add(rr, r, -b * lam)
+            for cc, b in row.items():
+                if cc != c:
+                    tr.col_add(cc, c, -b * lam)
+            pivots.append((r, c, lam))
+        pick = _pick_pivot(work)
+        if pick is None:
+            break
         r, c = pick
-        touched = list(work.rows[r])
         pivots.append((r, c, _eliminate_at(work, tr, r, c)))
-        done_rows.add(r)
-        done_cols.add(c)
-        if queued:
-            # a unit pivot changes only the columns of its row
-            queue.push(touched)
-        else:
-            # gcd steps can change any column of the residual
-            queue.push(cc for cc in work.cols if cc not in done_cols)
+        del work.rows[r]
+        work.cols[c].discard(r)
+    for r, c, d in pivots:
+        work.rows[r] = {c: d}
+        work.cols[c].add(r)
+    return pivots
 
 
 def _unit_z(v: int) -> bool:
@@ -544,7 +542,7 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
     rows, cols = work.rows, work.cols
     queue = _PivotQueue(work, _unit_z if p is None else bool)
     pivots = []
-    while (pick := queue.pop(())) is not None:
+    while (pick := queue.pop()) is not None:
         r, c = pick
         row = rows.pop(r)
         for cc in row:
@@ -767,11 +765,6 @@ class ChainComplexZ:
         ncols = self.ranks[k] if 0 <= k <= self.top_degree else 0
         return SparseIntMatrix.zeros(nrows, ncols)
 
-    def label(self, degree: int, index: int):
-        if self.labels is None:
-            return index
-        return self.labels[degree][index]
-
 
 def normalized_chains(S, with_labels: bool = True) -> ChainComplexZ:
     """Normalized chains: generators are the nondegenerate cells.
@@ -920,17 +913,12 @@ class HomologyCoordinates:
         R = self.residual
         n_k = R.ranks[k] if 0 <= k <= R.top_degree else 0
         data = _DegreeData()
-        snf_bnd = (smith_normal_form(R.boundary(k), transforms="right")
-                   if k >= 1 else None)
-        data.snf_bnd = snf_bnd
-        data.r = snf_bnd.rank if snf_bnd else 0
+        data.snf_bnd = smith_normal_form(R.boundary(k), transforms="right")
+        data.r = data.snf_bnd.rank
         data.z = n_k - data.r
         # present H_k as Z^z / image of the next boundary, in kernel coordinates
         bnd_next = R.boundary(k + 1)
-        if snf_bnd is not None:
-            in_kernel = snf_bnd.V_inv.matmul(bnd_next)
-        else:
-            in_kernel = bnd_next
+        in_kernel = data.snf_bnd.V_inv.matmul(bnd_next)
         entries = [(r - data.r, c, v) for r, c, v in in_kernel.entries if r >= data.r]
         if any(r < data.r for r, _, _ in in_kernel.entries):
             raise HomologyError("boundaries are not cycles; complex is inconsistent")
@@ -959,9 +947,8 @@ class HomologyCoordinates:
         """A cycle vector representing the j-th homology generator."""
         data = self._degree(k)
         pos = data.kept[j]
-        z = {r: v for r, v in data.pres.U_inv.columns().get(pos, ())}
-        if data.snf_bnd is not None:
-            z = data.snf_bnd.V.matvec({data.r + t: v for t, v in z.items()})
+        z = data.snf_bnd.V.matvec({data.r + r: v for r, v in
+                                   data.pres.U_inv.columns().get(pos, ())})
         # psi_k: back across the pivots of d_k, last first
         kept = self._kept[k]
         z = {kept[g]: v for g, v in z.items()}
@@ -990,11 +977,8 @@ class HomologyCoordinates:
                     else:
                         v.pop(x, None)
         index = self._index[k] if 0 <= k <= self.complex.top_degree else {}
-        x = {index[g]: a for g, a in v.items() if g in index}
-        if data.snf_bnd is not None:
-            w = data.snf_bnd.V_inv.matvec(x)
-            x = {r - data.r: a for r, a in w.items() if r >= data.r}
-        y = data.pres.U.matvec(x)
+        w = data.snf_bnd.V_inv.matvec({index[g]: a for g, a in v.items() if g in index})
+        y = data.pres.U.matvec({r - data.r: a for r, a in w.items() if r >= data.r})
         coords = []
         for j, pos in enumerate(data.kept):
             m = data.moduli[j]
@@ -1021,6 +1005,13 @@ def chain_map_matrices(f) -> dict[int, SparseIntMatrix]:
     return out
 
 
+def check_map_degree(f, degree: int) -> None:
+    """Raise HomologyError unless ``degree`` is in 0..truncation of f's source."""
+    if not 0 <= degree <= f.source.truncation:
+        raise HomologyError(f"degree {degree} out of the source's range "
+                            f"0..{f.source.truncation}")
+
+
 def induced_map(f, degree: int, src_coords: HomologyCoordinates,
                 dst_coords: HomologyCoordinates) -> list[list[int]]:
     """Matrix of f_* on homology in the SNF-derived bases of the chains of
@@ -1030,9 +1021,7 @@ def induced_map(f, degree: int, src_coords: HomologyCoordinates,
     reduced modulo the target torsion orders.  A degree outside
     0..truncation of the source raises HomologyError before any work.
     """
-    if not 0 <= degree <= f.source.truncation:
-        raise HomologyError(f"degree {degree} out of the source's range "
-                            f"0..{f.source.truncation}")
+    check_map_degree(f, degree)
     F = chain_map_matrices(f)[degree]
     return induced_matrix_from_chain_map(F, degree, src_coords, dst_coords)
 
@@ -1049,46 +1038,3 @@ def induced_matrix_from_chain_map(F: SparseIntMatrix, degree: int,
         for i, v in enumerate(dst_coords.coords_of_cycle(degree, image)):
             matrix[i][j] = v
     return matrix
-
-
-# ----------------------------------------------------------------------
-# quotients of homology by extra relations
-# ----------------------------------------------------------------------
-
-class AbelianQuotient:
-    """Quotient of a group Z^g with torsion ``moduli`` by extra vectors.
-
-    Presented by Smith normal form; supports membership tests for "is this
-    class zero in the quotient".
-    """
-
-    def __init__(self, moduli: tuple[int, ...], extra: list[dict[int, int]]):
-        g = len(moduli)
-        cols: list[dict[int, int]] = [
-            {i: m} for i, m in enumerate(moduli) if m]
-        cols.extend(extra)
-        entries = [(r, j, v) for j, col in enumerate(cols) for r, v in col.items()]
-        self.generators = g
-        self.relations = SparseIntMatrix(g, len(cols), entries)
-        self.snf = smith_normal_form(self.relations, transforms="left")
-
-    def group(self, degree: int) -> HomologyGroup:
-        torsion = tuple(d for d in self.snf.diagonal if d > 1)
-        betti = self.generators - self.snf.rank
-        return HomologyGroup(degree, betti, torsion)
-
-    def reduce(self, vec_coords) -> tuple[int, ...]:
-        """Canonical coordinates of an element in the quotient."""
-        vec = {i: v for i, v in enumerate(vec_coords) if v}
-        y = self.snf.U.matvec(vec)
-        out = []
-        diag = self.snf.diagonal
-        for i in range(self.generators):
-            val = y.get(i, 0)
-            if i < len(diag) and diag[i]:
-                val %= diag[i]
-            out.append(val)
-        return tuple(out)
-
-    def is_zero(self, vec_coords) -> bool:
-        return all(v == 0 for v in self.reduce(vec_coords))

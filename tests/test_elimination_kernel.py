@@ -1,19 +1,27 @@
-"""Differential tests of the elimination kernel against a full-scan reference,
-of the Smith form's placement against a swap-and-negate reference, of
-``homology`` against a per-boundary reference, and of
-``HomologyCoordinates`` against whole-boundary coordinates.
+"""Differential tests of the elimination kernel against the kernel it
+replaced and against a full-scan reference, of the Smith form's placement
+against a swap-and-negate reference, of ``homology`` against a
+per-boundary reference, and of ``HomologyCoordinates`` against
+whole-boundary coordinates.
 
-The first reference is the kernel as it was before the unit-pivot queue:
-every pivot comes from a Markowitz scan of all remaining entries.  The
-second is the Smith form as it was before the pivots stayed in place:
-every pivot swapped onto the diagonal, the swaps mirrored on U, U_inv, V
-and V_inv, and the signs fixed by negating rows.  The third is
-``homology`` as it was before it reduced the complex: every boundary
-eliminated whole, with no generator dropped.  The fourth is
-``HomologyCoordinates`` as it was before it reduced the complex: Smith
-forms with transforms of every whole boundary.  All are kept here only as
-oracles; they share the row/column primitives and ``smith_normal_form`` of
-``finsub.homology`` but none of the pivot search, placement or reduction.
+The first reference is the kernel as it was before it took its unit
+pivots from ``_reduce``: every pivot goes through ``_eliminate_at``, unit
+pivots from the pivot queue and the rest from a full scan.  The second is
+the kernel as it was before the pivot queue: every pivot comes from a
+Markowitz scan of all remaining entries.  The third is the Smith form as
+it was before the pivots stayed in place: every pivot swapped onto the
+diagonal, the swaps mirrored on U, U_inv, V and V_inv, and the signs fixed
+by negating rows.  The fourth is ``homology`` as it was before it reduced
+the complex: every boundary eliminated whole, with no generator dropped.
+The fifth is ``HomologyCoordinates`` as it was before it reduced the
+complex: Smith forms with transforms of every whole boundary.
+
+All are kept here only as oracles.  All share the row/column primitives of
+``finsub.homology``, and the first also shares its pivot queue.  The third
+calls the kernel ``_eliminate`` and tests only the placement.  The fourth
+and fifth call ``invariant_factors``, ``rank_mod_p`` and
+``smith_normal_form`` on whole boundaries: they share the kernel and the
+placement, but not the reduction of the complex.
 """
 
 from fractions import Fraction
@@ -24,11 +32,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finsub.constructions import CONSTRUCTIONS
+from finsub.fundamental import fundamental_presentation
 from finsub.homology import (ChainComplexZ, HomologyCoordinates, HomologyError, HomologyGroup,
                              HomologyResult, SmithNormalForm, SparseIntMatrix, _eliminate,
-                             _eliminate_at, _snf_core, _Transforms, _Work, homology,
-                             invariant_factors, normalized_chains, rank_mod_p,
-                             smith_normal_form)
+                             _eliminate_at, _PivotQueue, _snf_core, _Transforms, _unit_z,
+                             _Work, homology, invariant_factors, normalized_chains,
+                             rank_mod_p, smith_normal_form)
 from finsub.spaces import builtin_space
 from test_orbits import complexes
 
@@ -53,6 +62,77 @@ def _full_scan_pivot(work, done_rows, done_cols):
     return best
 
 
+def reference_eliminate(work, tr):
+    """The kernel with every pivot cleared in place by ``_eliminate_at``:
+    unit pivots from the queue, skipping done columns, and the rest from a
+    full scan of the lines not yet done."""
+    queue = _PivotQueue(work, _unit_z)
+    done_rows, done_cols, pivots = set(), set(), []
+    while True:
+        pick = queue.pop()
+        while pick is not None and pick[1] in done_cols:
+            pick = queue.pop()
+        queued = pick is not None
+        if not queued:
+            pick = _full_scan_pivot(work, done_rows, done_cols)
+            if pick is None:
+                return pivots
+        r, c = pick
+        touched = list(work.rows[r])
+        pivots.append((r, c, _eliminate_at(work, tr, r, c)))
+        done_rows.add(r)
+        done_cols.add(c)
+        if queued:
+            # a unit pivot changes only the columns of its row
+            queue.push(touched)
+        else:
+            # gcd steps can change any column of the residual
+            queue.push(cc for cc in work.cols if cc not in done_cols)
+
+
+def _kernel_run(eliminate, M):
+    """The pivots, final work and transforms of one kernel run on M."""
+    work = _Work(M.entries, M.nrows, M.ncols)
+    tr = _Transforms(M.nrows, M.ncols, "both")
+    pivots = eliminate(work, tr)
+    return (pivots, SparseIntMatrix(M.nrows, M.ncols, work.entries()),
+            *(SparseIntMatrix(A.nrows, A.ncols, A.entries())
+              for A in (tr.U, tr.Uinv, tr.V, tr.Vinv)))
+
+
+def _assert_valid_kernel_run(M, run):
+    """U M V is the final work, U and V are unimodular, and the final work
+    holds exactly the pivots."""
+    pivots, work, U, U_inv, V, V_inv = run
+    assert U.matmul(M).matmul(V) == work
+    assert _is_identity(U.matmul(U_inv), M.nrows)
+    assert _is_identity(V.matmul(V_inv), M.ncols)
+    assert sorted(work.entries) == sorted(pivots)
+
+
+def _exponent_sums(pres):
+    """The exponent-sum matrix of a presentation, generators by relators."""
+    entries = [(abs(g) - 1, j, 1 if g > 0 else -1)
+               for j, w in enumerate(pres.relators) for g in w]
+    return SparseIntMatrix(pres.generator_count, len(pres.relators), entries)
+
+
+@pytest.mark.parametrize("construction, space, n", [
+    ("sp", "torus", 2), ("sp", "rp2", 2), ("sub", "circle3", 3),
+    ("sub", "wedge_circles2", 3)])
+def test_kernel_matches_in_place_reference_exactly(construction, space, n):
+    # every boundary and the pi_1 exponent-sum matrix: the same pivots in
+    # the same order, the same final work and the same four transforms
+    built = CONSTRUCTIONS[construction].build(builtin_space(space), n)
+    C = normalized_chains(built.space, with_labels=False)
+    matrices = list(C.boundaries.values()) + [_exponent_sums(fundamental_presentation(
+        built.space))]
+    for M in matrices:
+        run = _kernel_run(_eliminate, M)
+        assert run == _kernel_run(reference_eliminate, M)
+        _assert_valid_kernel_run(M, run)
+
+
 def reference_invariant_factors(M):
     """Diagonal of the Smith form, pivoting by full scan on every step."""
     work = _Work(M.entries, M.nrows, M.ncols)
@@ -66,7 +146,11 @@ def reference_invariant_factors(M):
         pivots.append(_eliminate_at(work, tr, r, c))
         done_rows.add(r)
         done_cols.add(c)
-    # the invariant factors of diag(d_1, ..., d_k), by pairwise gcd/lcm
+    return _invariants_of_diagonal(pivots)
+
+
+def _invariants_of_diagonal(pivots):
+    """(rank, invariant factors) of diag(d_1, ..., d_k), by pairwise gcd/lcm."""
     diag = [abs(d) for d in pivots]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
@@ -223,6 +307,24 @@ def test_kernel_matches_full_scan_reference(rows):
     # columns of M*V past the rank are a kernel basis
     assert all(c < rank for _, c, _ in M.matmul(right.V).entries)
     _assert_placement_matches_reference(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+# the non-unit pivot's gcd steps walk the rows of its column in another
+# order than in the reference, and the pivots after it differ
+@example([[0, -2, -3, 3, 0], [-6, 3, -1, 1, 6], [3, -2, -1, 6, -2], [0, 0, -3, 6, 3],
+          [0, -1, -6, 0, -1]])
+def test_kernel_matches_in_place_reference_on_random_matrices(rows):
+    # the residual's pivots may differ from the reference's, so only the
+    # rank, the invariant factors and the certificates are compared
+    M = SparseIntMatrix.from_dense(rows)
+    run, reference = _kernel_run(_eliminate, M), _kernel_run(reference_eliminate, M)
+    assert _invariants_of_diagonal([d for _, _, d in run[0]]) == invariant_factors(M)
+    assert (_invariants_of_diagonal([d for _, _, d in reference[0]])
+            == invariant_factors(M))
+    _assert_valid_kernel_run(M, run)
+    _assert_valid_kernel_run(M, reference)
 
 
 @pytest.mark.parametrize("construction, space, n", [

@@ -256,6 +256,35 @@ def test_coordinates_reduce_sp2_torus_to_its_homology():
     assert residual.ranks == (1, 2, 2, 2, 1, 0)
 
 
+def _relations_and_vector():
+    """A g x m relation matrix R, as its columns, and a vector u + R c."""
+    return st.integers(1, 5).flatmap(lambda g: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=g, max_size=g), max_size=5),
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]), min_size=g, max_size=g),
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relations_and_vector())
+def test_degree_0_coordinates_present_the_cokernel(drawn):
+    # H_0 of Z^m --R--> Z^g is the cokernel Z^g / R Z^m.  The class of v
+    # vanishes exactly when appending v to R keeps the invariant factors:
+    # the cokernel of R then maps onto an isomorphic finitely generated
+    # abelian group, and such a surjection is an isomorphism
+    columns, u, c = drawn
+    g, m = len(u), len(columns)
+    v = [u[i] + sum(col[i] * x for col, x in zip(columns, c)) for i in range(g)]
+    R = SparseIntMatrix(g, m, [(i, j, x) for j, col in enumerate(columns)
+                               for i, x in enumerate(col)])
+    coords = HomologyCoordinates(ChainComplexZ((g, m), {1: R}))
+    rank, diagonal = invariant_factors(R)
+    assert coords.group(0) == HomologyGroup(0, g - rank, tuple(d for d in diagonal if d > 1))
+    with_v = SparseIntMatrix(g, m + 1, R.entries + tuple((i, m, x) for i, x in enumerate(v)))
+    in_image = invariant_factors(with_v) == (rank, diagonal)
+    vector = {i: x for i, x in enumerate(v) if x}
+    assert (not any(coords.coords_of_cycle(0, vector))) == in_image
+
+
 def test_sparse_matrix_ops():
     a = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
     b = SparseIntMatrix.from_dense([[0, 1], [1, 0]])

@@ -231,6 +231,18 @@ def test_cli_map(capsys):
     assert [[abs(v) for v in row] for row in data["matrix"]] == [[2]]
 
 
+def test_cli_map_checks_the_degree_before_any_coordinates(capsys, monkeypatch):
+    def no_coordinates(*args, **kwargs):
+        raise AssertionError("homology coordinates built before the degree check")
+
+    monkeypatch.setattr("finsub.cli.HomologyCoordinates", no_coordinates)
+    code = main(["map", "--name", "pi", "--space", "builtin:sphere2", "--n", "3",
+                 "--degree", "99"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "out of the source's range" in out.err
+
+
 def test_cli_verify_filter(capsys):
     code = main(["verify", "--filter", "mobius-*"])
     assert code == 0
