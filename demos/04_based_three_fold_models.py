@@ -4,8 +4,8 @@ Sub_3(X, x0), the subsets of size at most 3 containing the basepoint, is
 computed three ways:
 
   1. quotient model: SP^2(X) with the class of (s, s) glued to (s, x0);
-  2. cylinder chain model: chains of SP^2(X) plus a shifted copy of the
-     chains of X whose boundary interpolates diagonal and basepoint maps;
+  2. cylinder chain model: the mapping cone of j - diag, chains of SP^2(X)
+     plus a shifted copy of the reduced chains of X;
   3. coproduct model: pure algebra, dividing H_*(SP^2 X) by the image of
      (diag_* - j_*).
 

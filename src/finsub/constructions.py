@@ -8,8 +8,8 @@ cover every position, with no X^n and no quotient.  Each result is an
 which normalized chains, induced maps and pi_1 read directly.  The
 quotient constructions these replace stay in ``reference`` as their
 oracle.  Two further models of the based three-fold subset space
-Sub_3(X, x0), a cylinder chain model and a coproduct model on homology,
-are checked against the quotient model.
+Sub_3(X, x0), a cylinder chain model (the mapping cone of j_2 - diag) and
+a coproduct model on homology, are checked against the quotient model.
 
 ``CONSTRUCTIONS`` is the one registry from a construction name (the
 ``--construction`` choices of the command line, and the constructions
@@ -108,60 +108,40 @@ def based_subset3(spec: OrderedComplexSpec) -> ConstructionResult:
     return ConstructionResult(B, maps, parts={"base": X})
 
 
-def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
-    """Chain model of Sub_3(X, x0): chains of SP^2(X) plus a shifted copy
-    of the chains of X gluing the diagonal to the basepoint inclusion.
-
-    A generator |c| in degree k+1 sits over each nondegenerate k-cell c of
-    X except the basepoint vertex, with boundary
-    ``d|c| = j(c) - diag(c) - |dc|``.
-    """
+def _sp2_chains(spec: OrderedComplexSpec):
+    """The chains of X and of SP^2(X), and the chain maps of j_2 and diag."""
     sp = symmetric_product(spec, 2)
-    X = sp.parts["base"]
-    CSP = normalized_chains(sp.space, with_labels=False)
-    CX = normalized_chains(X, with_labels=False)
-    J = chain_map_matrices(sp.maps["j_n"])
-    DG = chain_map_matrices(sp.maps["diag"])
+    return (normalized_chains(sp.parts["base"], with_labels=False),
+            normalized_chains(sp.space, with_labels=False),
+            chain_map_matrices(sp.maps["j_n"]), chain_map_matrices(sp.maps["diag"]))
 
-    # shifted generators: nondegenerate cells of X minus the basepoint vertex
-    keep: dict[int, list[int]] = {}
-    for k in range(X.truncation + 1):
-        cells = list(range(CX.ranks[k]))
-        if k == 0:
-            cells.remove(spec.basepoint)
-        keep[k] = cells
-    shift_rank = {k + 1: len(cells) for k, cells in keep.items()}
 
-    top = CSP.top_degree
-    ranks = [CSP.ranks[k] + shift_rank.get(k, 0) for k in range(top + 1)]
+def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
+    """Chain model of Sub_3(X, x0): the mapping cone of j_2 - diag, from the
+    reduced chains of X (without the basepoint vertex) into the chains of
+    SP^2(X), which glues each diagonal pair {x, x} to {x, x0}.
+
+    Degree k is C_k(SP^2 X) + C~_(k-1)(X), with boundary
+    ``[[d_SP, J - D], [0, -d_X~]]``: d|c| = j(c) - diag(c) - |dc|.
+    """
+    CX, CSP, J, D = _sp2_chains(spec)
+
+    def tilde(k, i):   # generator i of C_k(X) in C~_k(X), or None
+        return i if k else (None if i == spec.basepoint else i - (i > spec.basepoint))
+    ranks = [CSP.ranks[0]] + [CSP.ranks[k] + CX.ranks[k - 1] - (k == 1)
+                              for k in range(1, CSP.top_degree + 1)]
     boundaries = {}
-    for k in range(1, top + 1):
-        entries = [(r, c, v) for r, c, v in CSP.boundary(k).entries]
-        cols = keep.get(k - 1, [])
-        col_pos = {c: j for j, c in enumerate(cols)}
-        jm, dm = J.get(k - 1), DG.get(k - 1)
-        if cols and jm is not None:
-            jcols, dcols = jm.columns(), dm.columns()
-            for j, c in enumerate(cols):
-                col = CSP.ranks[k] + j
-                acc: dict[int, int] = {}
-                for r, v in jcols.get(c, ()):
-                    acc[r] = acc.get(r, 0) + v
-                for r, v in dcols.get(c, ()):
-                    acc[r] = acc.get(r, 0) - v
-                entries.extend((r, col, v) for r, v in acc.items() if v)
-            if k - 1 >= 1:
-                rows_prev = {c: i for i, c in enumerate(keep[k - 2])}
-                bx = CX.boundary(k - 1).columns()
-                for j, c in enumerate(cols):
-                    col = CSP.ranks[k] + j
-                    for r, v in bx.get(c, ()):
-                        if r in rows_prev:
-                            entries.append((CSP.ranks[k - 1] + rows_prev[r], col, -v))
+    for k in range(1, CSP.top_degree + 1):
+        shift = CSP.ranks[k]
+        entries = list(CSP.boundary(k).iter_entries())
+        for f, sign in ((J[k - 1], 1), (D[k - 1], -1)):
+            entries += [(r, shift + tilde(k - 1, c), sign * v) for r, c, v in f.iter_entries()
+                        if tilde(k - 1, c) is not None]
+        entries += [(CSP.ranks[k - 1] + tilde(k - 2, r), shift + c, -v)
+                    for r, c, v in CX.boundary(k - 1).iter_entries()
+                    if tilde(k - 2, r) is not None]
         boundaries[k] = SparseIntMatrix(ranks[k - 1], ranks[k], entries)
     return ChainComplexZ(ranks, boundaries, truncated=True)
-
-
 
 
 KINDS = ("sp", "sub")
@@ -225,14 +205,9 @@ def sub3_homology_via_coproduct(spec: OrderedComplexSpec) -> CoproductModelResul
     generators of H_k(SP^2 X), whose m columns are the orders of its
     torsion generators and the images (diag_* - j_*) of H_k(X).
     """
-    sp = symmetric_product(spec, 2)
-    X = sp.parts["base"]
-    CSP = normalized_chains(sp.space, with_labels=False)
-    CX = normalized_chains(X, with_labels=False)
+    CX, CSP, Jm, Dm = _sp2_chains(spec)
     coords_sp = HomologyCoordinates(CSP)
     coords_x = HomologyCoordinates(CX)
-    Jm = chain_map_matrices(sp.maps["j_n"])
-    Dm = chain_map_matrices(sp.maps["diag"])
 
     top = 2 * spec.dimension
     groups = []

@@ -347,11 +347,13 @@ class SmithNormalForm:
                                [(i, i, d) for i, d in enumerate(self.diagonal)])
 
     def verify_unimodular(self) -> bool:
-        if self.U is None:
-            return False
-        left = self.U.matmul(self.U_inv) == SparseIntMatrix.identity(self.nrows)
-        right = self.V.matmul(self.V_inv) == SparseIntMatrix.identity(self.ncols)
-        return left and right
+        """Whether each transform the result carries, times its inverse, is
+        the identity; False when it carries none."""
+        pairs = [(T, T_inv, n) for T, T_inv, n in ((self.U, self.U_inv, self.nrows),
+                                                   (self.V, self.V_inv, self.ncols))
+                 if T is not None]
+        return bool(pairs) and all(T.matmul(T_inv) == SparseIntMatrix.identity(n)
+                                   for T, T_inv, n in pairs)
 
 
 class _Transforms:
@@ -491,24 +493,27 @@ class _PivotQueue:
 def _eliminate(work: _Work, tr: _Transforms) -> list[tuple[int, int, int]]:
     """The Smith form kernel: pivot until no entry is left.
 
-    Unit pivots come from :func:`_reduce`, whose log gives each pivot's row
-    operations (from its column before clearing) and column operations
-    (from its row) to record on ``tr``.  Only when no unit is left does the
-    Markowitz scan ``_pick_pivot`` take a non-unit pivot of the residual,
-    which ``_eliminate_at`` clears with gcd steps that may create new units
-    for the next ``_reduce``.  Pivots are set aside as taken and put back,
+    Unit pivots come from :func:`_reduce`, whose log, kept only when ``tr``
+    tracks a transform, gives each pivot's row operations (from its column
+    before clearing) and column operations (from its row) to record on
+    ``tr``.  Only when no unit is left does the Markowitz scan
+    ``_pick_pivot`` take a non-unit pivot of the residual, which
+    ``_eliminate_at`` clears with gcd steps that may create new units for
+    the next ``_reduce``.  Pivots are set aside as taken and put back,
     each as the single entry of its row and column, before the return.
     Returns the pivots ``(r, c, d)`` in discovery order.
     """
     pivots = []
     while True:
-        for r, c, lam, col, row in _reduce(work, log=True):
-            for rr, b in col.items():
-                if rr != r:
-                    tr.row_add(rr, r, -b * lam)
-            for cc, b in row.items():
-                if cc != c:
-                    tr.col_add(cc, c, -b * lam)
+        for r, c, lam, *log in _reduce(work, log=tr.left or tr.right):
+            if log:
+                col, row = log
+                for rr, b in col.items():
+                    if rr != r:
+                        tr.row_add(rr, r, -b * lam)
+                for cc, b in row.items():
+                    if cc != c:
+                        tr.col_add(cc, c, -b * lam)
             pivots.append((r, c, lam))
         pick = _pick_pivot(work)
         if pick is None:
@@ -535,9 +540,9 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
     ``work`` are then residues mod p, and none is left).  Each pivot's
     column is cleared with multiples of its row, and the row is dropped, so
     ``work`` ends as the residual on the rows and columns no pivot took.
-    Returns the pivots ``(r, c)`` in order, or with ``log`` the records
-    ``(r, c, lam, col, row)``: the pivot value, the pivot column just
-    before it was cleared and the pivot row (see the module docstring).
+    Returns the pivots ``(r, c, lam)`` with their values in order, or with
+    ``log`` the records ``(r, c, lam, col, row)``: also the pivot column
+    just before it was cleared and the pivot row (see the module docstring).
     """
     rows, cols = work.rows, work.cols
     queue = _PivotQueue(work, _unit_z if p is None else bool)
@@ -549,10 +554,10 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
             cols[cc].discard(r)
         lam = row[c]
         inv = lam if p is None else pow(lam, -1, p)
-        col = {r: lam}
+        pivots.append((r, c, lam, {r: lam, **{rr: rows[rr][c] for rr in cols[c]}}, row)
+                      if log else (r, c, lam))
         for rr in list(cols[c]):
             target = rows[rr]
-            col[rr] = target[c]
             q = -target[c] * inv
             for cc, v in row.items():
                 x = target.get(cc, 0) + q * v
@@ -567,7 +572,6 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
                     cols[cc].discard(rr)
         # the cleared column is empty, so the queue never offers it again
         queue.push(row)
-        pivots.append((r, c, lam, col, row) if log else (r, c))
     return pivots
 
 

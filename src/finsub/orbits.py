@@ -18,12 +18,13 @@ canonical payload: sorted for a multiset, the support padded with its
 least member for a set.  Rows are kept in lexicographic order, the order
 of the quotient construction in ``reference``, so both give the same chain
 complexes entry for entry.  A :class:`Form` says which rows are cells: the
-based and reduced spaces are quotients (a representative per class, and
-classes collapsed to a degenerate point), the fat diagonal and the
-filtration pieces are subobjects.  Faces come from the X tables, a sort
-and ``searchsorted``; a degenerate face is stored as -1.  Every face that
-is nondegenerate must be found among the cells, and the face identities
-and the maps' commutation with faces are checked on construction.
+based and reduced spaces are quotients (a row goes to its class's
+representative, and a collapsed subobject to the point's cell, degenerate
+above level 0), the fat diagonal and the filtration pieces are subobjects.
+Faces come from the X tables, a sort and ``searchsorted``; a degenerate
+face is stored as -1.  Every face that is nondegenerate must be found among
+the cells, and the face identities and the maps' commutation with faces
+are checked on construction.
 
 The number of all cells, degenerate ones included, is known in closed
 form from N_k = sum over simplices F of C(k, |F| - 1), the number of
@@ -168,18 +169,17 @@ class Form:
     """Which rows of n members are the cells of a space.
 
     Members form a multiset, or with ``sets`` a set.  A nondegenerate row
-    is a cell when ``select`` holds (a subobject), ``dead`` does not (a
-    class collapsed to a degenerate cell) and ``canon`` leaves it as it is
-    (``canon`` sends a row to the representative of its class in a
-    quotient).  ``count(N_k)`` is the number of all k-cells.  ``bare``
-    labels a cell by its one member's vertex sequence, as X itself.
+    is a cell when ``select`` holds (a subobject) and ``canon`` leaves it
+    as it is (``canon`` sends a row to the representative of its class in
+    a quotient, which may be a degenerate cell).  ``count(N_k)`` is the
+    number of all k-cells.  ``bare`` labels a cell by its one member's
+    vertex sequence, as X itself.
     """
 
     n: int
     count: Callable[[int], int]
     sets: bool = False
     select: Rows | None = None
-    dead: Rows | None = None
     canon: Rows | None = None
     bare: bool = False
 
@@ -204,19 +204,15 @@ def _based_canon(X, rows, level):
     return rows
 
 
-def _collapsing(in_sub: Rows, point: Callable[[Sequences, int], list[int]]):
-    """``dead`` and ``canon`` of a quotient collapsing the subobject of rows
-    where ``in_sub`` holds to the point, its least 0-cell ``point(X, n)``."""
-    def dead(X, rows, level):
-        return in_sub(X, rows, level) if level else np.zeros(len(rows), dtype=bool)
-
+def _collapsing(in_sub: Rows, point: Callable[[Sequences, int, int], list[int]]):
+    """``canon`` of a quotient collapsing the subobject of rows where
+    ``in_sub`` holds to a point: at each level, to the point's cell
+    ``point(X, n, level)``, which is degenerate above level 0."""
     def canon(X, rows, level):
-        if level:
-            return rows
         rows = rows.copy()
-        rows[in_sub(X, rows, 0)] = point(X, rows.shape[1])
+        rows[in_sub(X, rows, level)] = point(X, rows.shape[1], level)
         return rows
-    return dead, canon
+    return canon
 
 
 BASE = Form(1, lambda N: N, bare=True)
@@ -253,15 +249,14 @@ def prev_form(n: int) -> Form:
 
 def reduced_sp_form(n: int) -> Form:
     """SP^n(X)/SP^(n-1)(X): the multisets without the tower, and the point."""
-    dead, canon = _collapsing(_has_tower, lambda X, n: sorted([0] * (n - 1) + [X.tower[0]]))
-    return Form(n, lambda N: comb(N + n - 1, n) - comb(N + n - 2, n - 1) + 1,
-                dead=dead, canon=canon)
+    canon = _collapsing(_has_tower, lambda X, n, level: sorted([0] * (n - 1) + [X.tower[level]]))
+    return Form(n, lambda N: comb(N + n - 1, n) - comb(N + n - 2, n - 1) + 1, canon=canon)
 
 
 def reduced_sub_form(n: int) -> Form:
     """Sub_n(X)/Sub_(n-1)(X): the sets of exactly n members, and the point."""
-    dead, canon = _collapsing(_repeated, lambda X, n: [0] * n)
-    return Form(n, lambda N: comb(N, n) + 1, sets=True, dead=dead, canon=canon)
+    canon = _collapsing(_repeated, lambda X, n, level: [0] * n)
+    return Form(n, lambda N: comb(N, n) + 1, sets=True, canon=canon)
 
 
 class OrbitSpace(NondegenerateComplex):
@@ -278,7 +273,7 @@ class OrbitSpace(NondegenerateComplex):
         self.keys: list[np.ndarray] = []
         for k in range(X.truncation + 1):
             rows = X.nondegenerate_rows(k, form.n, form.sets)
-            keep = self._alive(rows, k)
+            keep = X.covered(rows, k)
             if form.select is not None:
                 keep &= form.select(X, rows, k)
             if form.canon is not None:
@@ -289,12 +284,6 @@ class OrbitSpace(NondegenerateComplex):
                                     for i in range(k + 1)], axis=1).reshape(-1, k + 1)
                           for k in range(1, X.truncation + 1)]
         super().__init__(name, [len(r) for r in self.rows], faces, counts, self._label)
-
-    def _alive(self, rows: np.ndarray, level: int) -> np.ndarray:
-        alive = self.X.covered(rows, level)
-        if self.form.dead is not None:
-            alive &= ~self.form.dead(self.X, rows, level)
-        return alive
 
     def _label(self, level: int, index: int):
         members = [self.X.label(level, int(c)) for c in self.rows[level][index]]
@@ -307,7 +296,7 @@ class OrbitSpace(NondegenerateComplex):
         rows = self.X.canonical(members, self.form.sets)
         if self.form.canon is not None:
             rows = self.form.canon(self.X, rows, level)
-        alive = self._alive(rows, level)
+        alive = self.X.covered(rows, level)
         keys = self.X.keys(rows, level)
         table = self.keys[level]
         pos = np.minimum(np.searchsorted(table, keys), max(len(table) - 1, 0))

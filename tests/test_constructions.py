@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from finsub.constructions import (based_subset3, cylinder_chain_model,
                                   fat_diagonal, finite_subset_space, reduced,
                                   sub3_homology_via_coproduct,
                                   symmetric_product)
-from finsub.homology import (HomologyCoordinates, chain_map_matrices,
-                             euler_characteristic, homology, homology_of_sset,
-                             induced_matrix_from_chain_map, normalized_chains)
+from finsub.homology import (ChainComplexZ, HomologyCoordinates, SparseIntMatrix,
+                             chain_map_matrices, euler_characteristic, homology,
+                             homology_of_sset, induced_matrix_from_chain_map,
+                             normalized_chains)
 from finsub.reference import (direct_subset_quotient,
                               reference_finite_subset_space,
                               reference_symmetric_product)
 from finsub.simplicial import compose_maps
-from finsub.spaces import builtin_space
+from finsub.spaces import builtin_space, load_complex
+from test_orbits import complexes
 
 
 def groups_str(result):
@@ -233,6 +236,82 @@ def test_diag_multiplication_by_two(sphere):
     F = chain_map_matrices(sp.maps["j_n"])[2]
     matrix = induced_matrix_from_chain_map(F, 2, coords_x, coords_sp)
     assert [[abs(v) for v in row] for row in matrix] == [[1]]
+
+
+def reference_cylinder_chain_model(spec):
+    """The cylinder model assembled column by column: the chains of SP^2(X)
+    and a generator |c| in degree k+1 over each nondegenerate k-cell c of X
+    except the basepoint vertex, with d|c| = j(c) - diag(c) - |dc|."""
+    sp = symmetric_product(spec, 2)
+    X = sp.parts["base"]
+    CSP = normalized_chains(sp.space, with_labels=False)
+    CX = normalized_chains(X, with_labels=False)
+    J = chain_map_matrices(sp.maps["j_n"])
+    DG = chain_map_matrices(sp.maps["diag"])
+
+    keep = {}
+    for k in range(X.truncation + 1):
+        cells = list(range(CX.ranks[k]))
+        if k == 0:
+            cells.remove(spec.basepoint)
+        keep[k] = cells
+    shift_rank = {k + 1: len(cells) for k, cells in keep.items()}
+
+    top = CSP.top_degree
+    ranks = [CSP.ranks[k] + shift_rank.get(k, 0) for k in range(top + 1)]
+    boundaries = {}
+    for k in range(1, top + 1):
+        entries = list(CSP.boundary(k).entries)
+        cols = keep.get(k - 1, [])
+        jm, dm = J.get(k - 1), DG.get(k - 1)
+        if cols and jm is not None:
+            jcols, dcols = jm.columns(), dm.columns()
+            for j, c in enumerate(cols):
+                col = CSP.ranks[k] + j
+                acc = {}
+                for r, v in jcols.get(c, ()):
+                    acc[r] = acc.get(r, 0) + v
+                for r, v in dcols.get(c, ()):
+                    acc[r] = acc.get(r, 0) - v
+                entries.extend((r, col, v) for r, v in acc.items() if v)
+            if k - 1 >= 1:
+                rows_prev = {c: i for i, c in enumerate(keep[k - 2])}
+                bx = CX.boundary(k - 1).columns()
+                for j, c in enumerate(cols):
+                    col = CSP.ranks[k] + j
+                    for r, v in bx.get(c, ()):
+                        if r in rows_prev:
+                            entries.append((CSP.ranks[k - 1] + rows_prev[r], col, -v))
+        boundaries[k] = SparseIntMatrix(ranks[k - 1], ranks[k], entries)
+    return ChainComplexZ(ranks, boundaries, truncated=True)
+
+
+def assert_same_chains(C, D):
+    assert C.ranks == D.ranks
+    for k in range(1, C.top_degree + 1):
+        assert C.boundary(k) == D.boundary(k), k
+
+
+ONE_VERTEX = '{"vertices": 1, "simplices": [[0]]}'
+
+
+@pytest.mark.parametrize("name", ["circle3", "sphere2", "torus", "sphere3", "rp2",
+                                  "wedge_circles2", "interval"])
+def test_cylinder_is_the_column_assembly(name):
+    spec = builtin_space(name)
+    assert_same_chains(cylinder_chain_model(spec), reference_cylinder_chain_model(spec))
+
+
+def test_cylinder_of_a_point_is_the_column_assembly():
+    spec = load_complex(ONE_VERTEX)
+    assert_same_chains(cylinder_chain_model(spec), reference_cylinder_chain_model(spec))
+    assert [str(g) for g in homology(cylinder_chain_model(spec)).groups] == ["Z", "0"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=complexes())
+def test_cylinder_is_the_column_assembly_on_random_complexes(spec):
+    assert_same_chains(cylinder_chain_model(spec), reference_cylinder_chain_model(spec))
 
 
 def test_cylinder_model_sphere3():

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,7 @@ from finsub.homology import (ChainComplexZ, HomologyError, HomologyGroup,
                              HomologyCoordinates, SparseIntMatrix,
                              euler_characteristic, homology, homology_of_sset,
                              induced_map, invariant_factors, normalized_chains,
-                             rank_mod_p, smith_normal_form,
+                             SmithNormalForm, rank_mod_p, smith_normal_form,
                              universal_coefficients_consistent)
 from finsub.simplicial import SSetMap, compose_maps, from_ordered_complex, power
 from finsub.spaces import builtin_space
@@ -42,6 +43,24 @@ def test_snf_textbook_2x2():
     s = smith_normal_form(m)
     assert s.diagonal == (2, 4)
     assert s.verify_unimodular()
+
+
+@pytest.mark.parametrize("mode", ["both", "left", "right"])
+def test_snf_verifies_the_transforms_it_carries(mode):
+    m = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
+    s = smith_normal_form(m, mode)
+    assert (s.U is None, s.V is None) == (mode == "right", mode == "left")
+    assert s.verify_unimodular()
+    # a carried pair whose product is not the identity is caught
+    double = SparseIntMatrix.from_dense([[2, 0], [0, 2]])
+    if s.U is not None:
+        assert not replace(s, U=double).verify_unimodular()
+    if s.V is not None:
+        assert not replace(s, V_inv=double).verify_unimodular()
+
+
+def test_snf_without_transforms_verifies_nothing():
+    assert not SmithNormalForm(2, 2, (2, 4)).verify_unimodular()
 
 
 def test_snf_zero_matrix():

@@ -1,7 +1,10 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and every
+function each local name it stores.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.  A
-name counts as read when the module's syntax tree loads it anywhere.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.  A name counts as read when the syntax tree loads it
+anywhere: in the module for an import, in the function or a function nested
+in it for a local.  Locals whose names start with ``_`` are exempt.
 """
 
 import ast
@@ -28,6 +31,34 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def unread_locals(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, name) of each local a function stores and never reads."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        stored = {}
+        for n in names:
+            if isinstance(n.ctx, ast.Store) and not n.id.startswith("_"):
+                stored.setdefault(n.id, n.lineno)
+        out += [(line, func.name, name) for name, line in stored.items() if name not in read]
+    return sorted(out)
+
+
+def test_unread_locals_are_found():
+    source = ("def f(rows):\n"
+              "    total, _skip = 0, 1\n"
+              "    pos = {c: j for j, c in enumerate(rows)}\n"
+              "    for i, r in enumerate(rows):\n"
+              "        total += r\n"
+              "    def g():\n"
+              "        return total\n"
+              "    return g\n")
+    assert unread_locals(source) == [(3, "f", "pos"), (4, "f", "i")]
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\n"
               "import os.path\n"
@@ -45,3 +76,8 @@ def test_modules_exist():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_functions_read_every_local_they_store(path):
+    assert unread_locals(path.read_text()) == []
