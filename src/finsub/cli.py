@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from . import surface as surf
 from .constructions import CONSTRUCTIONS
 from .homology import (MODULUS_BOUND, HomologyCoordinates, HomologyError,
                        check_map_degree, homology, induced_map, is_prime,
                        normalized_chains)
-from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
+from .simplicial import CellCapExceeded, SimplicialError
+from .spaces import ComplexError, load_space
+from .surface import SurfaceModelError
 from .verify import SelectionError, catalog, run_suite
 
 BUILTIN_NAMES = ["interval", "circle(m), m>=3", "sphere(d), d>=1", "torus",
@@ -26,15 +26,6 @@ BUILTIN_NAMES = ["interval", "circle(m), m>=3", "sphere(d), d>=1", "torus",
 
 # structure map name -> the construction whose result carries it
 MAP_OWNERS = {m: name for name, entry in CONSTRUCTIONS.items() for m in entry.maps}
-
-
-def _load_space(arg: str) -> OrderedComplexSpec:
-    if arg.startswith("builtin:"):
-        return builtin_space(arg.split(":", 1)[1])
-    try:
-        return load_complex(Path(arg).read_text())
-    except OSError:   # no such file, or a name too long to be one: inline JSON
-        return load_complex(arg)
 
 
 def _coeff_mod(coeff: str) -> int | None:
@@ -62,10 +53,7 @@ def _homology_groups(args, mod: int | None) -> tuple[list, dict]:
     meta: dict = {"space": args.space, "construction": args.construction,
                   "coeff": args.coeff}
     entry = CONSTRUCTIONS[args.construction]
-    if entry.load is builtin_space:
-        space = _load_space(args.space)
-    else:   # a space named with or without "builtin:", e.g. a surface
-        space = entry.load(args.space.split(":", 1)[-1])
+    space = entry.load(args.space)
     if entry.yields == "groups" and mod is not None:
         raise ComplexError(f"the {args.construction} model computes integral "
                            "homology only (use --coeff z)")
@@ -82,14 +70,6 @@ def _homology_groups(args, mod: int | None) -> tuple[list, dict]:
     if result.unreliable:
         meta["unreliable_degrees"] = sorted(result.unreliable)
     return list(result.groups), meta
-
-
-def positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
 
 
 def _cmd_spaces(args) -> int:
@@ -113,7 +93,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    spec = _load_space(args.space)
+    spec = load_space(args.space)
     if args.name not in MAP_OWNERS:
         raise ComplexError(f"unknown map {args.name!r} (use {', '.join(MAP_OWNERS)})")
     f = CONSTRUCTIONS[MAP_OWNERS[args.name]].build(spec, args.n).maps[args.name]
@@ -138,8 +118,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite = args.filter if args.filter else args.suite
-    report = run_suite(suite, jobs=args.jobs)
+    report = run_suite(args.suite)
     if args.emit == "json":
         print(report.to_json())
     else:
@@ -175,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="homology of a construction")
     p.add_argument("--space", required=True,
-                   help="builtin:NAME, a JSON file path, or inline JSON")
+                   help="builtin:NAME, a JSON file path, or inline JSON: a complex, "
+                        "or for the surface model a presentation such as "
+                        '{"r": 1, "word": [1, 1]}')
     p.add_argument("--construction", choices=CONSTRUCTIONS, default="sub")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--coeff", default="z", help="z (default), f2, f3, ...")
@@ -192,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", default="paper",
-                   help="paper (required cases), stretch, or all")
-    p.add_argument("--filter", default=None, help="glob over case ids")
-    p.add_argument("--jobs", type=positive_int, default=1)
+                   help="paper (required cases), stretch, all, or a glob over case ids")
     p.add_argument("--emit", choices=("table", "json"), default="table")
     p.set_defaults(fn=_cmd_verify)
 
@@ -204,18 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .simplicial import CellCapExceeded, SimplicialError
-
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ComplexError, surf.SurfaceModelError, SimplicialError,
-            HomologyError, SelectionError) as exc:
+    except (ComplexError, SurfaceModelError, SimplicialError, HomologyError,
+            SelectionError, CellCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CellCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, CellCapExceeded) else 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from .homology import (ChainComplexZ, HomologyCoordinates, HomologyGroup,
                        SparseIntMatrix, chain_map_matrices,
                        induced_matrix_from_chain_map, normalized_chains)
 from .simplicial import SimplicialError
-from .spaces import OrderedComplexSpec, builtin_space
-from .surface import builtin_presentation, sp_chain_complex
+from .spaces import OrderedComplexSpec, load_space
+from .surface import load_surface, sp_chain_complex
 
 
 @dataclass
@@ -236,14 +236,15 @@ class Construction:
     ``build(space, n)`` returns a ConstructionResult when ``yields`` is
     ``"sset"``, a ChainComplexZ when it is ``"chains"`` and a
     CoproductModelResult (integral groups only) when it is ``"groups"``.
-    ``load`` turns a built-in name into the space ``build`` takes, and
-    ``maps`` lists the structure maps of the result that ``finsub map``
-    offers.  Builders look the construction functions up at call time.
+    ``load`` reads the space ``build`` takes from ``builtin:NAME``, a JSON
+    file path or inline JSON, and ``maps`` lists the structure maps of the
+    result that ``finsub map`` offers.  Builders look the construction
+    functions up at call time.
     """
 
     build: Callable[[object, int | None], object]
     yields: str = "sset"
-    load: Callable[[str], object] = builtin_space
+    load: Callable[[str], object] = load_space
     maps: tuple[str, ...] = ()
 
     def chains(self, built) -> ChainComplexZ:
@@ -266,5 +267,5 @@ CONSTRUCTIONS: dict[str, Construction] = {
     "cylinder": Construction(lambda spec, n: cylinder_chain_model(spec), "chains"),
     "coproduct": Construction(lambda spec, n: sub3_homology_via_coproduct(spec), "groups"),
     "surface": Construction(lambda pres, n: sp_chain_complex(pres, n), "chains",
-                            load=builtin_presentation),
+                            load=load_surface),
 }

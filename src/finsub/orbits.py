@@ -59,6 +59,17 @@ def sequence_counts(spec: OrderedComplexSpec, truncation: int) -> list[int]:
     return [sum(comb(k, s - 1) for s in sizes) for k in range(truncation + 1)]
 
 
+def _grow(simplices, index, V: int) -> np.ndarray:
+    """``grow[s, v]``: the index of simplex s with vertex v added, or -1 if
+    that is no simplex.  t is s + v for each vertex v of t, with s = t or t - v."""
+    grow = np.full((len(simplices), V), -1, dtype=np.int64)
+    face, vertex, grown = np.array(
+        [(s, v, t) for t, simplex in enumerate(simplices) for i, v in enumerate(simplex)
+         for s in (t, index.get(simplex[:i] + simplex[i + 1:], t))], dtype=np.int64).T
+    grow[face, vertex] = grown
+    return grow
+
+
 class Sequences:
     """The k-cells of X for k = 0..truncation, in lexicographic order.
 
@@ -73,8 +84,7 @@ class Sequences:
         V = spec.vertex_count
         simplices = sorted(spec.simplex_set)
         index = {s: i for i, s in enumerate(simplices)}
-        grow = np.array([[index.get(tuple(sorted(set(s) | {v})), -1) for v in range(V)]
-                         for s in simplices], dtype=np.int64).reshape(len(simplices), V)
+        grow = _grow(simplices, index, V)
         vertices = np.arange(V, dtype=np.int64)
         self.truncation = truncation
         self.dimension = spec.dimension

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
+from pathlib import Path
 
 
 class ComplexError(ValueError):
@@ -40,12 +41,7 @@ class OrderedComplexSpec:
             raise ComplexError("at least one simplex is required")
         covered = set()
         for simplex in self.maximal_simplices:
-            if not simplex:
-                raise ComplexError("a simplex needs at least one vertex")
-            if len(set(simplex)) != len(simplex):
-                raise ComplexError(f"duplicate vertex in simplex {list(simplex)}")
-            if list(simplex) != sorted(simplex):
-                raise ComplexError(f"simplex {list(simplex)} is not strictly increasing")
+            _check_increasing(simplex)
             if simplex[0] < 0 or simplex[-1] >= self.vertex_count:
                 raise ComplexError(f"vertex index out of range in {list(simplex)}")
             covered.update(simplex)
@@ -97,20 +93,41 @@ class OrderedComplexSpec:
         )
 
 
+def _check_increasing(simplex) -> None:
+    if not simplex:
+        raise ComplexError("a simplex needs at least one vertex")
+    if list(simplex) != sorted(set(simplex)):
+        if len(set(simplex)) != len(simplex):
+            raise ComplexError(f"duplicate vertex in simplex {list(simplex)}")
+        raise ComplexError(f"simplex {list(simplex)} is not strictly increasing")
+
+
 def _canonical_maximal(simplices) -> tuple[tuple[int, ...], ...]:
-    sets = [tuple(s) for s in simplices]
-    keep = []
-    for s in sets:
-        if any(set(s) < set(t) for t in sets):
+    """The simplices that lie in no other, sorted and without repeats.
+
+    Every simplex, maximal or not, must be strictly increasing.  Longest
+    first, a simplex is compared only with the kept simplices through its
+    least-used vertex: any simplex containing it passes there.
+    """
+    distinct = {tuple(s) for s in simplices}
+    for s in distinct:
+        _check_increasing(s)
+    keep, through = [], {}
+    for s in sorted(distinct, key=len, reverse=True):
+        members = set(s)
+        v = min(members, key=lambda v: len(through.get(v, ())))
+        if any(members < t for t in through.get(v, ())):
             continue
         keep.append(s)
-    return tuple(sorted(set(keep)))
+        for v in members:
+            through.setdefault(v, []).append(members)
+    return tuple(sorted(keep))
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; bools, floats, strings and null are rejected."""
+def json_integer(value, what: str, error=ComplexError) -> int:
+    """A JSON integer; bools, floats, strings and null raise ``error``."""
     if type(value) is not int:
-        raise ComplexError(f"{what} must be an integer, not {json.dumps(value)}")
+        raise error(f"{what} must be an integer, not {json.dumps(value)}")
     return value
 
 
@@ -139,10 +156,10 @@ def load_complex(text: str) -> OrderedComplexSpec:
         raise ComplexError("simplices must be a list of lists")
     return OrderedComplexSpec(
         name=str(data.get("name", "")),
-        vertex_count=_integer(data["vertices"], "vertices"),
+        vertex_count=json_integer(data["vertices"], "vertices"),
         maximal_simplices=_canonical_maximal(
-            [tuple(_integer(v, "a simplex entry") for v in s) for s in simplices]),
-        basepoint=_integer(data.get("basepoint", 0), "basepoint"),
+            [tuple(json_integer(v, "a simplex entry") for v in s) for s in simplices]),
+        basepoint=json_integer(data.get("basepoint", 0), "basepoint"),
     )
 
 
@@ -217,3 +234,17 @@ def builtin_space(name: str) -> OrderedComplexSpec:
     kind, param = match.group(1), int(match.group(2))
     builder = {"circle": _circle, "sphere": _sphere, "wedge_circles": _wedge_circles}[kind]
     return builder(param)
+
+
+def read_json_argument(arg: str, parse):
+    """``parse`` applied to the JSON file at path ``arg``, else to ``arg`` itself."""
+    try:
+        return parse(Path(arg).read_text())
+    except OSError:   # no such file, or a name too long to be one: inline JSON
+        return parse(arg)
+
+
+def load_space(arg: str) -> OrderedComplexSpec:
+    """A complex given as ``builtin:NAME``, a JSON file path, or inline JSON."""
+    name = arg.removeprefix("builtin:")
+    return builtin_space(name) if name != arg else read_json_argument(arg, load_complex)

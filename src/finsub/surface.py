@@ -14,8 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .homology import ChainComplexZ, HomologyGroup, SparseIntMatrix, homology
+from .simplicial import CellCapExceeded, cell_cap
+from .spaces import json_integer, read_json_argument
 
 
 class SurfaceModelError(ValueError):
@@ -62,16 +65,19 @@ class SurfacePresentation:
 
 
 def load_surface_presentation(text: str) -> SurfacePresentation:
-    """Parse ``{"r": 2, "word": [1, 2, -1, -2]}``."""
+    """Parse ``{"r": 2, "word": [1, 2, -1, -2]}``, all of them JSON integers."""
     try:
         data = json.loads(text)
-        r = int(data["r"])
-        word = tuple(int(g) for g in data["word"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise SurfaceModelError(f"parse failure: {exc}") from None
     except RecursionError:
         raise SurfaceModelError("parse failure: JSON nested too deeply") from None
-    return SurfacePresentation(r, word, name=str(data.get("name", "")))
+    if not isinstance(data, dict) or "r" not in data or not isinstance(data.get("word"), list):
+        raise SurfaceModelError('expected {"r": an integer, "word": a list of integers}')
+    return SurfacePresentation(
+        json_integer(data["r"], "r", SurfaceModelError),
+        tuple(json_integer(g, "a word letter", SurfaceModelError) for g in data["word"]),
+        name=str(data.get("name", "")))
 
 
 def builtin_presentation(name: str) -> SurfacePresentation:
@@ -87,6 +93,14 @@ def builtin_presentation(name: str) -> SurfacePresentation:
         raise SurfaceModelError(f"unknown surface presentation {name!r} "
                                 f"(known: {', '.join(table)})")
     return table[name]
+
+
+def load_surface(arg: str) -> SurfacePresentation:
+    """``builtin:NAME``, a bare built-in NAME, a JSON file path, or inline JSON."""
+    name = arg.removeprefix("builtin:")
+    if name != arg or name.isidentifier():
+        return builtin_presentation(name)
+    return read_json_argument(arg, load_surface_presentation)
 
 
 @dataclass(frozen=True)
@@ -114,9 +128,20 @@ class MonomialCell:
 
 
 def monomial_cells(r: int, n: int) -> list[MonomialCell]:
-    """All monomials with at most n factors, ordered by degree then lex."""
+    """All monomials with at most n factors, ordered by degree then lex.
+
+    Raises :class:`CellCapExceeded` before anything is enumerated when
+    there are more than ``cell_cap()`` of them.
+    """
+    total, cap = 0, cell_cap()
+    for size in range(min(r, n) + 1):
+        total += comb(r, size) * (n - size + 1)
+        if total > cap:
+            raise CellCapExceeded(
+                f"the surface model of SP^{n} with {r} circles would enumerate more "
+                f"than {cap} cells (raise FINSUB_CELL_CAP to override)")
     cells = []
-    for size in range(r + 1):
+    for size in range(min(r, n) + 1):
         for subset in combinations(range(1, r + 1), size):
             for k in range(n - size + 1):
                 cells.append(MonomialCell(subset, k))

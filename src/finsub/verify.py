@@ -6,7 +6,7 @@ runner that computes and compares it, and, where it has one, a construction
 of the registry ``constructions.CONSTRUCTIONS`` on a built-in space with its
 n; cases over several constructions list them as labelled
 ``(label, construction, space, n)`` models.  The cross-check cases build
-the quotient constructions of ``reference`` as well.  A shared cache, keyed
+the quotient constructions of ``reference`` as well.  A memo per run, keyed
 by registry name, space and n, lets cases that need the same construction
 reuse it.  Reports are deterministic, JSON-serializable, and the suite
 fails exactly when a required case does.
@@ -15,9 +15,7 @@ fails exactly when a required case does.
 from __future__ import annotations
 
 import json
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 
@@ -125,18 +123,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        report = cls(suite=data["suite"])
-        for c in data["cases"]:
-            report.cases.append(CaseReport(
-                id=c["id"], status=c["status"], tag=c["tag"],
-                seconds=c["seconds"], cells=c.get("cells"),
-                expected=c.get("expected"), computed=c.get("computed"),
-                reason=c.get("reason"), strict=c.get("strict", True)))
-        return report
-
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -164,30 +150,11 @@ REPORT_SCHEMA = {
 }
 
 
-class _Cache:
-    """Thread-safe memo for constructions shared between cases.
-
-    Each key holds one future: a case that needs a construction another
-    thread is building waits for that build instead of repeating it.
-    """
-
-    def __init__(self):
-        self._data: dict[object, Future] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key, build):
-        with self._lock:
-            future = self._data.get(key)
-            owner = future is None
-            if owner:
-                future = self._data[key] = Future()
-        if owner:
-            try:
-                future.set_result(build())
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
-        return future.result()
+def _cached(cache: dict, key, build):
+    """The value of ``key`` in this run's memo, built on its first request."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 # ----------------------------------------------------------------------
@@ -196,24 +163,25 @@ class _Cache:
 
 def _built(cache, construction, space, n=None):
     entry = CONSTRUCTIONS[construction]
-    return cache.get((construction, space, n), lambda: entry.build(entry.load(space), n))
+    return _cached(cache, (construction, space, n),
+                   lambda: entry.build(entry.load(f"builtin:{space}"), n))
 
 
 def _chains(cache, construction, space, n=None):
     entry = CONSTRUCTIONS[construction]
-    return cache.get(("chains", construction, space, n),
-                     lambda: entry.chains(_built(cache, construction, space, n)))
+    return _cached(cache, ("chains", construction, space, n),
+                   lambda: entry.chains(_built(cache, construction, space, n)))
 
 
 def _reference(cache, construction, space, n=None):
     """The quotient construction of ``reference`` (X^n and a quotient)."""
-    return cache.get(("reference", construction, space, n),
-                     lambda: REFERENCE_BUILDERS[construction](builtin_space(space), n))
+    return _cached(cache, ("reference", construction, space, n),
+                   lambda: REFERENCE_BUILDERS[construction](builtin_space(space), n))
 
 
 def _homology(cache, construction, space, n=None, mod=None):
     chains = _chains(cache, construction, space, n)
-    return cache.get(("H", construction, space, n, mod), lambda: homology(chains, mod=mod))
+    return _cached(cache, ("H", construction, space, n, mod), lambda: homology(chains, mod=mod))
 
 
 def _groups(cache, construction, space, n=None, mod=None) -> tuple[HomologyGroup, ...]:
@@ -316,10 +284,10 @@ def _run_map_case(case, cache, report):
     p = case.param_dict
     degree = p["degree"]
     f = _built(cache, *case.key).maps[p["map"]]
-    src = cache.get(("coords", case.key, p["map"]), lambda: HomologyCoordinates(
+    src = _cached(cache, ("coords", case.key, p["map"]), lambda: HomologyCoordinates(
         normalized_chains(f.source, with_labels=False)))
-    dst = cache.get(("coords", case.key),
-                    lambda: HomologyCoordinates(_chains(cache, *case.key)))
+    dst = _cached(cache, ("coords", case.key),
+                  lambda: HomologyCoordinates(_chains(cache, *case.key)))
     matrix = induced_map(f, degree, src, dst)
     report.computed = {"matrix": matrix}
     if case.expected is not None:
@@ -495,13 +463,13 @@ _RUNNERS = {
 }
 
 
-def run_case(case: VerificationCase, cache: _Cache | None = None) -> CaseReport:
-    """Execute one case.
+def run_case(case: VerificationCase, cache: dict | None = None) -> CaseReport:
+    """Execute one case, sharing constructions through ``cache``.
 
     Resource-cap overruns become 'skipped'; any other exception becomes
     'error' with its message as the reason, so the rest of a suite runs on.
     """
-    cache = cache or _Cache()
+    cache = {} if cache is None else cache
     report = CaseReport(id=case.id, status="fail", tag=case.tag,
                         expected=case.expected, strict=case.inconclusive_fails)
     start = time.perf_counter()
@@ -670,27 +638,14 @@ def catalog() -> list[VerificationCase]:
     return cases
 
 
-def run_suite(filter: str = "paper", jobs: int = 1) -> Report:
-    """Run the catalog: 'paper' (required), 'stretch', 'all', or a glob."""
-    cases = catalog()
-    if filter == "paper":
-        selected = [c for c in cases if c.tag == "required"]
-    elif filter == "stretch":
-        selected = [c for c in cases if c.tag == "stretch"]
-    elif filter == "all":
-        selected = cases
-    else:
-        selected = [c for c in cases if fnmatch(c.id, filter)]
+def run_suite(filter: str = "paper") -> Report:
+    """Run the catalog in order: 'paper' (required), 'stretch', 'all', or a
+    glob over case ids."""
+    tags = {"paper": {"required"}, "stretch": {"stretch"}, "all": {"required", "stretch"}}
+    selected = [c for c in catalog()
+                if (c.tag in tags[filter] if filter in tags else fnmatch(c.id, filter))]
     if not selected:
         raise SelectionError(f"no verification case matches {filter!r} "
                              "(use paper, stretch, all, or a glob over case ids)")
-    cache = _Cache()
-    report = Report(suite=filter)
-    if jobs <= 1:
-        for case in selected:
-            report.cases.append(run_case(case, cache))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_case, case, cache) for case in selected]
-            report.cases = [f.result() for f in futures]
-    return report
+    cache: dict = {}
+    return Report(suite=filter, cases=[run_case(case, cache) for case in selected])

@@ -57,7 +57,7 @@ CRITERIA = {
 
 @pytest.fixture(scope="session")
 def paper_report():
-    return run_suite("paper", jobs=2)
+    return run_suite("paper")
 
 
 def _check(paper_report, number):
@@ -105,7 +105,7 @@ def test_required_suite_matches_golden_report(paper_report):
 @pytest.mark.skipif(os.environ.get("FINSUB_STRETCH") != "1",
                     reason="stretch cases are opt-in (set FINSUB_STRETCH=1)")
 def test_stretch_cases():
-    report = run_suite("stretch", jobs=1)
+    report = run_suite("stretch")
     for c in report.cases:
         print(f"STRETCH {c.id:<30} {c.status:<8} {c.seconds:9.2f}s "
               f"{c.reason or ''}")

@@ -128,6 +128,16 @@ def test_cap_stops_counting_once_passed():
     assert len(str(exc.value)) < 200
 
 
+@pytest.mark.parametrize("name", ["torus", "sphere3", "circle300"])
+def test_grow_table_matches_its_definition(name):
+    spec = builtin_space(name)
+    simplices = sorted(spec.simplex_set)
+    index = {s: i for i, s in enumerate(simplices)}
+    expected = [[index.get(tuple(sorted(set(s) | {v})), -1)
+                 for v in range(spec.vertex_count)] for s in simplices]
+    assert orbits._grow(simplices, index, spec.vertex_count).tolist() == expected
+
+
 def _form(faces, ranks):
     return NondegenerateComplex("t", ranks, [None] + faces, ranks, lambda k, i: i)
 

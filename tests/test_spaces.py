@@ -1,9 +1,12 @@
 import json
+import random
+import time
 from itertools import combinations
 
 import pytest
 
-from finsub.spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
+from finsub.spaces import (ComplexError, OrderedComplexSpec, _canonical_maximal, builtin_space,
+                           load_complex)
 
 
 def test_load_circle_json():
@@ -43,6 +46,39 @@ def test_uncovered_vertices_are_counted_not_listed():
     with pytest.raises(ComplexError, match="belong to no simplex") as exc:
         load_complex('{"vertices": 1000000, "simplices": [[0, 1]]}')
     assert len(str(exc.value)) < 200 and "999998" in str(exc.value)
+
+
+@pytest.mark.parametrize("face, message", [([], "at least one vertex"),
+                                           ([2, 1], "not strictly increasing"),
+                                           ([1, 1], "duplicate vertex")])
+def test_malformed_simplex_rejected_inside_a_larger_one(face, message):
+    text = json.dumps({"vertices": 3, "simplices": [[0, 1, 2], face]})
+    with pytest.raises(ComplexError, match=message):
+        load_complex(text)
+
+
+def _maximal_pairwise(simplices):
+    """The definition, comparing every pair: the simplices in no other."""
+    return tuple(sorted({s for s in simplices
+                         if not any(set(s) < set(t) for t in simplices)}))
+
+
+def test_maximal_simplices_match_the_pairwise_definition():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        vertices = rng.randint(1, 8)
+        simplices = []
+        for _ in range(rng.randint(1, 12)):
+            s = [rng.randrange(vertices) for _ in range(rng.randint(1, 5))]
+            simplices.append(tuple(sorted(set(s))))
+        assert _canonical_maximal(simplices) == _maximal_pairwise(simplices)
+
+
+def test_long_path_loads_in_linear_time():
+    text = json.dumps({"vertices": 20_000, "simplices": [[i, i + 1] for i in range(19_999)]})
+    start = time.perf_counter()
+    assert len(load_complex(text).maximal_simplices) == 19_999
+    assert time.perf_counter() - start < 10.0   # the pairwise check takes minutes
 
 
 def test_parse_failure():

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from finsub.homology import homology, homology_of_sset
+from finsub.simplicial import CellCapExceeded
 from finsub.constructions import symmetric_product
 from finsub.spaces import builtin_space
 from finsub.surface import (MonomialCell, SurfaceModelError,
@@ -35,6 +36,17 @@ def test_generator_count_matches_binomial_sum():
         expected = sum(comb(r, l)
                        for l in range(r + 1) for k in range(n + 1) if l + k <= n)
         assert len(monomial_cells(r, n)) == expected
+
+
+def test_generator_count_is_capped_before_enumerating(monkeypatch):
+    count = len(monomial_cells(4, 2))
+    monkeypatch.setenv("FINSUB_CELL_CAP", str(count))
+    assert len(monomial_cells(4, 2)) == count
+    monkeypatch.setenv("FINSUB_CELL_CAP", str(count - 1))
+    with pytest.raises(CellCapExceeded):
+        monomial_cells(4, 2)
+    with pytest.raises(CellCapExceeded):
+        monomial_cells(10 ** 9, 10 ** 9)
 
 
 def test_monomial_validation():

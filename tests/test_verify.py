@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -12,8 +11,8 @@ import pytest
 from finsub import constructions as cons
 from finsub import verify
 from finsub.cli import main
-from finsub.verify import (REPORT_SCHEMA, Report, SelectionError, VerificationCase,
-                           _Cache, catalog, run_case, run_suite)
+from finsub.verify import (REPORT_SCHEMA, SelectionError, VerificationCase, catalog,
+                           run_case, run_suite)
 
 
 def test_catalog_ids_unique():
@@ -60,52 +59,16 @@ def test_selection_matching_no_case_is_an_error(selection):
 
 def test_small_suite_and_json_roundtrip():
     report = run_suite("mobius-*")
-    text = report.to_json()
-    jsonschema.validate(json.loads(text), REPORT_SCHEMA)
-    back = Report.from_json(text)
-    assert back.passed == report.passed
-    assert [c.id for c in back.cases] == [c.id for c in report.cases]
+    data = json.loads(report.to_json())
+    jsonschema.validate(data, REPORT_SCHEMA)
+    assert data == report.as_dict()
+    assert data["passed"] and [c["id"] for c in data["cases"]] == ["mobius-sp2-s1"]
 
 
-def test_suite_runs_concurrently():
-    report = run_suite("relative-s1-*", jobs=2)
+def test_suite_runs_cases_in_order():
+    report = run_suite("relative-s1-*")
     assert {c.status for c in report.cases} == {"pass"}
     assert [c.id for c in report.cases] == ["relative-s1-n2", "relative-s1-n3"]
-
-
-def test_cache_builds_each_key_once_under_contention():
-    cache = _Cache()
-    calls = []
-
-    def build():
-        calls.append(1)
-        time.sleep(0.05)
-        return object()
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(cache.get, "key", build) for _ in range(32)]
-            values = [f.result(timeout=30) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
-    assert len(calls) == 1
-    assert all(v is values[0] for v in values)
-
-
-def test_cache_shares_a_failed_build():
-    cache = _Cache()
-    calls = []
-
-    def build():
-        calls.append(1)
-        raise ValueError("boom")
-
-    for _ in range(2):
-        with pytest.raises(ValueError, match="boom"):
-            cache.get("key", build)
-    assert len(calls) == 1
 
 
 def test_concurrent_cases_build_a_construction_once(monkeypatch):
@@ -114,13 +77,19 @@ def test_concurrent_cases_build_a_construction_once(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        time.sleep(0.2)   # keep the first build in flight while others ask
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cons, "symmetric_product", counting)
-    report = run_suite("*sp2-torus*", jobs=2)
+    report = run_suite("*sp2-torus*")
     assert report.passed and len(report.cases) >= 2
     assert len(calls) == 1
+
+
+def test_run_case_fills_the_memo_it_is_given():
+    cache = {}
+    case = next(c for c in catalog() if c.id == "mobius-sp2-s1")
+    assert run_case(case, cache).status == "pass"
+    assert ("sp", "circle3", 2) in cache
 
 
 def test_raising_case_is_reported_and_suite_runs_on(monkeypatch):
@@ -128,7 +97,7 @@ def test_raising_case_is_reported_and_suite_runs_on(monkeypatch):
     broken = VerificationCase("broken-space", "a case whose space does not exist",
                               "homology", "sp", "mystery", 2)
     monkeypatch.setattr(verify, "catalog", lambda: [fast[0], broken, fast[1]])
-    report = run_suite("*", jobs=2)
+    report = run_suite("*")
     assert [c.id for c in report.cases] == [fast[0].id, "broken-space", fast[1].id]
     by_id = {c.id: c for c in report.cases}
     assert by_id["broken-space"].status == "error"
@@ -244,23 +213,14 @@ def test_cli_map_checks_the_degree_before_any_coordinates(capsys, monkeypatch):
 
 
 def test_cli_verify_filter(capsys):
-    code = main(["verify", "--filter", "mobius-*"])
+    code = main(["verify", "--suite", "mobius-*"])
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_cli_verify_rejects_jobs_below_one(capsys, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--filter", "mobius-*", "--jobs", jobs])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == "" and "--jobs" in out.err
-
-
 def test_cli_verify_json_schema(capsys):
-    code = main(["verify", "--filter", "euler-*", "--emit", "json"])
+    code = main(["verify", "--suite", "euler-*", "--emit", "json"])
     assert code == 0
     jsonschema.validate(json.loads(capsys.readouterr().out), REPORT_SCHEMA)
 
@@ -313,7 +273,7 @@ def test_cli_rejects_modulus_above_the_bound(capsys, coeff):
     ["homology", "--space", "builtin:rp2", "--construction", "coproduct", "--coeff", "f2"],
     # a selection that matches no verification case
     ["verify", "--suite", "papr"],
-    ["verify", "--filter", "no-such-*"],
+    ["verify", "--suite", "no-such-*"],
 ])
 def test_cli_typed_errors_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -371,6 +331,7 @@ def test_reports_are_deterministic():
     '{"vertices": true, "simplices": [[0]]}',
     '{"vertices": 3, "simplices": [[0, 1], 2]}',
     '{"vertices": 1, "simplices": [[]]}',
+    '{"vertices": 2, "simplices": [[0, 1], []]}',
     "[" * 200_000,
 ])
 def test_cli_malformed_complex_exit_2(capsys, space):
@@ -388,10 +349,49 @@ def test_cli_surface_accepts_the_sphere2_name(capsys):
     assert [g["betti"] for g in groups] == [1, 0, 1, 0, 1]
 
 
+def test_cli_surface_reads_an_inline_or_file_presentation(capsys, tmp_path):
+    path = tmp_path / "rp2.json"
+    path.write_text('{"r": 1, "word": [1, 1]}')
+    rp2 = ["H_0 = Z", "H_1 = Z/2", "H_2 = 0", "H_3 = Z/2", "H_4 = 0"]
+    for space in ["builtin:rp2", '{"r": 1, "word": [1, 1]}', str(path)]:
+        code = main(["homology", "--space", space, "--construction", "surface", "--n", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == rp2
+
+
 def test_cli_unknown_surface_lists_the_known_names(capsys):
     assert main(["homology", "--space", "builtin:sphere3", "--construction", "surface"]) == 2
     err = capsys.readouterr().err
     assert "sphere3" in err and all(name in err for name in ("sphere", "sphere2", "torus"))
+
+
+def test_cli_unknown_bare_surface_name_lists_the_known_names(capsys):
+    assert main(["homology", "--space", "sphere3", "--construction", "surface"]) == 2
+    assert "known: sphere, torus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space", [
+    '{"r": 1.9, "word": [1, 1.2]}',
+    '{"r": true, "word": [1, 1]}',
+    '{"r": "1", "word": [1, 1]}',
+    '{"r": 1, "word": [1, "1"]}',
+    '{"r": 1, "word": "11"}',
+    '{"r": 1}',
+    '[1, [1, 1]]',
+])
+def test_cli_surface_rejects_a_malformed_presentation(capsys, space):
+    assert main(["homology", "--space", space, "--construction", "surface", "--n", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("space, n", [('{"r": 60, "word": []}', 30),
+                                      ('{"r": 10000000000, "word": []}', 1),
+                                      ("builtin:sphere", 10 ** 12)])
+def test_cli_large_surface_model_hits_the_cell_cap(capsys, space, n):
+    assert main(["homology", "--space", space, "--construction", "surface",
+                 "--n", str(n)]) == 3
+    assert "FINSUB_CELL_CAP" in capsys.readouterr().err
 
 
 def test_python_dash_m_finsub():
