@@ -50,6 +50,26 @@ the identity, so the two induce inverse isomorphisms on homology.
 ``homology`` takes the same unit pivots, over F_p when ``mod=p`` (where
 every pivot is a unit, so no residual is left), one boundary at a time
 and without a log.
+
+Before that, ``homology`` shrinks the complex by coreductions
+(Mrozek-Batko, *DCG* 2009) in numpy, in ``_coreduce``.  A coreduction pair
+is a k-cell a whose boundary, among the cells still alive, is a single
++-1 on a (k-1)-cell b.  Then alpha = 0 above, so the Schur complement is
+d_k without row b and column a: the pair leaves no fill, and what is left
+is the subcomplex on the cells still alive.  A simplicial complex has no
+such pair at first, so the pass is seeded.  When C_0 != 0 and every
+column of d_1 sums to zero (the augmentation eps, 1 on every vertex, has
+eps o d_1 = 0, checked in exact int64), eps splits <v_0> off C, so
+H_0(C) = Z + H_0(C/<v_0>) and H_k(C) = H_k(C/<v_0>) for k > 0: vertex 0
+is set aside and ``homology`` adds one to b_0.  A complex that fails the
+check, such as d_1 = (2), is not seeded.  The degrees are swept once, from
+1 up, since pairs of degree k take cells of degrees k and k - 1 and so
+lower the live counts of d_k and d_(k+1) only; within a degree, only the
+columns whose live count a round brings down to 1 are looked at in the
+next round.  ``HomologyCoordinates`` does not take the pre-pass yet: its
+phi and psi would have to carry the coreduction pairs and the vertex set
+aside, and its residual, bases and induced matrices, signs included, stay
+as they are.
 """
 
 from __future__ import annotations
@@ -81,6 +101,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # entry products per block in SparseIntMatrix.product_is_zero, which bounds
 # its memory on large boundaries
 PRODUCT_BLOCK = 1 << 22
+
+
+def _segments(ptr: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """The positions ptr[i], ..., ptr[i + 1] - 1 of each line i, in order."""
+    start = ptr[lines]
+    lengths = ptr[lines + 1] - start
+    return np.repeat(start - (np.cumsum(lengths) - lengths), lengths) \
+        + np.arange(int(lengths.sum()))
 
 
 class SparseIntMatrix:
@@ -145,6 +173,14 @@ class SparseIntMatrix:
         if self._entries is not None:
             return iter(self._entries)
         return zip(*(a.tolist() for a in self._arrays))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the entries, in order, as int64
+        arrays; OverflowError when a value does not fit in int64."""
+        if self._arrays is not None:
+            return self._arrays
+        table = np.array(self._entries, dtype=np.int64).reshape(-1, 3)
+        return table[:, 0], table[:, 1], table[:, 2]
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseIntMatrix":
@@ -238,7 +274,7 @@ class SparseIntMatrix:
                 hi = int(np.searchsorted(b_cols, b_cols[hi - 1], side="right"))
             m = meets[lo:hi]
             owner = np.repeat(np.arange(lo, hi), m)
-            at = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m - start[b_rows[lo:hi]], m)
+            at = _segments(start, b_rows[lo:hi])
             key = a_rows[at] * other.ncols + b_cols[owner]
             order = np.argsort(key)
             key, val = key[order], (a_vals[at] * b_vals[owner])[order]
@@ -816,29 +852,119 @@ class HomologyResult:
         return iter(self.groups)
 
 
+# a boundary with an entry this large in absolute value skips the
+# coreduction pre-pass, so that its column sums are exact in int64
+COREDUCE_ENTRY_BOUND = 1 << 31
+
+
+class _Incidence:
+    """A boundary's entries by row and by column, with the number of live
+    rows in each column."""
+
+    def __init__(self, M: SparseIntMatrix):
+        self.arrays = rows, cols, vals = M.arrays()
+        if ((vals >= COREDUCE_ENTRY_BOUND) | (vals <= -COREDUCE_ENTRY_BOUND)).any():
+            raise OverflowError("entry too large for the coreduction pre-pass")
+        self.row_ptr = np.searchsorted(rows, np.arange(M.nrows + 1))
+        order = np.argsort(cols, kind="stable")
+        self.col_ptr = np.searchsorted(cols[order], np.arange(M.ncols + 1))
+        self.col_rows, self.col_vals = rows[order], vals[order]
+        self.live = np.diff(self.col_ptr)
+
+    def column_sums(self) -> np.ndarray:
+        return np.diff(np.r_[0, np.cumsum(self.col_vals)][self.col_ptr])
+
+    def kill_rows(self, dead: np.ndarray) -> np.ndarray:
+        """Take the rows ``dead`` out of the live counts; returns the column
+        of each of their entries."""
+        hit = self.arrays[1][_segments(self.row_ptr, dead)]
+        np.subtract.at(self.live, hit, 1)
+        return hit
+
+
+def _coreduce(C: ChainComplexZ) -> tuple[ChainComplexZ, bool]:
+    """The subcomplex of C that its coreduction pairs leave, and whether
+    vertex 0 was set aside (the seed, which adds one to b_0).
+
+    A live k-cell whose live boundary is a single +-1 on a (k-1)-cell is
+    eliminated with that cell, which creates no fill (see the module
+    docstring).  The degrees are swept from 1 up, each in rounds: every
+    face is paired with the least candidate cell on it, and only columns
+    whose live count a round brings down to 1 are candidates in the next.
+    A complex with an entry of at least ``COREDUCE_ENTRY_BOUND`` in
+    absolute value is returned as it is.
+    """
+    top = C.top_degree
+    try:
+        d = [None] + [_Incidence(C.boundary(k)) for k in range(1, top + 1)]
+    except OverflowError:
+        return C, False
+    alive = [np.ones(n, dtype=bool) for n in C.ranks]
+    seeded = C.ranks[0] > 0 and (top == 0 or not d[1].column_sums().any())
+    if seeded:
+        alive[0][0] = False
+        if top:
+            d[1].kill_rows(np.zeros(1, dtype=np.int64))
+    for k in range(1, top + 1):
+        dk = d[k]
+        candidates = np.flatnonzero(alive[k] & (dk.live == 1))
+        while candidates.size:
+            # each candidate's one live entry, in candidate order
+            pos = _segments(dk.col_ptr, candidates)
+            pos = pos[alive[k - 1][dk.col_rows[pos]]]
+            unit = np.abs(dk.col_vals[pos]) == 1
+            cells, faces = candidates[unit], dk.col_rows[pos[unit]]
+            order = np.lexsort((cells, faces))
+            cells, faces = cells[order], faces[order]
+            first = np.ones(len(faces), dtype=bool)
+            first[1:] = faces[1:] != faces[:-1]
+            cells, faces = cells[first], faces[first]
+            alive[k][cells] = False
+            alive[k - 1][faces] = False
+            if k < top:
+                d[k + 1].kill_rows(cells)
+            hit = dk.kill_rows(faces)
+            candidates = hit[(dk.live[hit] == 1) & alive[k][hit]]
+    ranks = [int(a.sum()) for a in alive]
+    index = [np.cumsum(a) - 1 for a in alive]
+    boundaries = {}
+    for k in range(1, top + 1):
+        rows, cols, vals = d[k].arrays
+        keep = alive[k - 1][rows] & alive[k][cols]
+        if keep.any():
+            boundaries[k] = SparseIntMatrix.from_arrays(
+                ranks[k - 1], ranks[k], index[k - 1][rows[keep]], index[k][cols[keep]],
+                vals[keep])
+    return ChainComplexZ(ranks, boundaries, truncated=C.truncated), seeded
+
+
 def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     """Homology groups of a complex over Z (default) or F_p (``mod=p``).
 
-    Each boundary, from the top down and without the columns the boundary
-    above paired, is reduced by its unit pivots (see the module docstring).
-    Over Z its rank is the number of pivots plus the rank of the residual,
-    and its torsion is that of the residual, from :func:`invariant_factors`;
-    over F_p every pivot is a unit, so the pivots count the rank.  The top
-    degree of a truncated complex is flagged unreliable unless its chain
-    group vanishes.
+    The coreduction pre-pass :func:`_coreduce` first shrinks C to a
+    subcomplex, setting vertex 0 aside when C is augmented.  Each boundary
+    of what is left, from the top down and without the columns the
+    boundary above paired, is reduced by its unit pivots (see the module
+    docstring).  Over Z its rank is the number of pivots plus the rank of
+    the residual, and its torsion is that of the residual, from
+    :func:`invariant_factors`; over F_p every pivot is a unit, so the
+    pivots count the rank.  The top degree of a truncated complex is
+    flagged unreliable unless its chain group vanishes.
     """
     if mod is not None:
         _check_modulus(mod)
     top = C.top_degree
+    R, seeded = _coreduce(C)
     ranks = {}
     factors = {}
-    for k, residual, pivots in _unit_reduction(C, mod):
+    for k, residual, pivots in _unit_reduction(R, mod):
         ranks[k] = len(pivots)
         if mod is None:
             rank, diag = invariant_factors(residual)
             ranks[k] += rank
             factors[k] = tuple(d for d in diag if d > 1)
-    groups = [HomologyGroup(k, C.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
+    groups = [HomologyGroup(k, R.ranks[k] + (seeded and k == 0)
+                            - ranks.get(k, 0) - ranks.get(k + 1, 0),
                             factors.get(k + 1, ()))
               for k in range(top + 1)]
     unreliable = frozenset({top} if (C.truncated and C.ranks[top] > 0) else set())

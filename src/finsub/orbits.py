@@ -59,15 +59,19 @@ def sequence_counts(spec: OrderedComplexSpec, truncation: int) -> list[int]:
     return [sum(comb(k, s - 1) for s in sizes) for k in range(truncation + 1)]
 
 
-def _grow(simplices, index, V: int) -> np.ndarray:
-    """``grow[s, v]``: the index of simplex s with vertex v added, or -1 if
-    that is no simplex.  t is s + v for each vertex v of t, with s = t or t - v."""
-    grow = np.full((len(simplices), V), -1, dtype=np.int64)
+def _grow(simplices, index, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (s, v) of a simplex s and a vertex v for which s + v is a
+    simplex, as sorted keys ``s * V + v``, and the index of s + v at each.
+    t is s + v for each vertex v of t, with s = t or t - v."""
     face, vertex, grown = np.array(
         [(s, v, t) for t, simplex in enumerate(simplices) for i, v in enumerate(simplex)
          for s in (t, index.get(simplex[:i] + simplex[i + 1:], t))], dtype=np.int64).T
-    grow[face, vertex] = grown
-    return grow
+    key = face * V + vertex
+    order = np.argsort(key, kind="stable")
+    key, grown = key[order], grown[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]   # a vertex t lists (t, v) twice
+    return key[first], grown[first]
 
 
 class Sequences:
@@ -77,41 +81,49 @@ class Sequences:
     ``faces`` (an ``(N_k, k+1)`` array of d_i indices one level down) and
     ``tower`` (the index of the constant sequence at the basepoint).  A
     k-cell is its parent, the sequence without its last vertex, extended
-    by that vertex, and d_i for i < k is d_i of the parent, extended.
+    by that vertex, and d_i for i < k is d_i of the parent, extended.  The
+    tables of grown simplices and of extended cells are sorted keys
+    ``s * V + v``, read with ``searchsorted``, so memory grows with the
+    cells and not with cells times vertices.
     """
 
     def __init__(self, spec: OrderedComplexSpec, truncation: int):
         V = spec.vertex_count
         simplices = sorted(spec.simplex_set)
         index = {s: i for i, s in enumerate(simplices)}
-        grow = _grow(simplices, index, V)
-        vertices = np.arange(V, dtype=np.int64)
+        grow, grown = _grow(simplices, index, V)
         self.truncation = truncation
         self.dimension = spec.dimension
-        self.verts = [vertices[:, None]]
+        self.verts = [np.arange(V, dtype=np.int64)[:, None]]
         self.mask = [np.zeros(V, dtype=np.int64)]
         self.faces: list[np.ndarray | None] = [None]
         self.tower = [spec.basepoint]
         support = np.array([index[(v,)] for v in range(V)], dtype=np.int64)
-        extend = None
+        extended = None
         for k in range(1, truncation + 1):
             last = self.verts[-1][:, -1]
-            parent, v = np.nonzero((grow[support] >= 0) & (vertices >= last[:, None]))
+            # each cell's run of keys support * V + v with v >= last
+            start = np.searchsorted(grow, support * V + last)
+            counts = np.searchsorted(grow, (support + 1) * V) - start
+            parent = np.repeat(np.arange(len(last), dtype=np.int64), counts)
+            at = np.arange(int(counts.sum()), dtype=np.int64) \
+                + np.repeat(start - (np.cumsum(counts) - counts), counts)
+            v = grow[at] % V
             faces = np.empty((len(v), k + 1), dtype=np.int64)
             faces[:, k] = parent
             if k == 1:
                 faces[:, 0] = v
             else:
                 for i in range(k):
-                    faces[:, i] = extend[self.faces[-1][parent, i], v]
-            extend = np.full((len(last), V), -1, dtype=np.int64)
-            extend[parent, v] = np.arange(len(v), dtype=np.int64)
+                    faces[:, i] = np.searchsorted(extended, self.faces[-1][parent, i] * V + v)
+            # the cells in order, as sorted keys parent * V + v
+            extended = parent * V + v
             self.verts.append(np.hstack([self.verts[-1][parent], v[:, None]]))
             ascent = (v > last[parent]).astype(np.int64) << (k - 1)
             self.mask.append(self.mask[-1][parent] | ascent)
             self.faces.append(faces)
-            self.tower.append(int(extend[self.tower[-1], spec.basepoint]))
-            support = grow[support[parent], v]
+            self.tower.append(int(np.searchsorted(extended, self.tower[-1] * V + spec.basepoint)))
+            support = grown[at]
         self.counts = [len(m) for m in self.mask]
         self._labels: dict[int, list[tuple[int, ...]]] = {}
 

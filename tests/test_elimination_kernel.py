@@ -25,20 +25,24 @@ placement, but not the reduction of the complex.
 """
 
 from fractions import Fraction
+from importlib import import_module
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finsub.constructions import CONSTRUCTIONS
+from finsub.constructions import CONSTRUCTIONS, cylinder_chain_model
 from finsub.fundamental import fundamental_presentation
-from finsub.homology import (ChainComplexZ, HomologyCoordinates, HomologyError, HomologyGroup,
-                             HomologyResult, SmithNormalForm, SparseIntMatrix, _eliminate,
-                             _eliminate_at, _PivotQueue, _snf_core, _Transforms, _unit_z,
-                             _Work, homology, invariant_factors, normalized_chains,
-                             rank_mod_p, smith_normal_form)
+from finsub.homology import (COREDUCE_ENTRY_BOUND, ChainComplexZ, HomologyCoordinates,
+                             HomologyError, HomologyGroup, HomologyResult, SmithNormalForm,
+                             SparseIntMatrix, _coreduce, _eliminate, _eliminate_at,
+                             _PivotQueue, _snf_core, _Transforms, _unit_z, _Work, homology,
+                             invariant_factors, normalized_chains, rank_mod_p,
+                             smith_normal_form)
 from finsub.spaces import builtin_space
+from finsub.surface import builtin_presentation, sp_chain_complex
 from test_orbits import complexes
 
 
@@ -394,6 +398,73 @@ def test_gcd_step_pivot_pairs_no_generator_away():
                                   2: SparseIntMatrix.from_dense([[2], [3]])})
     assert [str(g) for g in homology(C)] == ["0", "0", "0"]
     _assert_matches_reference(C)
+
+
+def _complex(ranks, dense, truncated=False):
+    return ChainComplexZ(ranks, {k: SparseIntMatrix.from_dense(rows)
+                                 for k, rows in dense.items()}, truncated=truncated)
+
+
+def _two_simplex():
+    """The 2-simplex cut at degree 2, which the pre-pass pairs away whole."""
+    return _complex((3, 3, 1), {1: [[-1, -1, 0], [1, 0, -1], [0, 1, 1]], 2: [[1], [-1], [1]]},
+                    truncated=True)
+
+
+def _array_complex(value):
+    return ChainComplexZ((1, 1), {1: SparseIntMatrix.from_arrays(
+        1, 1, *(np.array([x], dtype=np.int64) for x in (0, 0, value)))})
+
+
+@pytest.mark.parametrize("make", [
+    # not augmented, so not seeded: H_0 = Z/2, where a seed would give Z
+    lambda: _complex((1, 1), {1: [[2]]}),
+    lambda: cylinder_chain_model(builtin_space("torus")),
+    lambda: sp_chain_complex(builtin_presentation("torus"), 2),
+    lambda: ChainComplexZ((3,), {}),
+    lambda: ChainComplexZ((0,), {}),
+    _two_simplex,
+    # a long diameter, so the coreductions take many rounds
+    lambda: normalized_chains(CONSTRUCTIONS["sp"].build(builtin_space("circle40"), 2).space,
+                              with_labels=False),
+    # entries beyond int64 and beyond COREDUCE_ENTRY_BOUND skip the pre-pass
+    lambda: _complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}),
+    lambda: _array_complex(COREDUCE_ENTRY_BOUND),
+    lambda: _array_complex(-COREDUCE_ENTRY_BOUND),
+], ids=["d1-is-2", "cylinder-torus", "surface-sp2-torus", "degree-0-rank-3",
+        "degree-0-rank-0", "top-paired-away", "sp2-circle40", "beyond-int64",
+        "at-entry-bound", "at-minus-entry-bound"])
+def test_coreduction_matches_per_boundary_reference(make):
+    _assert_matches_reference(make())
+
+
+def test_coreduction_seed_needs_an_augmented_complex():
+    assert [str(g) for g in homology(_complex((1, 1), {1: [[2]]}))] == ["Z/2", "0"]
+    assert _coreduce(_complex((1, 1), {1: [[2]]}))[1] is False
+    assert [str(g) for g in homology(ChainComplexZ((3,), {}))] == ["Z^3"]
+    C = _two_simplex()
+    R, seeded = _coreduce(C)
+    assert seeded and R.ranks == (0, 0, 0)
+    assert homology(C).unreliable == frozenset({2})
+
+
+def test_coreduction_shrinks_what_the_unit_reduction_sees(monkeypatch):
+    # the ranks homology() hands _unit_reduction on Sub_3(S^2): without the
+    # pre-pass, or without its seed, they would sum to (nearly) all 13 125
+    module = import_module("finsub.homology")
+    seen = []
+    unit_reduction = module._unit_reduction
+
+    def record(C, p=None, log=False):
+        seen.append(sum(C.ranks))
+        return unit_reduction(C, p, log)
+
+    monkeypatch.setattr(module, "_unit_reduction", record)
+    C = normalized_chains(CONSTRUCTIONS["sub"].build(builtin_space("sphere2"), 3).space,
+                          with_labels=False)
+    assert sum(C.ranks) == 13125
+    assert [str(g) for g in homology(C)] == ["Z", "0", "0", "0", "Z + Z/2", "0", "Z", "0"]
+    assert seen == [1096]
 
 
 class ReferenceHomologyCoordinates:

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 from importlib import import_module
 
 import numpy as np
@@ -133,9 +134,27 @@ def test_grow_table_matches_its_definition(name):
     spec = builtin_space(name)
     simplices = sorted(spec.simplex_set)
     index = {s: i for i, s in enumerate(simplices)}
-    expected = [[index.get(tuple(sorted(set(s) | {v})), -1)
-                 for v in range(spec.vertex_count)] for s in simplices]
-    assert orbits._grow(simplices, index, spec.vertex_count).tolist() == expected
+    V = spec.vertex_count
+    expected = {(i, v): index[t] for i, s in enumerate(simplices) for v in range(V)
+                if (t := tuple(sorted(set(s) | {v}))) in index}
+    keys, grown = orbits._grow(simplices, index, V)
+    assert keys.tolist() == sorted(keys.tolist())
+    pairs = zip(*(a.tolist() for a in divmod(keys, V)))
+    assert dict(zip(pairs, grown.tolist())) == expected
+    assert len(keys) == len(expected)
+
+
+def test_sequences_memory_grows_with_cells_not_cells_times_vertices():
+    # dense simplices x V and N_1 x V tables of int64 would take 256 MB each
+    spec = builtin_space("circle4000")
+    tracemalloc.start()
+    try:
+        X = orbits.Sequences(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.counts == [4000, 8000]
+    assert peak < 64 * 2 ** 20
 
 
 def _form(faces, ranks):
