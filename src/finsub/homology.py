@@ -9,67 +9,68 @@ One unit-pivot reduction, ``_reduce``, serves every elimination.  Almost
 every pivot of a simplicial boundary matrix is a unit, so pivots come from
 a lazy min-heap of columns keyed by occupancy: the shortest column that
 holds a unit (+-1 over Z, anything nonzero over F_p), at its entry in the
-shortest row.  ``homology`` and ``rank_mod_p`` count its pivots,
-``HomologyCoordinates`` logs them as a chain equivalence (below), and the
-Smith form kernel ``_eliminate`` records each logged pivot's row and
-column operations on its transforms.  Only when no unit is left does the
-kernel turn to a Markowitz scan of the small non-unit residual, where the
-gcd steps of ``_eliminate_at`` may create new units for the next
-``_reduce``.  No pivot is moved: the divisibility pass d_1 | d_2 | ... works
-on the pivots where the elimination left them, and the transforms of
-``smith_normal_form`` are relabelled and signed once, when the result is
-built.
+shortest row.  ``rank_mod_p`` counts its pivots, ``_reduction`` reduces
+chain complexes with it (below), and the Smith form kernel ``_eliminate``
+records each logged pivot's row and column operations on its transforms.
+Only when no unit is left does the kernel turn to a Markowitz scan of the
+small non-unit residual, where the gcd steps of ``_eliminate_at`` may
+create new units for the next ``_reduce``.  No pivot is moved: the
+divisibility pass d_1 | d_2 | ... works on the pivots where the
+elimination left them, and the transforms of ``smith_normal_form`` are
+relabelled and signed once, when the result is built.
 
-Before any Smith form, the complex is reduced by Gaussian elimination of
-chain complexes (Kaczynski-Mischaikow-Mrozek, *Computational Homology*,
-2004; Harker-Mischaikow-Mrozek-Nanda, *FoCM* 2014).  ``_reduce`` takes
-the unit pivots of a boundary d_k from the queue; each pivot (b, a, lam),
-lam = <d_k a, b> a unit, is a reduction pair.  Write
-d_k = [[lam, beta], [alpha, D]] on C_k = <a> + C'_k and
+Before any Smith form, ``_reduction`` reduces the complex, for ``homology``
+and ``HomologyCoordinates`` alike, by Gaussian elimination of chain
+complexes (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004;
+Harker-Mischaikow-Mrozek-Nanda, *FoCM* 2014).  A reduction pair
+(b, a, lam) is a k-cell a and a (k-1)-cell b with lam = <d_k a, b> a unit.
+Write d_k = [[lam, beta], [alpha, D]] on C_k = <a> + C'_k and
 C_(k-1) = <b> + C'_(k-1).  The pair is eliminated by clearing column a
 with row operations and dropping row b, which leaves the Schur complement
 d'_k = D - alpha lam^-1 beta; d_(k+1) loses row a and d_(k-1) loses
-column b.  The boundaries are reduced from the top down, so each d_k
-drops the columns that d_(k+1) paired before its own pivots are taken.
-The residual complex has the homology of the original, and the Smith
-forms see only it.
+column b.
 
-The reduction is a chain equivalence, and ``HomologyCoordinates`` records
-it as a log of its pivots: each with the pivot column just before it was
-cleared and the pivot row.  Between cycles of the original complex and of
+The pairs come in two passes.  First ``_coreduce`` takes coreductions
+(Mrozek-Batko, *DCG* 2009) in numpy: a is a cell whose boundary, among the
+cells still alive, is a single +-1 on b.  Then alpha = 0, so the pair
+leaves no fill, and what is left is C on the cells still alive.  A
+simplicial complex has no such pair at first, so the pass is seeded.  When
+C_0 != 0 and every column of d_1 sums to zero (the augmentation eps, 1 on
+every vertex, has eps o d_1 = 0, checked in exact int64), eps splits
+<v_0> off C, so H_0(C) = Z + H_0(C/<v_0>) and H_k(C) = H_k(C/<v_0>) for
+k > 0: vertex 0 is set aside, and ``homology`` adds one to b_0.  A complex
+that fails the check, such as d_1 = (2), is not seeded.  The degrees are
+swept once, from 1 up, since pairs of degree k take cells of degrees k
+and k - 1 and so lower the live counts of d_k and d_(k+1) only; within a
+degree, only the columns whose live count a round brings down to 1 are
+looked at in the next round.  Then ``_reduce`` takes the unit pivots of
+each boundary of what is left, from the top down, so each d_k drops the
+columns that d_(k+1) paired before its own pivots are taken.  The
+residual complex has the homology of C, and the Smith forms see only it;
+over F_p every nonzero entry is a unit, so its boundaries vanish.
+
+The reduction is a chain equivalence, which ``HomologyCoordinates``
+crosses both ways with the log of its pairs.  Between cycles of C and of
 the residual it maps by
 
-- phi_k (original to residual): for each pivot (b, a, lam) of d_(k+1), in
-  order, v[x] -= col[x] * lam^-1 * v[b] for every row x != b of its column,
-  and v[b] is dropped; then the generators paired by d_k are dropped;
-- psi_k (residual to original): for each pivot (b, a, lam) of d_k, in
-  reverse order, z[a] = -lam^-1 * sum over x != a of row[x] * z[x].
+- phi_k (C to residual): for each unit pivot (b, a, lam) of d_(k+1), in
+  order, v[x] -= col[x] * lam^-1 * v[b] for every row x != b of its column
+  just before it was cleared, and v[b] is dropped; then v is restricted to
+  the residual's generators.  A coreduction pair has alpha = 0, so phi
+  only drops its cells;
+- psi_k (residual to C): for each pair (b, a, lam) of d_k, the unit
+  pivots and then the coreductions, each in reverse order,
+  z[a] = -lam^-1 * sum over x != a of row[x] * z[x], with row b of d_k as
+  the pivot found it.  For a coreduction, row b of C's d_k will do: its
+  cells that were no longer alive still have z = 0 at that point.
 
 phi o psi is the identity of the residual, and psi o phi is homotopic to
-the identity, so the two induce inverse isomorphisms on homology.
-``homology`` takes the same unit pivots, over F_p when ``mod=p`` (where
-every pivot is a unit, so no residual is left), one boundary at a time
-and without a log.
-
-Before that, ``homology`` shrinks the complex by coreductions
-(Mrozek-Batko, *DCG* 2009) in numpy, in ``_coreduce``.  A coreduction pair
-is a k-cell a whose boundary, among the cells still alive, is a single
-+-1 on a (k-1)-cell b.  Then alpha = 0 above, so the Schur complement is
-d_k without row b and column a: the pair leaves no fill, and what is left
-is the subcomplex on the cells still alive.  A simplicial complex has no
-such pair at first, so the pass is seeded.  When C_0 != 0 and every
-column of d_1 sums to zero (the augmentation eps, 1 on every vertex, has
-eps o d_1 = 0, checked in exact int64), eps splits <v_0> off C, so
-H_0(C) = Z + H_0(C/<v_0>) and H_k(C) = H_k(C/<v_0>) for k > 0: vertex 0
-is set aside and ``homology`` adds one to b_0.  A complex that fails the
-check, such as d_1 = (2), is not seeded.  The degrees are swept once, from
-1 up, since pairs of degree k take cells of degrees k and k - 1 and so
-lower the live counts of d_k and d_(k+1) only; within a degree, only the
-columns whose live count a round brings down to 1 are looked at in the
-next round.  ``HomologyCoordinates`` does not take the pre-pass yet: its
-phi and psi would have to carry the coreduction pairs and the vertex set
-aside, and its residual, bases and induced matrices, signs included, stay
-as they are.
+the identity, so the two induce inverse isomorphisms on homology.  The
+vertex set aside by the seed is H_0's last generator, with cycle
+{v_0: 1} and coordinate eps(v); the other generators of H_0 lift as
+w - eps(w) v_0.  Each free generator is oriented so that its cycle is
+positive on its least cell, which fixes a generator of Z whichever pairs
+the reduction took.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 # entry products per block in SparseIntMatrix.product_is_zero, which bounds
 # its memory on large boundaries
-PRODUCT_BLOCK = 1 << 22
+PRODUCT_BLOCK = 1 << 19
 
 
 def _segments(ptr: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -611,33 +612,20 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
     return pivots
 
 
-def _work(M: SparseIntMatrix, p: int | None = None, drop=frozenset()) -> _Work:
-    """M without the columns ``drop``, over Z or as residues mod p."""
-    if p is None:
-        entries = (e for e in M.iter_entries() if e[1] not in drop)
-    else:
-        entries = ((r, c, v % p) for r, c, v in M.iter_entries() if c not in drop and v % p)
+def _work(M: SparseIntMatrix, p: int | None = None, rows=None, cols=None) -> _Work:
+    """M over Z or as residues mod p; with the boolean arrays ``rows`` and
+    ``cols``, only on the rows and columns they mark."""
+    entries = M.iter_entries()
+    if rows is not None:
+        try:
+            r, c, v = M.arrays()
+            keep = rows[r] & cols[c]
+            entries = zip(r[keep].tolist(), c[keep].tolist(), v[keep].tolist())
+        except OverflowError:
+            entries = (e for e in entries if rows[e[0]] and cols[e[1]])
+    if p is not None:
+        entries = ((r, c, v % p) for r, c, v in entries if v % p)
     return _Work(entries, M.nrows, M.ncols)
-
-
-def _unit_reduction(C: ChainComplexZ, p: int | None = None, log: bool = False):
-    """Reduce the boundaries of C from the top down, one at a time.
-
-    Yields ``(k, residual, pivots)`` for k = top, ..., 1: the pivots and
-    the residual that :func:`_reduce` leaves of d_k (over Z, or its
-    residues mod p) without the columns that the pivots of d_(k+1) paired.
-    The residual keeps d_k's shape.  Each boundary's work is released
-    before the next is built.
-    """
-    paired: set[int] = set()
-    for k in range(C.top_degree, 0, -1):
-        M = C.boundary(k)
-        work = _work(M, p, paired)
-        pivots = _reduce(work, p, log)
-        residual = SparseIntMatrix(M.nrows, M.ncols, work.entries())
-        del work
-        yield k, residual, pivots
-        paired = {pivot[0] for pivot in pivots}
 
 
 def _placement(lines: list[int], n: int) -> list[int]:
@@ -882,87 +870,103 @@ class _Incidence:
         return hit
 
 
-def _coreduce(C: ChainComplexZ) -> tuple[ChainComplexZ, bool]:
-    """The subcomplex of C that its coreduction pairs leave, and whether
-    vertex 0 was set aside (the seed, which adds one to b_0).
+def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], bool, dict]:
+    """The cells of C that its coreduction pairs leave alive, whether
+    vertex 0 was set aside (the seed, which adds one to b_0), and the pairs.
 
     A live k-cell whose live boundary is a single +-1 on a (k-1)-cell is
     eliminated with that cell, which creates no fill (see the module
     docstring).  The degrees are swept from 1 up, each in rounds: every
     face is paired with the least candidate cell on it, and only columns
     whose live count a round brings down to 1 are candidates in the next.
+    ``pairs[k]`` lists (cells, faces, entries) of the pairs of d_k round by
+    round, then gives d_k's rows as CSR arrays (row_ptr, columns, values).
     A complex with an entry of at least ``COREDUCE_ENTRY_BOUND`` in
-    absolute value is returned as it is.
+    absolute value is left whole.
     """
     top = C.top_degree
+    alive = [np.ones(n, dtype=bool) for n in C.ranks]
     try:
         d = [None] + [_Incidence(C.boundary(k)) for k in range(1, top + 1)]
     except OverflowError:
-        return C, False
-    alive = [np.ones(n, dtype=bool) for n in C.ranks]
+        return alive, False, {}
     seeded = C.ranks[0] > 0 and (top == 0 or not d[1].column_sums().any())
     if seeded:
         alive[0][0] = False
         if top:
             d[1].kill_rows(np.zeros(1, dtype=np.int64))
+    pairs = {}
     for k in range(1, top + 1):
-        dk = d[k]
+        dk, taken = d[k], []
         candidates = np.flatnonzero(alive[k] & (dk.live == 1))
         while candidates.size:
             # each candidate's one live entry, in candidate order
             pos = _segments(dk.col_ptr, candidates)
             pos = pos[alive[k - 1][dk.col_rows[pos]]]
             unit = np.abs(dk.col_vals[pos]) == 1
-            cells, faces = candidates[unit], dk.col_rows[pos[unit]]
-            order = np.lexsort((cells, faces))
-            cells, faces = cells[order], faces[order]
+            cells, pos = candidates[unit], pos[unit]
+            order = np.lexsort((cells, dk.col_rows[pos]))
+            cells, faces, lams = cells[order], dk.col_rows[pos[order]], dk.col_vals[pos[order]]
             first = np.ones(len(faces), dtype=bool)
             first[1:] = faces[1:] != faces[:-1]
             cells, faces = cells[first], faces[first]
+            taken.append((cells, faces, lams[first]))
             alive[k][cells] = False
             alive[k - 1][faces] = False
             if k < top:
                 d[k + 1].kill_rows(cells)
             hit = dk.kill_rows(faces)
             candidates = hit[(dk.live[hit] == 1) & alive[k][hit]]
-    ranks = [int(a.sum()) for a in alive]
-    index = [np.cumsum(a) - 1 for a in alive]
-    boundaries = {}
-    for k in range(1, top + 1):
-        rows, cols, vals = d[k].arrays
-        keep = alive[k - 1][rows] & alive[k][cols]
-        if keep.any():
-            boundaries[k] = SparseIntMatrix.from_arrays(
-                ranks[k - 1], ranks[k], index[k - 1][rows[keep]], index[k][cols[keep]],
-                vals[keep])
-    return ChainComplexZ(ranks, boundaries, truncated=C.truncated), seeded
+        pairs[k] = (taken, dk.row_ptr, *dk.arrays[1:])
+    return alive, seeded, pairs
+
+
+def _reduction(C: ChainComplexZ, p: int | None = None, log: bool = False):
+    """The residual of C after its coreduction pairs and then its unit
+    pivots, and whether vertex 0 was set aside (see the module docstring).
+
+    Each boundary, from the top down, over Z or as residues mod p, is
+    reduced by :func:`_reduce` on the cells that :func:`_coreduce` and the
+    pivots above left; its work is released before the next is built.
+    Returns ``(residual, seeded, log)``; ``log`` is None unless asked for,
+    and then holds what phi and psi need, ``(index, pairs, units)``: the
+    residual generator of each cell left in each degree, the coreduction
+    pairs, and the unit pivots of each d_k as :func:`_reduce` logs them.
+    """
+    alive, seeded, pairs = _coreduce(C)
+    left, units = {}, {}
+    for k in range(C.top_degree, 0, -1):
+        work = _work(C.boundary(k), p, alive[k - 1], alive[k])
+        units[k] = _reduce(work, p, log)
+        left[k] = work.entries()
+        del work
+        for r, c, *_ in units[k]:
+            alive[k - 1][r] = alive[k][c] = False
+    index = [{g: i for i, g in enumerate(np.flatnonzero(a).tolist())} for a in alive]
+    residual = ChainComplexZ([len(i) for i in index], {
+        k: SparseIntMatrix(len(index[k - 1]), len(index[k]), [
+            (index[k - 1][r], index[k][c], v) for r, c, v in entries if r in index[k - 1]])
+        for k, entries in left.items()}, truncated=C.truncated)
+    return residual, seeded, ((index, pairs, units) if log else None)
 
 
 def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     """Homology groups of a complex over Z (default) or F_p (``mod=p``).
 
-    The coreduction pre-pass :func:`_coreduce` first shrinks C to a
-    subcomplex, setting vertex 0 aside when C is augmented.  Each boundary
-    of what is left, from the top down and without the columns the
-    boundary above paired, is reduced by its unit pivots (see the module
-    docstring).  Over Z its rank is the number of pivots plus the rank of
-    the residual, and its torsion is that of the residual, from
-    :func:`invariant_factors`; over F_p every pivot is a unit, so the
-    pivots count the rank.  The top degree of a truncated complex is
-    flagged unreliable unless its chain group vanishes.
+    :func:`_reduction` shrinks C to its residual, setting vertex 0 aside
+    when C is augmented (see the module docstring).  The rank and torsion
+    of each residual boundary come from :func:`invariant_factors`; over
+    F_p the residual boundaries vanish.  The top degree of a truncated
+    complex is flagged unreliable unless its chain group vanishes.
     """
     if mod is not None:
         _check_modulus(mod)
     top = C.top_degree
-    R, seeded = _coreduce(C)
-    ranks = {}
-    factors = {}
-    for k, residual, pivots in _unit_reduction(R, mod):
-        ranks[k] = len(pivots)
-        if mod is None:
-            rank, diag = invariant_factors(residual)
-            ranks[k] += rank
-            factors[k] = tuple(d for d in diag if d > 1)
+    R, seeded, _ = _reduction(C, mod)
+    ranks, factors = {}, {}
+    for k, M in R.boundaries.items():
+        ranks[k], diag = invariant_factors(M)
+        factors[k] = tuple(d for d in diag if d > 1)
     groups = [HomologyGroup(k, R.ranks[k] + (seeded and k == 0)
                             - ranks.get(k, 0) - ranks.get(k + 1, 0),
                             factors.get(k + 1, ()))
@@ -999,7 +1003,7 @@ def universal_coefficients_consistent(z_result: HomologyResult,
 # ----------------------------------------------------------------------
 
 class _DegreeData:
-    __slots__ = ("z", "r", "snf_bnd", "pres", "kept", "moduli", "betti")
+    __slots__ = ("z", "r", "snf_bnd", "pres", "kept", "moduli", "betti", "signs", "cycles")
 
 
 class HomologyCoordinates:
@@ -1007,34 +1011,19 @@ class HomologyCoordinates:
 
     Expresses cycles in a fixed basis of each homology group (torsion
     coordinates are reported modulo their order), and produces cycle
-    representatives for the chosen generators.  The complex is reduced once
-    by its unit pivots; ``residual`` is the reduced complex, on whose
-    boundaries alone the Smith forms run, and cycles cross the reduction by
-    the chain equivalences phi and psi of the module docstring.
+    representatives for the chosen generators.  The complex is reduced
+    once, by :func:`_reduction` as for :func:`homology`; ``residual`` is
+    the reduced complex, on whose boundaries alone the Smith forms run, and
+    cycles cross the reduction by the chain equivalences phi and psi of the
+    module docstring.  When vertex 0 was set aside, it is the last
+    generator of H_0.  Each free generator's cycle is positive on its least
+    cell.
     """
 
     def __init__(self, C: ChainComplexZ):
         self.complex = C
-        self._log: dict[int, list[tuple]] = {}
-        left = {}
-        paired = [set() for _ in C.ranks]
-        for k, residual, pivots in _unit_reduction(C, log=True):
-            self._log[k] = pivots
-            left[k] = residual.entries
-            for r, c, *_ in pivots:
-                paired[k - 1].add(r)
-                paired[k].add(c)
-        # the generators of the residual, in the original numbering
-        self._kept = [[g for g in range(n) if g not in paired[k]]
-                      for k, n in enumerate(C.ranks)]
-        self._index = [{g: i for i, g in enumerate(kept)} for kept in self._kept]
-        boundaries = {}
-        for k, entries in left.items():
-            rows, cols = self._index[k - 1], self._index[k]
-            boundaries[k] = SparseIntMatrix(len(rows), len(cols), [
-                (rows[r], cols[c], v) for r, c, v in entries if r in rows])
-        self.residual = ChainComplexZ([len(kept) for kept in self._kept], boundaries,
-                                      truncated=C.truncated)
+        self.residual, self._seeded, log = _reduction(C, log=True)
+        self._index, self._pairs, self._units = log
         self._data: dict[int, _DegreeData] = {}
 
     def _degree(self, k: int) -> _DegreeData:
@@ -1056,11 +1045,45 @@ class HomologyCoordinates:
         data.pres = smith_normal_form(X, transforms="left")
         diag = data.pres.diagonal
         kept = [i for i, d in enumerate(diag) if d > 1]
-        data.betti = data.z - data.pres.rank
-        data.kept = kept + list(range(data.pres.rank, data.z))
+        data.kept = kept + list(range(data.pres.rank, data.z)) + [None] * (self._seeded and k == 0)
+        data.betti = len(data.kept) - len(kept)
         data.moduli = tuple([diag[i] for i in kept] + [0] * data.betti)
+        cycles = [self._lift(k, data, pos) for pos in data.kept]
+        data.signs = [-1 if m == 0 and z[min(z)] < 0 else 1 for z, m in zip(cycles, data.moduli)]
+        data.cycles = [{g: s * v for g, v in z.items()} for z, s in zip(cycles, data.signs)]
         self._data[k] = data
         return data
+
+    def _lift(self, k: int, data: _DegreeData, pos) -> dict[int, int]:
+        """The cycle of C for the generator at ``pos`` of the presentation
+        of H_k of the residual, or for the vertex set aside when None."""
+        if pos is None:
+            return {0: 1}
+        z = data.snf_bnd.V.matvec({data.r + r: v for r, v in
+                                   data.pres.U_inv.columns().get(pos, ())})
+        kept = list(self._index[k])
+        z = {kept[g]: v for g, v in z.items()}
+        # psi_k: back across the unit pivots of d_k, last first
+        for _, c, lam, _, row in reversed(self._units.get(k, ())):
+            t = -lam * sum(v * z.get(x, 0) for x, v in row.items() if x != c)
+            if t:
+                z[c] = t
+        if k in self._pairs:
+            # then across the coreductions, a round at a time, last first;
+            # the pairs of one round read no cell of another pair of it
+            rounds, ptr, cols, vals = self._pairs[k]
+            dense = np.zeros(self.complex.ranks[k], dtype=object)
+            dense[list(z)] = list(z.values())
+            for cells, faces, lams in reversed(rounds):
+                at = _segments(ptr, faces)
+                lengths = ptr[faces + 1] - ptr[faces]
+                sums = np.add.reduceat(vals[at] * dense[cols[at]], np.cumsum(lengths) - lengths)
+                dense[cells] = -lams * sums
+            cells = np.flatnonzero(dense)
+            z = dict(zip(cells.tolist(), dense[cells].tolist()))
+        if self._seeded and k == 0 and (eps := sum(z.values())):
+            z[0] = -eps
+        return z
 
     def generator_count(self, k: int) -> int:
         return len(self._degree(k).kept)
@@ -1075,27 +1098,20 @@ class HomologyCoordinates:
 
     def generator_cycle(self, k: int, j: int) -> dict[int, int]:
         """A cycle vector representing the j-th homology generator."""
-        data = self._degree(k)
-        pos = data.kept[j]
-        z = data.snf_bnd.V.matvec({data.r + r: v for r, v in
-                                   data.pres.U_inv.columns().get(pos, ())})
-        # psi_k: back across the pivots of d_k, last first
-        kept = self._kept[k]
-        z = {kept[g]: v for g, v in z.items()}
-        for _, c, lam, _, row in reversed(self._log.get(k, ())):
-            t = -lam * sum(v * z.get(x, 0) for x, v in row.items() if x != c)
-            if t:
-                z[c] = t
-        return z
+        return dict(self._degree(k).cycles[j])
 
     def coords_of_cycle(self, k: int, vec: dict[int, int]) -> tuple[int, ...]:
-        """Coordinates of a cycle in the homology basis at degree k."""
+        """Coordinates of a cycle in the homology basis at degree k; a
+        generator index outside C_k raises HomologyError."""
+        n_k = self.complex.ranks[k] if 0 <= k <= self.complex.top_degree else 0
+        if any(not 0 <= g < n_k for g in vec):
+            raise HomologyError(f"generator index outside 0..{n_k - 1} in degree {k}")
         if self.complex.boundary(k).matvec(vec):
             raise HomologyError("vector is not a cycle")
         data = self._degree(k)
-        # phi_k: forward across the pivots of d_(k+1), then onto the residual
+        # phi_k: forward across the unit pivots of d_(k+1), then onto the residual
         v = dict(vec)
-        for r, _, lam, col, _ in self._log.get(k + 1, ()):
+        for r, _, lam, col, _ in self._units.get(k + 1, ()):
             t = v.pop(r, 0) * lam
             if t:
                 for x, a in col.items():
@@ -1106,15 +1122,12 @@ class HomologyCoordinates:
                         v[x] = acc
                     else:
                         v.pop(x, None)
-        index = self._index[k] if 0 <= k <= self.complex.top_degree else {}
+        index = self._index[k] if n_k else {}
         w = data.snf_bnd.V_inv.matvec({index[g]: a for g, a in v.items() if g in index})
         y = data.pres.U.matvec({r - data.r: a for r, a in w.items() if r >= data.r})
-        coords = []
-        for j, pos in enumerate(data.kept):
-            m = data.moduli[j]
-            val = y.get(pos, 0)
-            coords.append(val % m if m else val)
-        return tuple(coords)
+        y[None] = sum(vec.values())   # eps, the coordinate of the vertex set aside
+        return tuple(s * y.get(pos, 0) % m if m else s * y.get(pos, 0)
+                     for pos, m, s in zip(data.kept, data.moduli, data.signs))
 
 
 def chain_map_matrices(f) -> dict[int, SparseIntMatrix]:

@@ -38,8 +38,8 @@ from finsub.fundamental import fundamental_presentation
 from finsub.homology import (COREDUCE_ENTRY_BOUND, ChainComplexZ, HomologyCoordinates,
                              HomologyError, HomologyGroup, HomologyResult, SmithNormalForm,
                              SparseIntMatrix, _coreduce, _eliminate, _eliminate_at,
-                             _PivotQueue, _snf_core, _Transforms, _unit_z, _Work, homology,
-                             invariant_factors, normalized_chains, rank_mod_p,
+                             _PivotQueue, _reduction, _snf_core, _Transforms, _unit_z, _Work,
+                             homology, invariant_factors, normalized_chains, rank_mod_p,
                              smith_normal_form)
 from finsub.spaces import builtin_space
 from finsub.surface import builtin_presentation, sp_chain_complex
@@ -443,28 +443,38 @@ def test_coreduction_seed_needs_an_augmented_complex():
     assert _coreduce(_complex((1, 1), {1: [[2]]}))[1] is False
     assert [str(g) for g in homology(ChainComplexZ((3,), {}))] == ["Z^3"]
     C = _two_simplex()
-    R, seeded = _coreduce(C)
+    R, seeded, _ = _reduction(C)
     assert seeded and R.ranks == (0, 0, 0)
     assert homology(C).unreliable == frozenset({2})
 
 
 def test_coreduction_shrinks_what_the_unit_reduction_sees(monkeypatch):
-    # the ranks homology() hands _unit_reduction on Sub_3(S^2): without the
-    # pre-pass, or without its seed, they would sum to (nearly) all 13 125
+    # homology() and HomologyCoordinates each reduce Sub_3(S^2) by one call
+    # of _reduction, whose unit pivots see the 1 096 generators that the
+    # coreductions leave alive: without the pre-pass, or without its seed,
+    # they would see (nearly) all 13 125
     module = import_module("finsub.homology")
-    seen = []
-    unit_reduction = module._unit_reduction
+    calls, alive = [], []
+    reduction, coreduce = module._reduction, module._coreduce
 
-    def record(C, p=None, log=False):
-        seen.append(sum(C.ranks))
-        return unit_reduction(C, p, log)
+    def record_reduction(C, p=None, log=False):
+        calls.append(sum(C.ranks))
+        return reduction(C, p, log)
 
-    monkeypatch.setattr(module, "_unit_reduction", record)
+    def record_coreduce(C):
+        out = coreduce(C)
+        alive.append(sum(int(a.sum()) for a in out[0]))
+        return out
+
+    monkeypatch.setattr(module, "_reduction", record_reduction)
+    monkeypatch.setattr(module, "_coreduce", record_coreduce)
     C = normalized_chains(CONSTRUCTIONS["sub"].build(builtin_space("sphere2"), 3).space,
                           with_labels=False)
     assert sum(C.ranks) == 13125
     assert [str(g) for g in homology(C)] == ["Z", "0", "0", "0", "Z + Z/2", "0", "Z", "0"]
-    assert seen == [1096]
+    coords = HomologyCoordinates(C)
+    assert calls == [13125, 13125] and alive == [1096, 1096]
+    assert [str(coords.group(k)) for k in (0, 4, 6)] == ["Z", "Z + Z/2", "Z"]
 
 
 class ReferenceHomologyCoordinates:
@@ -570,6 +580,28 @@ def test_coordinates_match_whole_boundary_reference(construction, space):
     C = normalized_chains(CONSTRUCTIONS[construction].build(builtin_space(space), n).space,
                           with_labels=False)
     _assert_coordinates_match_reference(C)
+
+
+def _two_circles():
+    """Two disjoint triangles: H_0 = Z^2, vertex 0 set aside and one
+    generator left in the residual."""
+    d1 = [[0] * 6 for _ in range(6)]
+    for e, (u, v) in enumerate([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]):
+        d1[u][e], d1[v][e] = -1, 1
+    return _complex((6, 6), {1: d1})
+
+
+@pytest.mark.parametrize("make", [
+    _two_circles,
+    lambda: _complex((1, 1), {1: [[2]]}),
+    _two_simplex,
+    lambda: _complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}),
+    lambda: _array_complex(COREDUCE_ENTRY_BOUND),
+    lambda: _array_complex(-COREDUCE_ENTRY_BOUND),
+], ids=["two-circles", "d1-is-2", "top-paired-away", "beyond-int64", "at-entry-bound",
+        "at-minus-entry-bound"])
+def test_coordinates_through_the_coreduction_match_reference(make):
+    _assert_coordinates_match_reference(make())
 
 
 @settings(max_examples=40, deadline=None)

@@ -251,6 +251,10 @@ def test_coords_reject_non_cycle():
     coords = HomologyCoordinates(C)
     with pytest.raises(HomologyError, match="cycle"):
         coords.coords_of_cycle(1, {0: 1})  # a single edge is not a cycle
+    # a generator index outside C_k is rejected, not dropped
+    for k, vec in ((1, {999: 1}), (0, {999: 5}), (0, {-1: 1})):
+        with pytest.raises(HomologyError, match="outside"):
+            coords.coords_of_cycle(k, vec)
 
 
 def test_coordinates_outside_the_degrees_have_no_generators():
@@ -265,14 +269,18 @@ def test_coordinates_outside_the_degrees_have_no_generators():
 
 def test_coordinates_reduce_sp2_torus_to_its_homology():
     # SP^2(T) has chain ranks (28, 378, 1232, 1470, 588, 0) and Betti numbers
-    # (1, 2, 2, 2, 1): the unit pivots leave a residual with zero boundaries
+    # (1, 2, 2, 2, 1): the reduction leaves a residual with zero boundaries,
+    # and vertex 0, set aside, is the generator of H_0
     from finsub.constructions import symmetric_product
 
     C = normalized_chains(symmetric_product(builtin_space("torus"), 2).space,
                           with_labels=False)
-    residual = HomologyCoordinates(C).residual
+    coords = HomologyCoordinates(C)
+    residual = coords.residual
     assert isinstance(residual, ChainComplexZ)
-    assert residual.ranks == (1, 2, 2, 2, 1, 0)
+    assert residual.ranks == (0, 2, 2, 2, 1, 0)
+    assert [str(coords.group(k)) for k in range(6)] == ["Z", "Z^2", "Z^2", "Z^2", "Z", "0"]
+    assert coords.generator_cycle(0, 0) == {0: 1}
 
 
 def _relations_and_vector():

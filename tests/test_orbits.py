@@ -194,6 +194,24 @@ def test_product_is_zero_in_blocks(monkeypatch, block):
     assert not d2.matmul(broken).is_zero()
 
 
+def test_product_is_zero_bounds_its_memory():
+    # A = (1 | -1) on 1024 rows and B all ones on 2 x 1280 vanish together
+    # after 2 621 440 entry products, more than 2^21; the blocks of
+    # PRODUCT_BLOCK products keep the peak far below their one-block cost
+    n, m = 1024, 1280
+    A = SparseIntMatrix.from_arrays(n, 2, np.repeat(np.arange(n), 2), np.tile([0, 1], n),
+                                    np.tile([1, -1], n))
+    B = SparseIntMatrix.from_arrays(2, m, np.repeat([0, 1], m), np.tile(np.arange(m), 2),
+                                    np.ones(2 * m, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        assert A.product_is_zero(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_from_arrays_matches_the_constructor():
     rng = np.random.default_rng(3)
     rows, cols = rng.integers(0, 5, 40), rng.integers(0, 6, 40)
