@@ -133,12 +133,12 @@ def cylinder_chain_model(spec: OrderedComplexSpec) -> ChainComplexZ:
     boundaries = {}
     for k in range(1, CSP.top_degree + 1):
         shift = CSP.ranks[k]
-        entries = list(CSP.boundary(k).iter_entries())
+        entries = list(CSP.boundary(k).entries)
         for f, sign in ((J[k - 1], 1), (D[k - 1], -1)):
-            entries += [(r, shift + tilde(k - 1, c), sign * v) for r, c, v in f.iter_entries()
+            entries += [(r, shift + tilde(k - 1, c), sign * v) for r, c, v in f.entries
                         if tilde(k - 1, c) is not None]
         entries += [(CSP.ranks[k - 1] + tilde(k - 2, r), shift + c, -v)
-                    for r, c, v in CX.boundary(k - 1).iter_entries()
+                    for r, c, v in CX.boundary(k - 1).entries
                     if tilde(k - 2, r) is not None]
         boundaries[k] = SparseIntMatrix(ranks[k - 1], ranks[k], entries)
     return ChainComplexZ(ranks, boundaries, truncated=True)

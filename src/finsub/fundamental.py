@@ -262,15 +262,10 @@ def _shorten_once(relators: list[tuple[int, ...]]):
 
 
 def abelianization(pres: GroupPresentation) -> HomologyGroup:
-    """Abelianized group computed exactly from the exponent-sum matrix."""
-    entries = []
-    for j, w in enumerate(pres.relators):
-        sums: dict[int, int] = {}
-        for g in w:
-            sums[abs(g)] = sums.get(abs(g), 0) + (1 if g > 0 else -1)
-        for g, v in sums.items():
-            if v:
-                entries.append((g - 1, j, v))
+    """Abelianized group computed exactly from the exponent-sum matrix,
+    whose entries the matrix sums letter by letter."""
+    entries = [(abs(g) - 1, j, 1 if g > 0 else -1)
+               for j, w in enumerate(pres.relators) for g in w]
     M = SparseIntMatrix(pres.generator_count, len(pres.relators), entries)
     rank, diagonal = invariant_factors(M)
     return HomologyGroup(1, pres.generator_count - rank, tuple(d for d in diagonal if d > 1))

@@ -1,9 +1,10 @@
 """Exact homology of chain complexes over Z and F_p.
 
-The integer path runs entirely on arbitrary-precision Python ints: sparse
-Smith normal form with unimodular transforms (and their inverses) yields
-Betti numbers, torsion coefficients, homology coordinate systems, and
-induced maps.
+Every result is exact.  A ``SparseIntMatrix`` holds its values in int64
+when all are below ``INT64_ENTRY_BOUND``, else as Python ints, and the
+eliminations run on Python ints: sparse Smith normal form with unimodular
+transforms (and their inverses) yields Betti numbers, torsion
+coefficients, homology coordinate systems, and induced maps.
 
 One unit-pivot reduction, ``_reduce``, serves every elimination.  Almost
 every pivot of a simplicial boundary matrix is a unit, so pivots come from
@@ -36,7 +37,7 @@ cells still alive, is a single +-1 on b.  Then alpha = 0, so the pair
 leaves no fill, and what is left is C on the cells still alive.  A
 simplicial complex has no such pair at first, so the pass is seeded.  When
 C_0 != 0 and every column of d_1 sums to zero (the augmentation eps, 1 on
-every vertex, has eps o d_1 = 0, checked in exact int64), eps splits
+every vertex, has eps o d_1 = 0, checked exactly), eps splits
 <v_0> off C, so H_0(C) = Z + H_0(C/<v_0>) and H_k(C) = H_k(C/<v_0>) for
 k > 0: vertex 0 is set aside, and ``homology`` adds one to b_0.  A complex
 that fails the check, such as d_1 = (2), is not seeded.  The degrees are
@@ -103,6 +104,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # its memory on large boundaries
 PRODUCT_BLOCK = 1 << 19
 
+# a matrix keeps its values in int64 when every one is below this bound in
+# absolute value (see SparseIntMatrix)
+INT64_ENTRY_BOUND = 1 << 16
+
 
 def _segments(ptr: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """The positions ptr[i], ..., ptr[i + 1] - 1 of each line i, in order."""
@@ -112,76 +117,79 @@ def _segments(ptr: np.ndarray, lines: np.ndarray) -> np.ndarray:
         + np.arange(int(lengths.sum()))
 
 
+def _entry_values(vals: np.ndarray) -> np.ndarray:
+    """vals in int64 when every |v| is below ``INT64_ENTRY_BOUND``, and as
+    Python ints in an object array otherwise."""
+    small = vals.size == 0 or (-INT64_ENTRY_BOUND < vals.min() and vals.max() < INT64_ENTRY_BOUND)
+    return vals.astype(np.int64 if small else object, copy=False)
+
+
+def _normalized(nrows: int, ncols: int, rows, cols, vals) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the nonzero entries in row-major order,
+    with the values at one position summed and typed by ``_entry_values``."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.size and (rows.min() < 0 or rows.max() >= nrows
+                      or cols.min() < 0 or cols.max() >= ncols):
+        raise HomologyError("entry out of range")
+    key = rows.astype(np.int64) * ncols + cols.astype(np.int64)
+    order = np.argsort(key)
+    key, vals = key[order], _entry_values(np.asarray(vals)[order])
+    if key.size:
+        first = np.r_[True, key[1:] != key[:-1]]
+        vals = np.add.reduceat(vals, np.flatnonzero(first))
+        key = key[first]
+    nonzero = vals != 0
+    key = key[nonzero]
+    return key // ncols, key % ncols, _entry_values(vals[nonzero])
+
+
+def _column_major(M: "SparseIntMatrix") -> tuple[np.ndarray, ...]:
+    """M's entries by column: the start of each column and the rows and
+    values of its entries, in order."""
+    rows, cols, vals = M.arrays
+    order = np.argsort(cols, kind="stable")
+    return np.searchsorted(cols[order], np.arange(M.ncols + 1)), rows[order], vals[order]
+
+
 class SparseIntMatrix:
     """Immutable sparse matrix with arbitrary-precision integer entries.
 
-    ``entries`` are the nonzero ``(row, col, value)`` triples in row-major
-    order.  A matrix made by :meth:`from_arrays` keeps them as numpy arrays
-    and builds the triples only when they are first read.
+    ``arrays`` holds the rows, columns and values of the nonzero entries in
+    row-major order.  The values are int64 when every one is below
+    ``INT64_ENTRY_BOUND`` = 2^16 in absolute value, and Python ints in an
+    object array otherwise; the bound is checked after the entries at one
+    position are summed, and every reader takes one path for both.  Below
+    the bound each int64 sum and product this module forms is exact.  A
+    sum of entries, such as a duplicate or column sum, stays under 2^63
+    for fewer than 2^47 terms.  An entry product is under 2^32, so an
+    entry of a matrix product, as in the d o d check, would need more than
+    2^31 terms to overflow.
     """
 
-    __slots__ = ("nrows", "ncols", "_entries", "_arrays", "_cols")
+    __slots__ = ("nrows", "ncols", "arrays", "_cols")
 
     def __init__(self, nrows: int, ncols: int, entries=()):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        cleaned: dict[tuple[int, int], int] = {}
-        for r, c, v in entries:
-            if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
-                raise HomologyError(f"entry ({r},{c}) out of range")
-            v = int(v)
-            if v:
-                key = (int(r), int(c))
-                v = cleaned.get(key, 0) + v
-                if v:
-                    cleaned[key] = v
-                else:
-                    del cleaned[key]
-        self._entries = tuple(sorted((r, c, v) for (r, c), v in cleaned.items()))
-        self._arrays = None
+        table = list(entries)
+        rows, cols, vals = zip(*table) if table else ((), (), ())
+        self.arrays = _normalized(self.nrows, self.ncols, rows, cols, np.array(vals, dtype=object))
         self._cols = None
 
     @classmethod
     def from_arrays(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
                     values: np.ndarray) -> "SparseIntMatrix":
-        """The matrix with small integer entries given as parallel arrays;
-        entries at the same position are summed, as by the constructor."""
-        if rows.size and (rows.min() < 0 or rows.max() >= nrows
-                          or cols.min() < 0 or cols.max() >= ncols):
-            raise HomologyError("entry out of range")
-        key = rows * ncols + cols
-        order = np.argsort(key)
-        key, values = key[order], values[order]
-        if key.size:
-            first = np.r_[True, key[1:] != key[:-1]]
-            values = np.add.reduceat(values, np.flatnonzero(first))
-            key = key[first]
-        nonzero = values != 0
-        key, values = key[nonzero], values[nonzero]
+        """The matrix with the entries given as parallel arrays, the values
+        in int64 or as Python ints; entries at the same position are
+        summed, as by the constructor."""
         out = cls(nrows, ncols)
-        out._entries = None
-        out._arrays = (key // ncols, key % ncols, values)
+        out.arrays = _normalized(out.nrows, out.ncols, rows, cols, values)
         return out
 
     @property
     def entries(self) -> tuple[tuple[int, int, int], ...]:
-        if self._entries is None:
-            self._entries = tuple(self.iter_entries())
-        return self._entries
-
-    def iter_entries(self):
-        """The entries, in order, without keeping them as triples."""
-        if self._entries is not None:
-            return iter(self._entries)
-        return zip(*(a.tolist() for a in self._arrays))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the entries, in order, as int64
-        arrays; OverflowError when a value does not fit in int64."""
-        if self._arrays is not None:
-            return self._arrays
-        table = np.array(self._entries, dtype=np.int64).reshape(-1, 3)
-        return table[:, 0], table[:, 1], table[:, 2]
+        """The nonzero ``(row, col, value)`` triples in row-major order."""
+        return tuple(zip(*(a.tolist() for a in self.arrays)))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseIntMatrix":
@@ -206,7 +214,7 @@ class SparseIntMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self._arrays[0]) if self._entries is None else len(self._entries)
+        return len(self.arrays[0])
 
     def columns(self) -> dict[int, list[tuple[int, int]]]:
         if self._cols is None:
@@ -217,9 +225,13 @@ class SparseIntMatrix:
         return self._cols
 
     def matvec(self, vec: dict[int, int]) -> dict[int, int]:
+        """The product with the column vector ``{column: value}``; a column
+        outside 0..ncols-1 raises HomologyError."""
         cols = self.columns()
         out: dict[int, int] = {}
         for c, x in vec.items():
+            if not 0 <= c < self.ncols:
+                raise HomologyError(f"column {c} outside 0..{self.ncols - 1}")
             if not x:
                 continue
             for r, v in cols.get(c, ()):
@@ -247,22 +259,16 @@ class SparseIntMatrix:
                                [(r, c, v) for (r, c), v in acc.items()])
 
     def product_is_zero(self, other: "SparseIntMatrix") -> bool:
-        """Whether ``self @ other`` vanishes; in numpy for matrices made by
-        :meth:`from_arrays`, a block of whole columns of ``other`` (about
-        ``PRODUCT_BLOCK`` entry products) at a time."""
+        """Whether ``self @ other`` vanishes; in numpy, a block of whole
+        columns of ``other`` (about ``PRODUCT_BLOCK`` entry products) at a
+        time."""
         if self.ncols != other.nrows:
             raise HomologyError("matmul: shape mismatch")
         if self.nnz == 0 or other.nnz == 0:
             return True
-        if self._arrays is None or other._arrays is None:
-            return self.matmul(other).is_zero()
-        a_rows, a_cols, a_vals = self._arrays
-        order = np.argsort(a_cols)
-        a_rows, a_vals = a_rows[order], a_vals[order]
-        start = np.searchsorted(a_cols[order], np.arange(self.ncols + 1))
-        b_rows, b_cols, b_vals = other._arrays
-        order = np.argsort(b_cols)
-        b_rows, b_cols, b_vals = b_rows[order], b_cols[order], b_vals[order]
+        start, a_rows, a_vals = _column_major(self)
+        b_ptr, b_rows, b_vals = _column_major(other)
+        b_cols = np.repeat(np.arange(other.ncols), np.diff(b_ptr))
         # each entry (k, j) of other meets the entries of column k of self
         meets = start[b_rows + 1] - start[b_rows]
         total = np.cumsum(meets)
@@ -272,7 +278,7 @@ class SparseIntMatrix:
                                      side="right"))
             hi = max(hi, lo + 1)
             if hi < len(b_rows):   # end the block at a column boundary
-                hi = int(np.searchsorted(b_cols, b_cols[hi - 1], side="right"))
+                hi = int(b_ptr[b_cols[hi - 1] + 1])
             m = meets[lo:hi]
             owner = np.repeat(np.arange(lo, hi), m)
             at = _segments(start, b_rows[lo:hi])
@@ -292,7 +298,7 @@ class SparseIntMatrix:
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix)
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.entries == other.entries)
+                and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays)))
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -615,17 +621,10 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
 def _work(M: SparseIntMatrix, p: int | None = None, rows=None, cols=None) -> _Work:
     """M over Z or as residues mod p; with the boolean arrays ``rows`` and
     ``cols``, only on the rows and columns they mark."""
-    entries = M.iter_entries()
-    if rows is not None:
-        try:
-            r, c, v = M.arrays()
-            keep = rows[r] & cols[c]
-            entries = zip(r[keep].tolist(), c[keep].tolist(), v[keep].tolist())
-        except OverflowError:
-            entries = (e for e in entries if rows[e[0]] and cols[e[1]])
-    if p is not None:
-        entries = ((r, c, v % p) for r, c, v in entries if v % p)
-    return _Work(entries, M.nrows, M.ncols)
+    r, c, v = M.arrays
+    v = v if p is None else v % p
+    keep = (v != 0) if rows is None else (v != 0) & rows[r] & cols[c]
+    return _Work(zip(r[keep].tolist(), c[keep].tolist(), v[keep].tolist()), M.nrows, M.ncols)
 
 
 def _placement(lines: list[int], n: int) -> list[int]:
@@ -641,7 +640,7 @@ def _placement(lines: list[int], n: int) -> list[int]:
 
 
 def _snf_core(M: SparseIntMatrix, track: str | bool) -> SmithNormalForm:
-    work = _Work(M.entries, M.nrows, M.ncols)
+    work = _work(M)
     tr = _Transforms(M.nrows, M.ncols, track)
     pivots = _eliminate(work, tr)
 
@@ -840,23 +839,14 @@ class HomologyResult:
         return iter(self.groups)
 
 
-# a boundary with an entry this large in absolute value skips the
-# coreduction pre-pass, so that its column sums are exact in int64
-COREDUCE_ENTRY_BOUND = 1 << 31
-
-
 class _Incidence:
     """A boundary's entries by row and by column, with the number of live
     rows in each column."""
 
     def __init__(self, M: SparseIntMatrix):
-        self.arrays = rows, cols, vals = M.arrays()
-        if ((vals >= COREDUCE_ENTRY_BOUND) | (vals <= -COREDUCE_ENTRY_BOUND)).any():
-            raise OverflowError("entry too large for the coreduction pre-pass")
-        self.row_ptr = np.searchsorted(rows, np.arange(M.nrows + 1))
-        order = np.argsort(cols, kind="stable")
-        self.col_ptr = np.searchsorted(cols[order], np.arange(M.ncols + 1))
-        self.col_rows, self.col_vals = rows[order], vals[order]
+        self.arrays = M.arrays
+        self.row_ptr = np.searchsorted(M.arrays[0], np.arange(M.nrows + 1))
+        self.col_ptr, self.col_rows, self.col_vals = _column_major(M)
         self.live = np.diff(self.col_ptr)
 
     def column_sums(self) -> np.ndarray:
@@ -881,15 +871,11 @@ def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], bool, dict]:
     whose live count a round brings down to 1 are candidates in the next.
     ``pairs[k]`` lists (cells, faces, entries) of the pairs of d_k round by
     round, then gives d_k's rows as CSR arrays (row_ptr, columns, values).
-    A complex with an entry of at least ``COREDUCE_ENTRY_BOUND`` in
-    absolute value is left whole.
+    The values are those of C's matrices, int64 or Python ints alike.
     """
     top = C.top_degree
     alive = [np.ones(n, dtype=bool) for n in C.ranks]
-    try:
-        d = [None] + [_Incidence(C.boundary(k)) for k in range(1, top + 1)]
-    except OverflowError:
-        return alive, False, {}
+    d = [None] + [_Incidence(C.boundary(k)) for k in range(1, top + 1)]
     seeded = C.ranks[0] > 0 and (top == 0 or not d[1].column_sums().any())
     if seeded:
         alive[0][0] = False
@@ -1037,11 +1023,10 @@ class HomologyCoordinates:
         data.z = n_k - data.r
         # present H_k as Z^z / image of the next boundary, in kernel coordinates
         bnd_next = R.boundary(k + 1)
-        in_kernel = data.snf_bnd.V_inv.matmul(bnd_next)
-        entries = [(r - data.r, c, v) for r, c, v in in_kernel.entries if r >= data.r]
-        if any(r < data.r for r, _, _ in in_kernel.entries):
+        rows, cols, vals = data.snf_bnd.V_inv.matmul(bnd_next).arrays
+        if (rows < data.r).any():
             raise HomologyError("boundaries are not cycles; complex is inconsistent")
-        X = SparseIntMatrix(data.z, bnd_next.ncols, entries)
+        X = SparseIntMatrix.from_arrays(data.z, bnd_next.ncols, rows - data.r, cols, vals)
         data.pres = smith_normal_form(X, transforms="left")
         diag = data.pres.diagonal
         kept = [i for i, d in enumerate(diag) if d > 1]
@@ -1104,8 +1089,6 @@ class HomologyCoordinates:
         """Coordinates of a cycle in the homology basis at degree k; a
         generator index outside C_k raises HomologyError."""
         n_k = self.complex.ranks[k] if 0 <= k <= self.complex.top_degree else 0
-        if any(not 0 <= g < n_k for g in vec):
-            raise HomologyError(f"generator index outside 0..{n_k - 1} in degree {k}")
         if self.complex.boundary(k).matvec(vec):
             raise HomologyError("vector is not a cycle")
         data = self._degree(k)

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from finsub.constructions import CONSTRUCTIONS, cylinder_chain_model
 from finsub.fundamental import fundamental_presentation
-from finsub.homology import (COREDUCE_ENTRY_BOUND, ChainComplexZ, HomologyCoordinates,
+from finsub.homology import (INT64_ENTRY_BOUND, ChainComplexZ, HomologyCoordinates,
                              HomologyError, HomologyGroup, HomologyResult, SmithNormalForm,
                              SparseIntMatrix, _coreduce, _eliminate, _eliminate_at,
                              _PivotQueue, _reduction, _snf_core, _Transforms, _unit_z, _Work,
@@ -427,10 +427,11 @@ def _array_complex(value):
     # a long diameter, so the coreductions take many rounds
     lambda: normalized_chains(CONSTRUCTIONS["sp"].build(builtin_space("circle40"), 2).space,
                               with_labels=False),
-    # entries beyond int64 and beyond COREDUCE_ENTRY_BOUND skip the pre-pass
+    # entries beyond int64 and at INT64_ENTRY_BOUND are stored as Python
+    # ints, and the pre-pass runs on them as on int64 values
     lambda: _complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}),
-    lambda: _array_complex(COREDUCE_ENTRY_BOUND),
-    lambda: _array_complex(-COREDUCE_ENTRY_BOUND),
+    lambda: _array_complex(INT64_ENTRY_BOUND),
+    lambda: _array_complex(-INT64_ENTRY_BOUND),
 ], ids=["d1-is-2", "cylinder-torus", "surface-sp2-torus", "degree-0-rank-3",
         "degree-0-rank-0", "top-paired-away", "sp2-circle40", "beyond-int64",
         "at-entry-bound", "at-minus-entry-bound"])
@@ -441,6 +442,7 @@ def test_coreduction_matches_per_boundary_reference(make):
 def test_coreduction_seed_needs_an_augmented_complex():
     assert [str(g) for g in homology(_complex((1, 1), {1: [[2]]}))] == ["Z/2", "0"]
     assert _coreduce(_complex((1, 1), {1: [[2]]}))[1] is False
+    assert _coreduce(_complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}))[1] is True
     assert [str(g) for g in homology(ChainComplexZ((3,), {}))] == ["Z^3"]
     C = _two_simplex()
     R, seeded, _ = _reduction(C)
@@ -565,7 +567,8 @@ def _assert_coordinates_match_reference(C):
             assert coords.coords_of_cycle(k, z) == tuple(int(i == j) for i in range(n))
         d_next = C.boundary(k + 1)
         chain = {c: c % 5 - 2 for c in range(d_next.ncols)}
-        for b in [d_next.matvec(chain)] + [d_next.matvec({c: 1}) for c in range(3)]:
+        for b in [d_next.matvec(chain)] + [d_next.matvec({c: 1})
+                                            for c in range(min(3, d_next.ncols))]:
             assert coords.coords_of_cycle(k, b) == (0,) * n, k
         free = [j for j, m in enumerate(moduli) if m == 0]
         old = [reference.coords_of_cycle(k, cycles[j]) for j in free]
@@ -596,8 +599,8 @@ def _two_circles():
     lambda: _complex((1, 1), {1: [[2]]}),
     _two_simplex,
     lambda: _complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}),
-    lambda: _array_complex(COREDUCE_ENTRY_BOUND),
-    lambda: _array_complex(-COREDUCE_ENTRY_BOUND),
+    lambda: _array_complex(INT64_ENTRY_BOUND),
+    lambda: _array_complex(-INT64_ENTRY_BOUND),
 ], ids=["two-circles", "d1-is-2", "top-paired-away", "beyond-int64", "at-entry-bound",
         "at-minus-entry-bound"])
 def test_coordinates_through_the_coreduction_match_reference(make):

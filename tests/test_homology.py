@@ -317,6 +317,9 @@ def test_sparse_matrix_ops():
     b = SparseIntMatrix.from_dense([[0, 1], [1, 0]])
     assert a.matmul(b).to_dense() == [[2, 1], [4, 3]]
     assert a.matvec({0: 1, 1: 1}) == {0: 3, 1: 7}
+    for stray in ({5: 1}, {-1: 3}):   # rejected, not dropped
+        with pytest.raises(HomologyError, match="outside"):
+            SparseIntMatrix.from_dense([[1, -1]]).matvec(stray)
     with pytest.raises(HomologyError):
         SparseIntMatrix(1, 1, [(0, 5, 3)])
 

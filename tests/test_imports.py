@@ -1,10 +1,12 @@
-"""Every module of the package reads each name it imports, and every
-function each local name it stores.
+"""Every module of the package reads each name it imports, every function
+each local name it stores, and the package each private module-level
+function, class and constant it defines.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.  A name counts as read when the syntax tree loads it
 anywhere: in the module for an import, in the function or a function nested
-in it for a local.  Locals whose names start with ``_`` are exempt.
+in it for a local, in any module of the package (or an import of it by
+name) for a private name.  Locals whose names start with ``_`` are exempt.
 """
 
 import ast
@@ -47,6 +49,43 @@ def unread_locals(source: str) -> list[tuple[int, str, str]]:
     return sorted(out)
 
 
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private module-level function, class or
+    constant that no module of ``sources`` (name to source) reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return sorted((module, line, name) for module, line, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def test_unread_private_names_are_found():
+    sources = {"a": ("_LIMIT = 3\n"
+                     "_unused: int = 4\n"
+                     "__all__ = []\n"
+                     "def _used():\n"
+                     "    return _LIMIT\n"
+                     "def _left():\n"
+                     "    pass\n"
+                     "class _Gone:\n"
+                     "    pass\n"),
+               "b": "from a import _used\n"}
+    assert unread_private_names(sources) == [("a", 2, "_unused"), ("a", 6, "_left"),
+                                             ("a", 8, "_Gone")]
+
+
 def test_unread_locals_are_found():
     source = ("def f(rows):\n"
               "    total, _skip = 0, 1\n"
@@ -81,3 +120,8 @@ def test_module_reads_every_name_it_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_functions_read_every_local_they_store(path):
     assert unread_locals(path.read_text()) == []
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

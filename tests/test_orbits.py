@@ -8,13 +8,13 @@ from importlib import import_module
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finsub import orbits
 from finsub.cli import main
 from finsub.constructions import finite_subset_space, symmetric_product
-from finsub.homology import SparseIntMatrix, normalized_chains
+from finsub.homology import SparseIntMatrix, chain_map_matrices, normalized_chains
 from finsub.reference import REFERENCE_BUILDERS, engine_mismatches
 from finsub.simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
                                SimplicialError)
@@ -187,7 +187,7 @@ def test_product_is_zero_in_blocks(monkeypatch, block):
     for k in range(2, C.top_degree + 1):
         assert C.boundary(k - 1).product_is_zero(C.boundary(k))
     d2, d3 = C.boundary(2), C.boundary(3)
-    r, c, v = (a.copy() for a in d3._arrays)
+    r, c, v = (a.copy() for a in d3.arrays)
     v[random.Random(block).randrange(len(v))] *= -1
     broken = SparseIntMatrix.from_arrays(d3.nrows, d3.ncols, r, c, v)
     assert not d2.product_is_zero(broken)
@@ -212,10 +212,53 @@ def test_product_is_zero_bounds_its_memory():
     assert peak < 64 * 2 ** 20
 
 
-def test_from_arrays_matches_the_constructor():
-    rng = np.random.default_rng(3)
-    rows, cols = rng.integers(0, 5, 40), rng.integers(0, 6, 40)
-    vals = rng.integers(-2, 3, 40)
-    a = SparseIntMatrix.from_arrays(5, 6, rows, cols, vals)
-    b = SparseIntMatrix(5, 6, zip(rows.tolist(), cols.tolist(), vals.tolist()))
-    assert a == b and a.nnz == b.nnz
+BOUND = homology.INT64_ENTRY_BOUND
+# values on both sides of the int64 bound, of int64 itself and beyond it
+VALUES = [0, 1, -1, BOUND - 1, 1 - BOUND, BOUND, -BOUND, 2 ** 62, -(2 ** 62),
+          2 ** 70, -(2 ** 70)]
+
+
+def _matrix_entries(nrows, ncols):
+    return st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                              st.sampled_from(VALUES)), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_matrix_entries(3, 4), other=_matrix_entries(4, 2))
+@example(entries=[(0, 0, BOUND - 1), (0, 0, BOUND - 1)], other=[])
+@example(entries=[(0, 0, 2 ** 62), (0, 0, 2 ** 62), (0, 0, -(2 ** 62))], other=[])
+@example(entries=[(0, 0, 2 ** 70), (0, 1, BOUND - 1)],
+         other=[(0, 0, BOUND - 1), (1, 0, -(2 ** 70))])
+@example(entries=[(1, 2, BOUND - 1), (1, 3, BOUND - 1)], other=[(2, 1, 1), (3, 1, -1)])
+def test_from_arrays_matches_the_constructor(entries, other):
+    total = {}
+    for r, c, v in entries:
+        total[r, c] = total.get((r, c), 0) + v
+    stored = tuple(sorted((r, c, v) for (r, c), v in total.items() if v))
+    rows, cols, vals = (list(t) for t in zip(*entries)) if entries else ([], [], [])
+    fits = all(abs(v) < 2 ** 63 for v in vals)
+    a = SparseIntMatrix.from_arrays(3, 4, np.array(rows, dtype=np.int64),
+                                    np.array(cols, dtype=np.int64),
+                                    np.array(vals, dtype=np.int64 if fits else object))
+    b = SparseIntMatrix(3, 4, entries)
+    assert a == b and a.nnz == b.nnz and a.entries == b.entries == stored
+    # int64 exactly when every stored value is below the bound, after sums
+    small = all(abs(v) < BOUND for _, _, v in stored)
+    assert (a.arrays[2].dtype == np.int64) == (b.arrays[2].dtype == np.int64) == small
+    B = SparseIntMatrix(4, 2, other)
+    assert a.product_is_zero(B) == a.matmul(B).is_zero()
+
+
+@pytest.mark.parametrize("entry", [(2, 0, 1), (-1, 0, 1), (0, 4, 1), (2 ** 70, 0, 1),
+                                   (0, -(2 ** 70), 1)])
+def test_entries_out_of_range_are_rejected(entry):
+    with pytest.raises(homology.HomologyError, match="out of range"):
+        SparseIntMatrix(2, 4, [entry])
+
+
+def test_sp2_torus_matrices_hold_int64_values():
+    sp = symmetric_product(builtin_space("torus"), 2)
+    C = normalized_chains(sp.space, with_labels=False)
+    assert C.boundaries and all(M.arrays[2].dtype == np.int64 for M in C.boundaries.values())
+    maps = [M for f in sp.maps.values() for M in chain_map_matrices(f).values()]
+    assert maps and all(M.arrays[2].dtype == np.int64 for M in maps)
