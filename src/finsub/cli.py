@@ -185,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 1) < 1:   # homology and map
+            raise ComplexError(f"--n must be at least 1, not {args.n}")
         return args.fn(args)
     except (ComplexError, SurfaceModelError, SimplicialError, HomologyError,
             SelectionError, CellCapExceeded) as exc:

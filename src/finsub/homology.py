@@ -182,7 +182,8 @@ class SparseIntMatrix:
         """The matrix with the entries given as parallel arrays, the values
         in int64 or as Python ints; entries at the same position are
         summed, as by the constructor."""
-        out = cls(nrows, ncols)
+        out = cls.__new__(cls)
+        out.nrows, out.ncols, out._cols = int(nrows), int(ncols), None
         out.arrays = _normalized(out.nrows, out.ncols, rows, cols, values)
         return out
 
@@ -494,9 +495,11 @@ def _eliminate_at(work: _Work, tr: _Transforms, r: int, c: int) -> int:
 class _PivotQueue:
     """Lazy min-heap of columns keyed by occupancy ``(len(work.cols[c]), c)``.
 
-    Entries go stale as elimination changes a column; a popped entry whose
-    length no longer matches is re-pushed with the current length.  A
-    column without a unit entry is dropped until a pivot touches it again.
+    Entries go stale as elimination changes a column.  Every column whose
+    length a pivot changes is pushed again with its new length (``_reduce``
+    pushes the pivot row's columns), so a popped entry whose length no
+    longer matches is dropped.  A column without a unit entry is dropped
+    until a pivot touches it again.
     """
 
     def __init__(self, work: _Work, is_unit):
@@ -521,7 +524,6 @@ class _PivotQueue:
             n, c = heapq.heappop(heap)
             col = work.cols[c]
             if len(col) != n:
-                self.push((c,))
                 continue
             best = None
             for r in col:

@@ -12,19 +12,21 @@ masks of its members together cover 0..k-1, and a quotient by a group
 keeps nondegenerate cells nondegenerate.  So chains, structure maps and
 pi_1 need only these cells.
 
-Per level, :class:`Sequences` tables the k-cells of X (ascent masks and
-d_i lookups).  A cell of a construction is a row of member indices, its
-canonical payload: sorted for a multiset, the support padded with its
-least member for a set.  Rows are kept in lexicographic order, the order
-of the quotient construction in ``reference``, so both give the same chain
-complexes entry for entry.  A :class:`Form` says which rows are cells: the
-based and reduced spaces are quotients (a row goes to its class's
-representative, and a collapsed subobject to the point's cell, degenerate
-above level 0), the fat diagonal and the filtration pieces are subobjects.
-Faces come from the X tables, a sort and ``searchsorted``; a degenerate
-face is stored as -1.  Every face that is nondegenerate must be found among
-the cells, and the face identities and the maps' commutation with faces
-are checked on construction.
+Per level, :class:`Sequences` tables the k-cells of X (ascent masks,
+simplices and d_i lookups); the reference path reads the same table
+(``simplicial.from_ordered_complex``).  A cell of a construction is a row
+of member indices, its canonical payload: sorted for a multiset, the
+support padded with its least member for a set.  Rows are kept in
+lexicographic order, the order of the quotient construction in
+``reference``, so both give the same chain complexes entry for entry.  A
+:class:`Form` says which rows are cells: the based and reduced spaces are
+quotients (a row goes to its class's representative, and a collapsed
+subobject to the point's cell, degenerate above level 0), the fat
+diagonal and the filtration pieces are subobjects.  Faces come from the X
+tables, a sort and ``searchsorted``; a degenerate face is stored as -1.
+Every face that is nondegenerate must be found among the cells, and the
+face identities and the maps' commutation with faces are checked on
+construction.
 
 The number of all cells, degenerate ones included, is known in closed
 form from N_k = sum over simplices F of C(k, |F| - 1), the number of
@@ -41,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
-                         SimplicialError, cell_cap)
+                         SimplicialError, _recompose, cell_cap)
 from .spaces import OrderedComplexSpec
 
 
@@ -78,13 +80,14 @@ class Sequences:
     """The k-cells of X for k = 0..truncation, in lexicographic order.
 
     Per level: ``verts`` (the vertex sequences), ``mask`` (ascent masks),
-    ``faces`` (an ``(N_k, k+1)`` array of d_i indices one level down) and
-    ``tower`` (the index of the constant sequence at the basepoint).  A
-    k-cell is its parent, the sequence without its last vertex, extended
-    by that vertex, and d_i for i < k is d_i of the parent, extended.  The
-    tables of grown simplices and of extended cells are sorted keys
-    ``s * V + v``, read with ``searchsorted``, so memory grows with the
-    cells and not with cells times vertices.
+    ``simplex`` (the index of the simplex each sequence spans, among the
+    sorted simplices), ``faces`` (an ``(N_k, k+1)`` array of d_i indices
+    one level down) and ``tower`` (the index of the constant sequence at
+    the basepoint).  A k-cell is its parent, the sequence without its last
+    vertex, extended by that vertex, and d_i for i < k is d_i of the
+    parent, extended.  The tables of grown simplices and of extended cells
+    are sorted keys ``s * V + v``, read with ``searchsorted``, so memory
+    grows with the cells and not with cells times vertices.
     """
 
     def __init__(self, spec: OrderedComplexSpec, truncation: int):
@@ -98,10 +101,10 @@ class Sequences:
         self.mask = [np.zeros(V, dtype=np.int64)]
         self.faces: list[np.ndarray | None] = [None]
         self.tower = [spec.basepoint]
-        support = np.array([index[(v,)] for v in range(V)], dtype=np.int64)
+        self.simplex = [np.array([index[(v,)] for v in range(V)], dtype=np.int64)]
         extended = None
         for k in range(1, truncation + 1):
-            last = self.verts[-1][:, -1]
+            last, support = self.verts[-1][:, -1], self.simplex[-1]
             # each cell's run of keys support * V + v with v >= last
             start = np.searchsorted(grow, support * V + last)
             counts = np.searchsorted(grow, (support + 1) * V) - start
@@ -123,7 +126,7 @@ class Sequences:
             self.mask.append(self.mask[-1][parent] | ascent)
             self.faces.append(faces)
             self.tower.append(int(np.searchsorted(extended, self.tower[-1] * V + spec.basepoint)))
-            support = grown[at]
+            self.simplex.append(grown[at])
         self.counts = [len(m) for m in self.mask]
         self._labels: dict[int, list[tuple[int, ...]]] = {}
 
@@ -142,10 +145,7 @@ class Sequences:
         base = self.counts[level]
         if base ** rows.shape[1] >= 2 ** 63:
             raise SimplicialError(f"cells at level {level} are too many to index")
-        key = np.zeros(len(rows), dtype=np.int64)
-        for t in range(rows.shape[1]):
-            key = key * base + rows[:, t]
-        return key
+        return _recompose(rows.T, base)
 
     def nondegenerate_rows(self, level: int, n: int, sets: bool) -> np.ndarray:
         """Rows of n members whose ascent masks cover 0..level-1, in

@@ -20,8 +20,8 @@ from .fundamental import fundamental_presentation
 from .homology import chain_map_matrices, normalized_chains
 from .orbits import default_truncation
 from .simplicial import (SSetMap, SimplicialError, TruncatedSimplicialSet,
-                         _decompose, collapse, compose_maps, from_ordered_complex,
-                         power, quotient, sub_object)
+                         _decompose, _recompose, collapse, compose_maps,
+                         from_ordered_complex, power, quotient, sub_object)
 from .spaces import OrderedComplexSpec
 
 
@@ -46,14 +46,6 @@ def _class_reps(proj: SSetMap) -> list[np.ndarray]:
         np.minimum.at(out, proj.assignment[k], np.arange(n, dtype=np.int64))
         reps.append(out)
     return reps
-
-
-def _recompose(comps: np.ndarray, base: int) -> np.ndarray:
-    out = comps[0].copy()
-    for t in range(1, comps.shape[0]):
-        out *= base
-        out += comps[t]
-    return out
 
 
 def _support_canonical(comps: np.ndarray) -> np.ndarray:
@@ -108,15 +100,10 @@ def reference_symmetric_product(spec: OrderedComplexSpec, n: int) -> Constructio
     j_assign = []
     diag_assign = []
     for k in range(D + 1):
-        M = X.counts[k]
-        sigma = np.arange(M, dtype=np.int64)
-        j_idx = sigma.copy()
-        d_idx = sigma.copy()
-        for _ in range(n - 1):
-            j_idx = j_idx * M + towers[k]
-            d_idx = d_idx * M + sigma
-        j_assign.append(q.assignment[k][j_idx])
-        diag_assign.append(q.assignment[k][d_idx])
+        sigma = np.arange(X.counts[k], dtype=np.int64)
+        j_assign.append(q.assignment[k][_recompose([sigma] + [towers[k]] * (n - 1),
+                                                   X.counts[k])])
+        diag_assign.append(q.assignment[k][_recompose([sigma] * n, X.counts[k])])
     j_n = SSetMap(X, SP, tuple(j_assign), name="j_n")
     diag = SSetMap(X, SP, tuple(diag_assign), name="diag")
     return ConstructionResult(SP, {"q": q, "j_n": j_n, "diag": diag},

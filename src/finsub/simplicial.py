@@ -9,8 +9,11 @@ pi_1 presentations read (``homology``, ``fundamental``).  The orbit engine
 :class:`TruncatedSimplicialSet` holds every cell up to a truncation, with
 dense face and degeneracy tables, and reaches the reader through one
 conversion (:meth:`TruncatedSimplicialSet.nondegenerate_form`).  Its
-operations (generation from a complex, products, quotients, subobjects,
-collapses) make the reference path X^n -> quotient (``reference``).
+operations (products, quotients, subobjects, collapses) make the
+reference path X^n -> quotient (``reference``).  X itself comes from the
+orbit engine's table of its cells (:func:`from_ordered_complex` reads
+``orbits.Sequences``), so X's cells are listed in one place, and product
+cells of both paths share one mixed-radix key (:func:`_recompose`).
 Cells at each level are indexed ``0..N_k-1`` and every constructor keeps
 the invariant that index order equals lexicographic order on the canonical
 cell payloads.  Because of this, the minimum index inside an equivalence
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
@@ -395,48 +397,46 @@ def compose_maps(g: SSetMap, f: SSetMap, name: str = "") -> SSetMap:
 def from_ordered_complex(spec: OrderedComplexSpec, truncation: int) -> TruncatedSimplicialSet:
     """Simplicial set of an ordered complex, truncated at the given level.
 
-    Level-k cells are the monotone (k+1)-tuples of vertices whose distinct
-    entries span a simplex; the nondegenerate ones are exactly the ordered
-    simplices of the complex.
+    The simplicial-set view of the orbit engine's table of X's cells
+    (``orbits.Sequences``): level-k cells are the monotone (k+1)-tuples of
+    vertices whose distinct entries span a simplex, in lexicographic order,
+    and counts, faces and payloads are the table's.  A cell is fixed by its
+    simplex and its ascent mask, and s_j inserts a 0 into the mask at
+    position j, so s_j(c) is looked up by the key simplex * 2^(k+1) + mask
+    of level k+1.  The nondegenerate cells are exactly the ordered simplices.
     """
     if truncation < spec.dimension:
         raise SimplicialError(
             f"truncation {truncation} is below the complex dimension {spec.dimension}")
-    simplex_set = spec.simplex_set
-    levels: list[list[tuple[int, ...]]] = []
-    index: list[dict[tuple[int, ...], int]] = []
-    for k in range(truncation + 1):
-        cells = [t for t in combinations_with_replacement(range(spec.vertex_count), k + 1)
-                 if tuple(sorted(set(t))) in simplex_set]
-        levels.append(cells)
-        index.append({t: i for i, t in enumerate(cells)})
-
-    counts = [len(c) for c in levels]
-    faces: list[np.ndarray | None] = [None]
-    for k in range(1, truncation + 1):
-        table = np.empty((counts[k], k + 1), dtype=np.int64)
-        for c, tup in enumerate(levels[k]):
-            for i in range(k + 1):
-                table[c, i] = index[k - 1][tup[:i] + tup[i + 1:]]
-        faces.append(table)
+    from .orbits import Sequences   # here, not at the top: orbits imports this module
+    X = Sequences(spec, truncation)
     degens: list[np.ndarray] = []
     for k in range(truncation):
-        table = np.empty((counts[k], k + 1), dtype=np.int64)
-        for c, tup in enumerate(levels[k]):
-            for j in range(k + 1):
-                table[c, j] = index[k + 1][tup[: j + 1] + tup[j:]]
+        up = (X.simplex[k + 1] << (k + 1)) | X.mask[k + 1]
+        order = np.argsort(up)
+        mask, table = X.mask[k], np.empty((X.counts[k], k + 1), dtype=np.int64)
+        for j in range(k + 1):
+            inserted = (mask & ((1 << j) - 1)) | ((mask >> j) << (j + 1))
+            table[:, j] = order[np.searchsorted(up, (X.simplex[k] << (k + 1)) | inserted,
+                                                sorter=order)]
         degens.append(table)
-
-    def payload(level: int, i: int):
-        return levels[level][i]
-
-    return TruncatedSimplicialSet(truncation, counts, faces, degens, payload,
+    return TruncatedSimplicialSet(truncation, X.counts, X.faces, degens, X.label,
                                   name=spec.name)
 
 
 # ----------------------------------------------------------------------
 # products
 # ----------------------------------------------------------------------
+
+def _recompose(comps, base: int) -> np.ndarray:
+    """Big-endian mixed-radix keys of the component arrays ``comps[0], ...``
+    in the given base, the inverse of :func:`_decompose`."""
+    out = np.array(comps[0], dtype=np.int64)
+    for c in comps[1:]:
+        out *= base
+        out += c
+    return out
+
 
 def _decompose(indices: np.ndarray, base: int, n: int) -> np.ndarray:
     """Big-endian mixed-radix components of product-cell indices, shape (n, len)."""
@@ -471,38 +471,27 @@ def power(S: TruncatedSimplicialSet, n: int):
     coordinates = tuple(_decompose(np.arange(counts[k], dtype=np.int64), S.counts[k], n)
                         for k in range(D + 1))
 
-    def recompose(comp_arrays: list[np.ndarray], base: int) -> np.ndarray:
-        out = comp_arrays[0].copy()
-        for arr in comp_arrays[1:]:
-            out *= base
-            out += arr
-        return out
-
     faces: list[np.ndarray | None] = [None]
     for k in range(1, D + 1):
         comps = coordinates[k]
         table = np.empty((counts[k], k + 1), dtype=np.int64)
         for i in range(k + 1):
-            table[:, i] = recompose([S.faces[k][c, i] for c in comps], S.counts[k - 1])
+            table[:, i] = _recompose([S.faces[k][c, i] for c in comps], S.counts[k - 1])
         faces.append(table)
     degens: list[np.ndarray] = []
     for k in range(D):
         comps = coordinates[k]
         table = np.empty((counts[k], k + 1), dtype=np.int64)
         for j in range(k + 1):
-            table[:, j] = recompose([S.degens[k][c, j] for c in comps], S.counts[k + 1])
+            table[:, j] = _recompose([S.degens[k][c, j] for c in comps], S.counts[k + 1])
         degens.append(table)
-
-    base_counts = S.counts
 
     def payload(level: int, index: int):
         comps = []
-        rest = index
-        for _ in range(n - 1):
-            comps.append(rest % base_counts[level])
-            rest //= base_counts[level]
-        comps.append(rest)
-        return tuple(S.payload(level, int(c)) for c in reversed(comps))
+        for _ in range(n):
+            index, c = divmod(index, S.counts[level])
+            comps.append(c)
+        return tuple(S.payload(level, c) for c in reversed(comps))
 
     P = TruncatedSimplicialSet(D, counts, faces, degens, payload,
                                name=f"{S.name}^{n}")

@@ -94,6 +94,21 @@ def reference_eliminate(work, tr):
             queue.push(cc for cc in work.cols if cc not in done_cols)
 
 
+def test_pivot_queue_drops_stale_entries_and_pushes_nothing():
+    # column 0 grows from one entry to two after its first push; _reduce
+    # pushes every column a pivot changes, so the fresh entry is queued and
+    # pop drops the stale one
+    work = _Work([(0, 0, 1)], 2, 1)
+    queue = _PivotQueue(work, _unit_z)
+    work.rows[1] = {0: 1}
+    work.cols[0].add(1)
+    queue.push([0])
+    pushed = []
+    queue.push = pushed.append
+    assert queue.pop() == (0, 0)
+    assert pushed == [] and queue.heap == []
+
+
 def _kernel_run(eliminate, M):
     """The pivots, final work and transforms of one kernel run on M."""
     work = _Work(M.entries, M.nrows, M.ncols)

@@ -1,6 +1,7 @@
 """Every module of the package reads each name it imports, every function
 each local name it stores, and the package each private module-level
-function, class and constant it defines.
+function, class and constant it defines.  The module-level relative
+imports of the package form an acyclic graph.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.  A name counts as read when the syntax tree loads it
@@ -69,6 +70,53 @@ def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
                 read.update(alias.name for alias in n.names)
     return sorted((module, line, name) for module, line, name in defined
                   if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def import_cycle(sources: dict[str, str]) -> list[str]:
+    """A cycle of module-level relative imports among ``sources`` (module
+    name to source), as the modules along it with the first repeated at
+    the end, or [] when there is none.  Imports inside functions are not
+    edges: they run after every module has loaded."""
+    graph = {}
+    for module, source in sources.items():
+        targets = set()
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets.update([node.module] if node.module else
+                               [alias.name for alias in node.names])
+        graph[module] = sorted(targets & set(sources))
+    done, path = set(), []
+
+    def visit(module):
+        path.append(module)
+        for target in graph[module]:
+            if target in path:
+                return path[path.index(target):] + [target]
+            if target not in done and (cycle := visit(target)):
+                return cycle
+        done.add(path.pop())
+        return []
+
+    for module in sorted(graph):
+        if module not in done and (cycle := visit(module)):
+            return cycle
+    return []
+
+
+def test_import_cycles_are_found():
+    sources = {"a": "from .b import f\n",
+               "b": ("import os\n"
+                     "from .c import g\n"
+                     "def f():\n"
+                     "    from .a import h\n"),
+               "c": "from . import a\n"}
+    assert import_cycle(sources) == ["a", "b", "c", "a"]
+    sources["c"] = "def g():\n    from . import a\n"
+    assert import_cycle(sources) == []
+
+
+def test_package_imports_are_acyclic():
+    assert import_cycle({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
 def test_unread_private_names_are_found():

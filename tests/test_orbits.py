@@ -249,6 +249,17 @@ def test_from_arrays_matches_the_constructor(entries, other):
     assert a.product_is_zero(B) == a.matmul(B).is_zero()
 
 
+def test_from_arrays_normalizes_its_entries_once(monkeypatch):
+    calls = []
+    normalized = homology._normalized
+    monkeypatch.setattr(homology, "_normalized",
+                        lambda *args: calls.append(args) or normalized(*args))
+    M = SparseIntMatrix.from_arrays(2, 3, np.array([1, 0, 1]), np.array([0, 2, 0]),
+                                    np.array([4, 5, -4]))
+    assert len(calls) == 1
+    assert M.entries == ((0, 2, 5),) and M.nrows == 2 and M.ncols == 3
+
+
 @pytest.mark.parametrize("entry", [(2, 0, 1), (-1, 0, 1), (0, 4, 1), (2 ** 70, 0, 1),
                                    (0, -(2 ** 70), 1)])
 def test_entries_out_of_range_are_rejected(entry):

@@ -1,3 +1,4 @@
+import time
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -12,6 +13,7 @@ from finsub.simplicial import (CellCapExceeded, SSetMap, SimplicialError,
                                collapse, compose_maps, from_ordered_complex, power,
                                quotient, sub_object)
 from finsub.spaces import builtin_space, load_complex
+from test_orbits import complexes
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,57 @@ def test_sphere_nondegenerate_counts():
 def test_truncation_below_dimension_rejected():
     with pytest.raises(SimplicialError):
         from_ordered_complex(builtin_space("sphere2"), 1)
+
+
+def scan_ordered_complex(spec, truncation):
+    """The cells of an ordered complex found by scanning every monotone
+    vertex tuple, C(V + k, k + 1) of them at level k: per level the cells
+    in lexicographic order, and the face and degeneracy tables as lists.
+    This was ``from_ordered_complex`` before it read the orbit engine's
+    ``Sequences`` table; it is kept here as that table's oracle."""
+    levels, index = [], []
+    for k in range(truncation + 1):
+        cells = [t for t in combinations_with_replacement(range(spec.vertex_count), k + 1)
+                 if tuple(sorted(set(t))) in spec.simplex_set]
+        levels.append(cells)
+        index.append({t: i for i, t in enumerate(cells)})
+    faces = [[[index[k - 1][t[:i] + t[i + 1:]] for i in range(k + 1)] for t in levels[k]]
+             for k in range(1, truncation + 1)]
+    degens = [[[index[k + 1][t[:j + 1] + t[j:]] for j in range(k + 1)] for t in levels[k]]
+              for k in range(truncation)]
+    return levels, faces, degens
+
+
+def _assert_matches_scan(spec, truncation):
+    S = from_ordered_complex(spec, truncation)
+    levels, faces, degens = scan_ordered_complex(spec, truncation)
+    assert S.counts == tuple(len(cells) for cells in levels)
+    assert [[S.payload(k, i) for i in range(S.counts[k])]
+            for k in range(truncation + 1)] == levels
+    assert [S.faces[k].tolist() for k in range(1, truncation + 1)] == faces
+    assert [S.degens[k].tolist() for k in range(truncation)] == degens
+
+
+@pytest.mark.parametrize("name", ["interval", "circle3", "circle4", "sphere2", "sphere3",
+                                  "torus", "rp2", "wedge_circles2"])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_from_ordered_complex_matches_the_scan(name, extra):
+    spec = builtin_space(name)
+    _assert_matches_scan(spec, spec.dimension + extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=complexes(), extra=st.integers(0, 3))
+def test_from_ordered_complex_matches_the_scan_on_random_complexes(spec, extra):
+    _assert_matches_scan(spec, spec.dimension + extra)
+
+
+def test_from_ordered_complex_scales_with_the_cells():
+    # the scan visits C(203, 4), about 69 million, tuples at level 3
+    start = time.perf_counter()
+    S = from_ordered_complex(builtin_space("circle200"), 3)
+    assert time.perf_counter() - start < 1.0
+    assert S.counts == (200, 400, 600, 800)
 
 
 def test_payloads_are_lex_sorted(circle):

@@ -11,19 +11,27 @@ presentations or the homology of the spaces finsub builds:
   reach the empty presentation of its pi_1, so no pi_1 is inconclusive;
 - Sub_n(X) is (n + r - 2)-connected when X is r-connected (the source
   paper; Tuffley, "Connectivity of finite subset spaces of cell
-  complexes"), so its reduced homology vanishes in degrees up to n + r - 2.
+  complexes"), so its reduced homology vanishes in degrees up to n + r - 2;
+- SP^n of a closed orientable surface of genus g is a closed orientable
+  2n-manifold with torsion-free homology, and Macdonald's formula gives its
+  Betti numbers: b_k is the coefficient of x^n t^k in
+  (1 + xt)^(2g) / ((1 - x)(1 - xt^2)), so b_k = b_(2n-k) and H_2n = Z;
+- SP^n(RP^2) = RP^2n, whose homology is Z/2 in each odd degree below 2n
+  and 0 in each even degree from 2 to 2n.
 """
 
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsub.constructions import finite_subset_space
+from finsub.constructions import finite_subset_space, symmetric_product
 from finsub.fundamental import fundamental_presentation, tietze_simplify
-from finsub.homology import homology_of_sset
+from finsub.homology import homology, homology_of_sset
 from finsub.spaces import builtin_space
+from finsub.surface import builtin_presentation, sp_chain_complex
 from test_orbits import complexes
 
 
@@ -77,3 +85,51 @@ def test_sub3_of_the_2_sphere_is_2_connected():
     # S^2 simply connected: r = 1, so H~_i(Sub_3 S^2) = 0 for i <= 2
     space = finite_subset_space(builtin_space("sphere2"), 3, with_filtration=False).space
     _assert_reduced_homology_vanishes(space, 2)
+
+
+def _macdonald_betti(g, n):
+    """b_0..b_2n of SP^n of a genus-g surface: in the expansion of
+    (1 + xt)^(2g) / ((1 - x)(1 - xt^2)), x^n t^k collects C(2g, i) from
+    each term x^i t^i of the numerator times x^b t^(2b) and x^a with
+    i + a + b = n and i + 2b = k."""
+    betti = [0] * (2 * n + 1)
+    for i in range(min(2 * g, n) + 1):
+        for b in range(n - i + 1):
+            betti[i + 2 * b] += comb(2 * g, i)
+    return betti
+
+
+def _assert_macdonald(groups, g, n):
+    top = 2 * n
+    assert [(h.betti, h.torsion) for h in groups[:top + 1]] == \
+        [(b, ()) for b in _macdonald_betti(g, n)]
+    assert all(h.is_zero for h in groups[top + 1:])
+    # Poincare duality of a closed orientable 2n-manifold
+    assert [h.betti for h in groups[:top + 1]] == [h.betti for h in groups[top::-1]]
+    assert (groups[top].betti, groups[top].torsion) == (1, ())
+
+
+GENUS = {"sphere": 0, "torus": 1, "genus2": 2}
+
+
+@pytest.mark.parametrize("name", sorted(GENUS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_products_of_surfaces_on_the_surface_model(name, n):
+    groups = homology(sp_chain_complex(builtin_presentation(name), n)).groups
+    _assert_macdonald(groups, GENUS[name], n)
+
+
+@pytest.mark.parametrize("name, g, n", [("torus", 1, 2), ("sphere2", 0, 1),
+                                        ("sphere2", 0, 2), ("sphere2", 0, 3)])
+def test_symmetric_products_of_surfaces_on_the_engine(name, g, n):
+    _assert_macdonald(homology_of_sset(symmetric_product(builtin_space(name), n).space).groups,
+                      g, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_products_of_rp2_are_projective_spaces(n):
+    groups = homology(sp_chain_complex(builtin_presentation("rp2"), n)).groups
+    assert (groups[0].betti, groups[0].torsion) == (1, ())
+    assert all((groups[k].betti, groups[k].torsion) == (0, (2,)) for k in range(1, 2 * n, 2))
+    assert all(groups[k].is_zero for k in range(2, 2 * n + 1, 2))
+    assert all(h.is_zero for h in groups[2 * n + 1:])

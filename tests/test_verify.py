@@ -274,6 +274,13 @@ def test_cli_rejects_modulus_above_the_bound(capsys, coeff):
     # a selection that matches no verification case
     ["verify", "--suite", "papr"],
     ["verify", "--suite", "no-such-*"],
+    # n below 1, for constructions that would otherwise accept it
+    ["homology", "--space", "builtin:circle3", "--construction", "space", "--n", "0"],
+    ["homology", "--space", "builtin:circle3", "--construction", "space", "--n", "-5"],
+    ["homology", "--space", "builtin:circle3", "--construction", "based_sub3", "--n", "0"],
+    ["homology", "--space", "builtin:circle3", "--construction", "cylinder", "--n", "0"],
+    ["homology", "--space", "builtin:circle3", "--construction", "coproduct", "--n", "0"],
+    ["map", "--name", "alpha", "--space", "builtin:circle3", "--degree", "1", "--n", "-3"],
 ])
 def test_cli_typed_errors_exit_2(capsys, argv):
     assert main(argv) == 2
