@@ -15,10 +15,12 @@ chain complexes with it (below), and the Smith form kernel ``_eliminate``
 records each logged pivot's row and column operations on its transforms.
 Only when no unit is left does the kernel turn to a Markowitz scan of the
 small non-unit residual, where the gcd steps of ``_eliminate_at`` may
-create new units for the next ``_reduce``.  No pivot is moved: the
-divisibility pass d_1 | d_2 | ... works on the pivots where the
-elimination left them, and the transforms of ``smith_normal_form`` are
-relabelled and signed once, when the result is built.
+create new units for the next ``_reduce``.  Each step of the kernel is one
+combination (x, y, z, w) with xw - yz = 1 of two rows or two columns,
+(i, j) <- (x*i + y*j, z*i + w*j), whose inverse is (w, -z, -y, x).  No
+pivot is moved: the divisibility pass d_1 | d_2 | ... works on the pivots
+where the elimination left them, and the transforms of ``smith_normal_form``
+are relabelled and signed once, when the result is built.
 
 Before any Smith form, ``_reduction`` reduces the complex, for ``homology``
 and ``HomologyCoordinates`` alike, by Gaussian elimination of chain
@@ -309,8 +311,17 @@ class SparseIntMatrix:
 # Smith normal form
 # ----------------------------------------------------------------------
 
+def _moving(own, other, p: int, q: int):
+    """Where p*own + q*other can differ from own, own and other being the
+    entry positions of two lines: other's unless q = 0, and own's unless p = 1."""
+    if p == 1:
+        return other if q else ()
+    return set(own) | set(other) if q else own
+
+
 class _Work:
-    """Mutable dict-of-rows sparse matrix with a column occupancy index."""
+    """Mutable dict-of-rows sparse matrix with a column occupancy index; its
+    one elementary operation combines two rows or two columns."""
 
     def __init__(self, entries, nrows, ncols):
         self.nrows, self.ncols = nrows, ncols
@@ -333,34 +344,21 @@ class _Work:
                 del row[c]
                 self.cols[c].discard(r)
 
-    def row_add(self, dest, src, q):
-        if not q:
-            return
-        for c, v in list(self.rows.get(src, {}).items()):
-            self._set(dest, c, self.get(dest, c) + q * v)
-
-    def col_add(self, dest, src, q):
-        if not q:
-            return
-        for r in list(self.cols.get(src, set())):
-            self._set(r, dest, self.get(r, dest) + q * self.rows[r][src])
-
     def row_combine(self, i, j, x, y, z, w):
         """rows (i, j) <- (x*ri + y*rj, z*ri + w*rj); det must be +-1."""
-        ri, rj = dict(self.rows.get(i, {})), dict(self.rows.get(j, {}))
-        for c in set(ri) | set(rj):
-            a, b = ri.get(c, 0), rj.get(c, 0)
-            self._set(i, c, x * a + y * b)
-            self._set(j, c, z * a + w * b)
+        new = [(r, c, p * self.get(r, c) + q * self.get(s, c))
+               for r, s, p, q in ((i, j, x, y), (j, i, w, z))
+               for c in _moving(self.rows.get(r, {}), self.rows.get(s, {}), p, q)]
+        for r, c, v in new:
+            self._set(r, c, v)
 
     def col_combine(self, i, j, x, y, z, w):
         """cols (i, j) <- (x*ci + y*cj, z*ci + w*cj); det must be +-1."""
-        touched = self.cols.get(i, set()) | self.cols.get(j, set())
-        for r in list(touched):
-            row = self.rows.get(r, {})
-            a, b = row.get(i, 0), row.get(j, 0)
-            self._set(r, i, x * a + y * b)
-            self._set(r, j, z * a + w * b)
+        new = [(r, c, p * self.get(r, c) + q * self.get(r, d))
+               for c, d, p, q in ((i, j, x, y), (j, i, w, z))
+               for r in _moving(self.cols.get(c, ()), self.cols.get(d, ()), p, q)]
+        for r, c, v in new:
+            self._set(r, c, v)
 
     def entries(self):
         return [(r, c, v) for r, row in self.rows.items() for c, v in row.items()]
@@ -401,7 +399,11 @@ class SmithNormalForm:
 
 
 class _Transforms:
-    """U, V and their inverses updated alongside row/column operations.
+    """U, V and their inverses, updated by each combination of M's lines.
+
+    A combination (x, y, z, w) of rows i, j of M is made on rows i, j of U,
+    and its inverse (w, -z, -y, x) on columns i, j of U_inv; likewise for
+    columns, V and V_inv.
 
     ``track`` is "both", "left" (row transforms only), "right" (column
     transforms only) or False (none, for :func:`invariant_factors`).
@@ -419,16 +421,6 @@ class _Transforms:
             self.V = _Work(eye_c, ncols, ncols)
             self.Vinv = _Work(list(eye_c), ncols, ncols)
 
-    def row_add(self, dest, src, q):
-        if self.left:
-            self.U.row_add(dest, src, q)
-            self.Uinv.col_add(src, dest, -q)
-
-    def col_add(self, dest, src, q):
-        if self.right:
-            self.V.col_add(dest, src, q)
-            self.Vinv.row_add(src, dest, -q)
-
     def row_combine(self, i, j, x, y, z, w):
         if self.left:
             self.U.row_combine(i, j, x, y, z, w)
@@ -442,54 +434,36 @@ class _Transforms:
 
 def _pick_pivot(work: _Work):
     """Markowitz scan of the non-unit residual: the least entry of least fill-in."""
-    best = None
-    best_key = None
-    for r, row in work.rows.items():
-        rlen = len(row)
-        for c, v in row.items():
-            key = (abs(v), (rlen - 1) * (len(work.cols[c]) - 1), r, c)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (r, c)
-    return best
+    keys = ((abs(v), (len(row) - 1) * (len(work.cols[c]) - 1), r, c)
+            for r, row in work.rows.items() for c, v in row.items())
+    best = min(keys, default=None)
+    return None if best is None else best[2:]
 
 
 def _eliminate_at(work: _Work, tr: _Transforms, r: int, c: int) -> int:
-    """Clear row r and column c down to the single pivot entry."""
+    """Clear column c, then row r, until both hold the pivot alone; returns it.
+
+    Each step clears the entry b of another line against the pivot a by the
+    combination (x, y, -b/g, a/g) of the pivot line and that line, with
+    (g, x, y) = (a, 1, 0) if a divides b and ``_xgcd(a, b)`` otherwise.
+    """
+    def step(combines, pivot, other, a, b):
+        g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
+        for combine in combines:
+            combine(pivot, other, x, y, -(b // g), a // g)
+        return g
+
+    rows, cols = (work.row_combine, tr.row_combine), (work.col_combine, tr.col_combine)
+    a = work.get(r, c)
     while True:
-        a = work.get(r, c)
-        col_rows = [rr for rr in work.cols.get(c, set()) if rr != r]
-        for rr in col_rows:
-            b = work.get(rr, c)
-            if not b:
-                continue
-            if b % a == 0:
-                q = -(b // a)
-                work.row_add(rr, r, q)
-                tr.row_add(rr, r, q)
-            else:
-                g, x, y = _xgcd(a, b)
-                work.row_combine(r, rr, x, y, -(b // g), a // g)
-                tr.row_combine(r, rr, x, y, -(b // g), a // g)
-                a = g
-        row_cols = [cc for cc in work.rows.get(r, {}) if cc != c]
+        for rr in [rr for rr in work.cols[c] if rr != r]:
+            a = step(rows, r, rr, a, work.get(rr, c))
+        # the column holds the pivot alone; a gcd step on the row may refill it
+        row_cols = [cc for cc in work.rows[r] if cc != c]
         if not row_cols:
-            if all(work.get(rr, c) == 0 for rr in list(work.cols.get(c, set())) if rr != r):
-                return a
-            continue
+            return a
         for cc in row_cols:
-            b = work.get(r, cc)
-            if not b:
-                continue
-            if b % a == 0:
-                q = -(b // a)
-                work.col_add(cc, c, q)
-                tr.col_add(cc, c, q)
-            else:
-                g, x, y = _xgcd(a, b)
-                work.col_combine(c, cc, x, y, -(b // g), a // g)
-                tr.col_combine(c, cc, x, y, -(b // g), a // g)
-                a = g
+            a = step(cols, c, cc, a, work.get(r, cc))
 
 
 class _PivotQueue:
@@ -555,10 +529,10 @@ def _eliminate(work: _Work, tr: _Transforms) -> list[tuple[int, int, int]]:
                 col, row = log
                 for rr, b in col.items():
                     if rr != r:
-                        tr.row_add(rr, r, -b * lam)
+                        tr.row_combine(rr, r, 1, -b * lam, 0, 1)
                 for cc, b in row.items():
                     if cc != c:
-                        tr.col_add(cc, c, -b * lam)
+                        tr.col_combine(cc, c, 1, -b * lam, 0, 1)
             pivots.append((r, c, lam))
         pick = _pick_pivot(work)
         if pick is None:
@@ -657,8 +631,8 @@ def _snf_core(M: SparseIntMatrix, track: str | bool) -> SmithNormalForm:
             a = work.get(prow[t], pcol[t])
             b = work.get(prow[t + 1], pcol[t + 1])
             if b % a != 0:
-                work.col_add(pcol[t], pcol[t + 1], 1)
-                tr.col_add(pcol[t], pcol[t + 1], 1)
+                work.col_combine(pcol[t], pcol[t + 1], 1, 1, 0, 1)
+                tr.col_combine(pcol[t], pcol[t + 1], 1, 1, 0, 1)
                 _eliminate_at(work, tr, prow[t], pcol[t])
                 changed = True
 

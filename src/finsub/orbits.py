@@ -151,7 +151,8 @@ class Sequences:
         """Rows of n members whose ascent masks cover 0..level-1, in
         lexicographic order: multisets, or sets padded with their least
         member.  Each member covers at most min(level, dim X) positions,
-        which prunes partial rows that cannot be completed."""
+        which prunes partial rows that cannot be completed; the last round
+        keeps no row with a position uncovered, so every row is :meth:`covered`."""
         mask = self.mask[level]
         full = (1 << level) - 1
         most = min(level, self.dimension)
@@ -295,12 +296,11 @@ class OrbitSpace(NondegenerateComplex):
         self.keys: list[np.ndarray] = []
         for k in range(X.truncation + 1):
             rows = X.nondegenerate_rows(k, form.n, form.sets)
-            keep = X.covered(rows, k)
             if form.select is not None:
-                keep &= form.select(X, rows, k)
+                rows = rows[form.select(X, rows, k)]
             if form.canon is not None:
-                keep &= (form.canon(X, rows, k) == rows).all(axis=1)
-            self.rows.append(rows[keep])
+                rows = rows[(form.canon(X, rows, k) == rows).all(axis=1)]
+            self.rows.append(rows)
             self.keys.append(X.keys(self.rows[-1], k))
         faces = [None] + [np.stack([self.locate(X.faces[k][:, i][self.rows[k]], k - 1)
                                     for i in range(k + 1)], axis=1).reshape(-1, k + 1)

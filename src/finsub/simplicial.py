@@ -400,10 +400,11 @@ def from_ordered_complex(spec: OrderedComplexSpec, truncation: int) -> Truncated
     The simplicial-set view of the orbit engine's table of X's cells
     (``orbits.Sequences``): level-k cells are the monotone (k+1)-tuples of
     vertices whose distinct entries span a simplex, in lexicographic order,
-    and counts, faces and payloads are the table's.  A cell is fixed by its
-    simplex and its ascent mask, and s_j inserts a 0 into the mask at
-    position j, so s_j(c) is looked up by the key simplex * 2^(k+1) + mask
-    of level k+1.  The nondegenerate cells are exactly the ordered simplices.
+    and counts, faces and payloads are the table's.  s_j(c) is the one
+    level-(k+1) cell e with d_j e = d_(j+1) e = c: deleting the j-th or the
+    (j+1)-th vertex of a sequence gives the same sequence exactly when the
+    two vertices are equal, and then e is c with its j-th vertex repeated.
+    The nondegenerate cells are exactly the ordered simplices.
     """
     if truncation < spec.dimension:
         raise SimplicialError(
@@ -412,13 +413,10 @@ def from_ordered_complex(spec: OrderedComplexSpec, truncation: int) -> Truncated
     X = Sequences(spec, truncation)
     degens: list[np.ndarray] = []
     for k in range(truncation):
-        up = (X.simplex[k + 1] << (k + 1)) | X.mask[k + 1]
-        order = np.argsort(up)
-        mask, table = X.mask[k], np.empty((X.counts[k], k + 1), dtype=np.int64)
+        faces, table = X.faces[k + 1], np.empty((X.counts[k], k + 1), dtype=np.int64)
         for j in range(k + 1):
-            inserted = (mask & ((1 << j) - 1)) | ((mask >> j) << (j + 1))
-            table[:, j] = order[np.searchsorted(up, (X.simplex[k] << (k + 1)) | inserted,
-                                                sorter=order)]
+            repeat = np.flatnonzero(faces[:, j] == faces[:, j + 1])
+            table[faces[repeat, j], j] = repeat
         degens.append(table)
     return TruncatedSimplicialSet(truncation, X.counts, X.faces, degens, X.label,
                                   name=spec.name)

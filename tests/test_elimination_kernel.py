@@ -232,8 +232,8 @@ def reference_smith_normal_form(M, track):
         changed = False
         for t in range(k - 1):
             if work.get(t + 1, t + 1) % work.get(t, t):
-                work.col_add(t, t + 1, 1)
-                tr.col_add(t, t + 1, 1)
+                work.col_combine(t, t + 1, 1, 1, 0, 1)
+                tr.col_combine(t, t + 1, 1, 1, 0, 1)
                 _eliminate_at(work, tr, t, t)
                 changed = True
     diagonal = []

@@ -157,6 +157,28 @@ def test_sequences_memory_grows_with_cells_not_cells_times_vertices():
     assert peak < 64 * 2 ** 20
 
 
+def _assert_nondegenerate_rows_are_covered(spec, most=3):
+    # OrbitSpace takes these rows without checking their cover again
+    for n in range(1, most + 1):
+        X = orbits.Sequences(spec, orbits.default_truncation(spec, n))
+        for k in range(X.truncation + 1):
+            for sets in (False, True):
+                assert X.covered(X.nondegenerate_rows(k, n, sets), k).all()
+
+
+@pytest.mark.parametrize("name", ["interval", "circle3", "circle4", "sphere2", "sphere3",
+                                  "torus", "rp2", "wedge_circles2"])
+def test_nondegenerate_rows_are_covered(name):
+    # SP^3 of the 3-sphere, truncated at level 10, alone would take seconds
+    _assert_nondegenerate_rows_are_covered(builtin_space(name), 2 if name == "sphere3" else 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=complexes())
+def test_nondegenerate_rows_are_covered_on_random_complexes(spec):
+    _assert_nondegenerate_rows_are_covered(spec)
+
+
 def _form(faces, ranks):
     return NondegenerateComplex("t", ranks, [None] + faces, ranks, lambda k, i: i)
 

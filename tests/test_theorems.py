@@ -17,10 +17,15 @@ presentations or the homology of the spaces finsub builds:
   Betti numbers: b_k is the coefficient of x^n t^k in
   (1 + xt)^(2g) / ((1 - x)(1 - xt^2)), so b_k = b_(2n-k) and H_2n = Z;
 - SP^n(RP^2) = RP^2n, whose homology is Z/2 in each odd degree below 2n
-  and 0 in each even degree from 2 to 2n.
+  and 0 in each even degree from 2 to 2n;
+- Dold (*Ann. Math.* 1958): H_*(SP^n X) depends only on H_*(X), so over Z
+  and over F_2 it is the same for X, for X with its vertices relabelled and
+  for the barycentric subdivision of X, both built here from X's simplices.
 """
 
-from itertools import combinations
+import json
+import random
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -30,7 +35,7 @@ from hypothesis import strategies as st
 from finsub.constructions import finite_subset_space, symmetric_product
 from finsub.fundamental import fundamental_presentation, tietze_simplify
 from finsub.homology import homology, homology_of_sset
-from finsub.spaces import builtin_space
+from finsub.spaces import builtin_space, load_complex
 from finsub.surface import builtin_presentation, sp_chain_complex
 from test_orbits import complexes
 
@@ -133,3 +138,46 @@ def test_symmetric_products_of_rp2_are_projective_spaces(n):
     assert all((groups[k].betti, groups[k].torsion) == (0, (2,)) for k in range(1, 2 * n, 2))
     assert all(groups[k].is_zero for k in range(2, 2 * n + 1, 2))
     assert all(h.is_zero for h in groups[2 * n + 1:])
+
+
+def _complex(name, vertex_count, simplices):
+    return load_complex(json.dumps({"name": name, "vertices": vertex_count,
+                                    "simplices": [sorted(s) for s in simplices]}))
+
+
+def _relabelled(spec, seed):
+    perm = list(range(spec.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return _complex(f"{spec.name}-relabelled", spec.vertex_count,
+                    [[perm[v] for v in s] for s in spec.maximal_simplices])
+
+
+def _subdivided(spec):
+    """sd X: a vertex for each face of X, and a simplex for each chain of
+    faces; the maximal chains are the flags {v_0} < {v_0, v_1} < ... of
+    each maximal simplex, one for each order of its vertices."""
+    faces = sorted({frozenset(face) for simplex in spec.maximal_simplices
+                    for size in range(1, len(simplex) + 1)
+                    for face in combinations(simplex, size)},
+                   key=lambda face: (len(face), sorted(face)))
+    index = {face: i for i, face in enumerate(faces)}
+    flags = [[index[frozenset(order[:i])] for i in range(1, len(order) + 1)]
+             for simplex in spec.maximal_simplices for order in permutations(simplex)]
+    return _complex(f"sd-{spec.name}", len(faces), flags)
+
+
+def _sp_homology(spec, n):
+    space = symmetric_product(spec, n).space
+    return [[(h.betti, h.torsion) for h in homology_of_sset(space, mod=p).groups]
+            for p in (None, 2)]
+
+
+@pytest.mark.parametrize("name, n", [("circle3", 2), ("circle3", 3), ("circle4", 3),
+                                     ("sphere2", 2), ("rp2", 2), ("torus", 2)])
+def test_dold_homology_of_symmetric_products_is_a_homotopy_invariant(name, n):
+    # circle3 and sphere2 bound a simplex, so each relabelling leaves them
+    # as they are; circle4, rp2 and torus are relabelled for real
+    spec = builtin_space(name)
+    expected = _sp_homology(spec, n)
+    assert _sp_homology(_relabelled(spec, seed=n), n) == expected
+    assert _sp_homology(_subdivided(spec), n) == expected
