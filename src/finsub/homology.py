@@ -34,46 +34,54 @@ d'_k = D - alpha lam^-1 beta; d_(k+1) loses row a and d_(k-1) loses
 column b.
 
 The pairs come in two passes.  First ``_coreduce`` takes coreductions
-(Mrozek-Batko, *DCG* 2009) in numpy: a is a cell whose boundary, among the
-cells still alive, is a single +-1 on b.  Then alpha = 0, so the pair
-leaves no fill, and what is left is C on the cells still alive.  A
-simplicial complex has no such pair at first, so the pass is seeded.  When
-C_0 != 0 and every column of d_1 sums to zero (the augmentation eps, 1 on
-every vertex, has eps o d_1 = 0, checked exactly), eps splits
-<v_0> off C, so H_0(C) = Z + H_0(C/<v_0>) and H_k(C) = H_k(C/<v_0>) for
-k > 0: vertex 0 is set aside, and ``homology`` adds one to b_0.  A complex
-that fails the check, such as d_1 = (2), is not seeded.  The degrees are
-swept once, from 1 up, since pairs of degree k take cells of degrees k
-and k - 1 and so lower the live counts of d_k and d_(k+1) only; within a
-degree, only the columns whose live count a round brings down to 1 are
-looked at in the next round.  Then ``_reduce`` takes the unit pivots of
-each boundary of what is left, from the top down, so each d_k drops the
-columns that d_(k+1) paired before its own pivots are taken.  The
-residual complex has the homology of C, and the Smith forms see only it;
-over F_p every nonzero entry is a unit, so its boundaries vanish.
+(Mrozek-Batko, *DCG* 2009) in numpy rounds: a is a live cell whose
+boundary, among the live cells, is a single +-1 on b.  A cell is live
+until it is paired or made critical.  The degrees are swept once, from 1
+up; within a degree, only the columns whose live count a round brings
+down to 1 are looked at in the next round.  When no such a is left in
+degree k, the least live (k-1)-cell, whose live boundary is empty by
+then, is made critical: it stays in the complex but leaves the live rows
+of d_k, which may free new pairs.  So vertex 0 is the first critical
+cell, and no complex needs a special case in H_0.  When no (k-1)-cell is
+live the sweep goes up a degree, and the top cells still live at the end
+are critical.  A pair's column a holds only b and critical rows, so its
+Schur complement changes critical rows only and a live row is never
+filled; the pairs of one round do not meet, since a_j's only live face is
+b_j; and a critical k-cell is chosen only after the pairs of d_k, when its
+column is final.  What is left is the algebraic Morse complex on the
+critical cells (Harker-Mischaikow-Mrozek-Nanda), whose boundary is
+phi o d with phi as below.  Then ``_reduce`` takes the unit pivots of
+each Morse boundary, from the top down, so each d_k drops the columns
+that d_(k+1) paired before its own pivots are taken; only a cell whose
+live entry was not a unit, such as the edge of d_1 = (2), reaches it
+beyond the homology's own generators.  The residual complex has the
+homology of C, and the Smith forms see only it; over F_p every nonzero
+entry is a unit, so its boundaries vanish.
 
 The reduction is a chain equivalence, which ``HomologyCoordinates``
 crosses both ways with the log of its pairs.  Between cycles of C and of
 the residual it maps by
 
-- phi_k (C to residual): for each unit pivot (b, a, lam) of d_(k+1), in
-  order, v[x] -= col[x] * lam^-1 * v[b] for every row x != b of its column
-  just before it was cleared, and v[b] is dropped; then v is restricted to
-  the residual's generators.  A coreduction pair has alpha = 0, so phi
-  only drops its cells;
+- phi_k (C to residual): first v goes to the critical k-cells by the
+  image of each cell: a critical cell is its own image, the cell a of a
+  pair of d_k has none, and the face b of a pair (b, a, lam) of d_(k+1)
+  maps to -lam^-1 times the critical part of a's column as the pair found
+  it, which is phi of the rest of that column.  No pair changes v[b] of
+  another, so all images apply at once.  Then for each unit pivot
+  (b, a, lam) of the Morse d_(k+1), in order, v[x] -= col[x] * lam^-1 *
+  v[b] for every row x != b of its column just before it was cleared, and
+  v[b] is dropped; then v is restricted to the residual's generators;
 - psi_k (residual to C): for each pair (b, a, lam) of d_k, the unit
   pivots and then the coreductions, each in reverse order,
   z[a] = -lam^-1 * sum over x != a of row[x] * z[x], with row b of d_k as
-  the pivot found it.  For a coreduction, row b of C's d_k will do: its
-  cells that were no longer alive still have z = 0 at that point.
+  the pivot found it.  For a coreduction, row b of C's d_k will do: a
+  live row is never filled, and its cells that were no longer alive still
+  have z = 0 at that point.
 
 phi o psi is the identity of the residual, and psi o phi is homotopic to
-the identity, so the two induce inverse isomorphisms on homology.  The
-vertex set aside by the seed is H_0's last generator, with cycle
-{v_0: 1} and coordinate eps(v); the other generators of H_0 lift as
-w - eps(w) v_0.  Each free generator is oriented so that its cycle is
-positive on its least cell, which fixes a generator of Z whichever pairs
-the reduction took.
+the identity, so the two induce inverse isomorphisms on homology.  Each
+free generator is oriented so that its cycle is positive on its least
+cell, which fixes a generator of Z whichever pairs the reduction took.
 """
 
 from __future__ import annotations
@@ -111,12 +119,15 @@ PRODUCT_BLOCK = 1 << 19
 INT64_ENTRY_BOUND = 1 << 16
 
 
+def _ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start[i], ..., start[i] + lengths[i] - 1 of each i, in order."""
+    ends = np.cumsum(lengths)
+    return np.repeat(start - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
 def _segments(ptr: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """The positions ptr[i], ..., ptr[i + 1] - 1 of each line i, in order."""
-    start = ptr[lines]
-    lengths = ptr[lines + 1] - start
-    return np.repeat(start - (np.cumsum(lengths) - lengths), lengths) \
-        + np.arange(int(lengths.sum()))
+    return _ranges(ptr[lines], ptr[lines + 1] - ptr[lines])
 
 
 def _entry_values(vals: np.ndarray) -> np.ndarray:
@@ -145,14 +156,6 @@ def _normalized(nrows: int, ncols: int, rows, cols, vals) -> tuple[np.ndarray, .
     return key // ncols, key % ncols, _entry_values(vals[nonzero])
 
 
-def _column_major(M: "SparseIntMatrix") -> tuple[np.ndarray, ...]:
-    """M's entries by column: the start of each column and the rows and
-    values of its entries, in order."""
-    rows, cols, vals = M.arrays
-    order = np.argsort(cols, kind="stable")
-    return np.searchsorted(cols[order], np.arange(M.ncols + 1)), rows[order], vals[order]
-
-
 class SparseIntMatrix:
     """Immutable sparse matrix with arbitrary-precision integer entries.
 
@@ -162,13 +165,17 @@ class SparseIntMatrix:
     object array otherwise; the bound is checked after the entries at one
     position are summed, and every reader takes one path for both.  Below
     the bound each int64 sum and product this module forms is exact.  A
-    sum of entries, such as a duplicate or column sum, stays under 2^63
-    for fewer than 2^47 terms.  An entry product is under 2^32, so an
-    entry of a matrix product, as in the d o d check, would need more than
-    2^31 terms to overflow.
+    sum of entries, such as a duplicate sum, stays under 2^63 for fewer
+    than 2^47 terms.  An entry product is under 2^32, so an entry of a
+    matrix product, as in the d o d check or the fill of ``_coreduce``,
+    would need more than 2^31 terms to overflow.
+
+    The entries by column are sorted out once, on first use, and kept:
+    :meth:`column_major` serves the d o d check, the coreduction and
+    :meth:`columns` alike.
     """
 
-    __slots__ = ("nrows", "ncols", "arrays", "_cols")
+    __slots__ = ("nrows", "ncols", "arrays", "_by_column", "_cols")
 
     def __init__(self, nrows: int, ncols: int, entries=()):
         self.nrows = int(nrows)
@@ -176,7 +183,7 @@ class SparseIntMatrix:
         table = list(entries)
         rows, cols, vals = zip(*table) if table else ((), (), ())
         self.arrays = _normalized(self.nrows, self.ncols, rows, cols, np.array(vals, dtype=object))
-        self._cols = None
+        self._by_column = self._cols = None
 
     @classmethod
     def from_arrays(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
@@ -185,7 +192,8 @@ class SparseIntMatrix:
         in int64 or as Python ints; entries at the same position are
         summed, as by the constructor."""
         out = cls.__new__(cls)
-        out.nrows, out.ncols, out._cols = int(nrows), int(ncols), None
+        out.nrows, out.ncols = int(nrows), int(ncols)
+        out._by_column = out._cols = None
         out.arrays = _normalized(out.nrows, out.ncols, rows, cols, values)
         return out
 
@@ -219,12 +227,24 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return len(self.arrays[0])
 
+    def column_major(self) -> tuple[np.ndarray, ...]:
+        """The entries by column: the start of each column and the rows and
+        values of its entries, in order."""
+        if self._by_column is None:
+            rows, cols, vals = self.arrays
+            order = np.argsort(cols, kind="stable")
+            self._by_column = (np.searchsorted(cols[order], np.arange(self.ncols + 1)),
+                               rows[order], vals[order])
+        return self._by_column
+
     def columns(self) -> dict[int, list[tuple[int, int]]]:
+        """``{column: [(row, value), ...]}`` over the nonzero columns."""
         if self._cols is None:
-            cols: dict[int, list[tuple[int, int]]] = {}
-            for r, c, v in self.entries:
-                cols.setdefault(c, []).append((r, v))
-            self._cols = cols
+            ptr, rows, vals = self.column_major()
+            entries = list(zip(rows.tolist(), vals.tolist()))
+            bounds = ptr.tolist()
+            self._cols = {c: entries[lo:hi] for c, (lo, hi)
+                          in enumerate(zip(bounds, bounds[1:])) if hi > lo}
         return self._cols
 
     def matvec(self, vec: dict[int, int]) -> dict[int, int]:
@@ -269,8 +289,8 @@ class SparseIntMatrix:
             raise HomologyError("matmul: shape mismatch")
         if self.nnz == 0 or other.nnz == 0:
             return True
-        start, a_rows, a_vals = _column_major(self)
-        b_ptr, b_rows, b_vals = _column_major(other)
+        start, a_rows, a_vals = self.column_major()
+        b_ptr, b_rows, b_vals = other.column_major()
         b_cols = np.repeat(np.arange(other.ncols), np.diff(b_ptr))
         # each entry (k, j) of other meets the entries of column k of self
         meets = start[b_rows + 1] - start[b_rows]
@@ -445,7 +465,10 @@ def _eliminate_at(work: _Work, tr: _Transforms, r: int, c: int) -> int:
 
     Each step clears the entry b of another line against the pivot a by the
     combination (x, y, -b/g, a/g) of the pivot line and that line, with
-    (g, x, y) = (a, 1, 0) if a divides b and ``_xgcd(a, b)`` otherwise.
+    (g, x, y) = (a, 1, 0) if a divides b and ``_xgcd(a, b)`` otherwise.  The
+    other lines are visited in ascending order, so the steps, and with them
+    the transforms, depend on the matrix alone and not on the history of
+    ``work``'s sets and dicts.
     """
     def step(combines, pivot, other, a, b):
         g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
@@ -456,10 +479,10 @@ def _eliminate_at(work: _Work, tr: _Transforms, r: int, c: int) -> int:
     rows, cols = (work.row_combine, tr.row_combine), (work.col_combine, tr.col_combine)
     a = work.get(r, c)
     while True:
-        for rr in [rr for rr in work.cols[c] if rr != r]:
+        for rr in sorted(rr for rr in work.cols[c] if rr != r):
             a = step(rows, r, rr, a, work.get(rr, c))
         # the column holds the pivot alone; a gcd step on the row may refill it
-        row_cols = [cc for cc in work.rows[r] if cc != c]
+        row_cols = sorted(cc for cc in work.rows[r] if cc != c)
         if not row_cols:
             return a
         for cc in row_cols:
@@ -817,91 +840,148 @@ class HomologyResult:
 
 class _Incidence:
     """A boundary's entries by row and by column, with the number of live
-    rows in each column."""
+    rows in each column; ``live`` marks the live rows at the start."""
 
-    def __init__(self, M: SparseIntMatrix):
-        self.arrays = M.arrays
-        self.row_ptr = np.searchsorted(M.arrays[0], np.arange(M.nrows + 1))
-        self.col_ptr, self.col_rows, self.col_vals = _column_major(M)
-        self.live = np.diff(self.col_ptr)
-
-    def column_sums(self) -> np.ndarray:
-        return np.diff(np.r_[0, np.cumsum(self.col_vals)][self.col_ptr])
+    def __init__(self, M: SparseIntMatrix, live: np.ndarray):
+        rows, self.row_cols, self.row_vals = M.arrays
+        self.row_ptr = np.searchsorted(rows, np.arange(M.nrows + 1))
+        self.col_ptr, self.col_rows, self.col_vals = M.column_major()
+        self.live = np.bincount(self.row_cols[live[rows]], minlength=M.ncols)
 
     def kill_rows(self, dead: np.ndarray) -> np.ndarray:
         """Take the rows ``dead`` out of the live counts; returns the column
         of each of their entries."""
-        hit = self.arrays[1][_segments(self.row_ptr, dead)]
+        hit = self.row_cols[_segments(self.row_ptr, dead)]
         np.subtract.at(self.live, hit, 1)
         return hit
 
 
-def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], bool, dict]:
-    """The cells of C that its coreduction pairs leave alive, whether
-    vertex 0 was set aside (the seed, which adds one to b_0), and the pairs.
+def _pull(d: _Incidence, images: dict, has_image: np.ndarray,
+          cells: np.ndarray) -> dict[int, dict[int, int]]:
+    """phi o d on the columns ``cells`` of d, by the images set so far:
+    ``{i: {critical cell: value}}`` for the i-th of cells."""
+    lengths = d.col_ptr[cells + 1] - d.col_ptr[cells]
+    pos = _ranges(d.col_ptr[cells], lengths)
+    rows = d.col_rows[pos]
+    keep = has_image[rows]
+    out: dict[int, dict[int, int]] = {}
+    for i, y, v in zip(np.repeat(np.arange(len(cells)), lengths)[keep].tolist(),
+                       rows[keep].tolist(), d.col_vals[pos[keep]].tolist()):
+        acc = out.setdefault(i, {})
+        for x, w in images[y].items():
+            acc[x] = acc.get(x, 0) + v * w
+    return out
+
+
+def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], dict, dict, list[dict]]:
+    """The critical cells of C, its Morse boundaries on them, the pairs,
+    and phi on the cells of each degree.
 
     A live k-cell whose live boundary is a single +-1 on a (k-1)-cell is
-    eliminated with that cell, which creates no fill (see the module
-    docstring).  The degrees are swept from 1 up, each in rounds: every
-    face is paired with the least candidate cell on it, and only columns
-    whose live count a round brings down to 1 are candidates in the next.
-    ``pairs[k]`` lists (cells, faces, entries) of the pairs of d_k round by
-    round, then gives d_k's rows as CSR arrays (row_ptr, columns, values).
-    The values are those of C's matrices, int64 or Python ints alike.
+    paired with it (see the module docstring).  The degrees are swept from
+    1 up, each in rounds: every face is paired with the least candidate
+    cell on it, and only columns whose live count a round brings down to 1
+    are candidates in the next.  When no candidate is left, the least live
+    (k-1)-cell becomes critical, and the columns on it lose a live row; a
+    (k-1)-cell on no k-cell is made critical at the start, which gives the
+    same result.  When no (k-1)-cell is live, the sweep goes up a degree;
+    the live top cells become critical at the end.
+
+    ``critical[k]`` marks the critical k-cells, and ``morse[k]`` is the
+    Morse boundary on them in C's numbering.  ``pairs[k]`` lists (cells,
+    faces, entries) of the pairs of d_k round by round, then gives d_k's
+    rows as CSR arrays (row_ptr, columns, values).  ``images[k]`` holds
+    phi_k on the k-cells whose image is not 0, as ``{cell: {critical cell:
+    value}}``: 1 on itself for a critical cell, and -lam^-1 times the
+    critical part of a's column for the face b of a pair (b, a, lam).  The
+    values of C's matrices are int64 or Python ints alike; the images are
+    Python ints.
     """
     top = C.top_degree
     alive = [np.ones(n, dtype=bool) for n in C.ranks]
-    d = [None] + [_Incidence(C.boundary(k)) for k in range(1, top + 1)]
-    seeded = C.ranks[0] > 0 and (top == 0 or not d[1].column_sums().any())
-    if seeded:
-        alive[0][0] = False
-        if top:
-            d[1].kill_rows(np.zeros(1, dtype=np.int64))
+    critical = [np.zeros(n, dtype=bool) for n in C.ranks]
+    has_image = [np.zeros(n, dtype=bool) for n in C.ranks]
+    images: list[dict[int, dict[int, int]]] = [{} for _ in C.ranks]
+
+    def set_aside(j: int, cells: list[int]) -> None:
+        alive[j][cells] = False
+        critical[j][cells] = has_image[j][cells] = True
+        images[j].update((x, {x: 1}) for x in cells)
+
+    d = [None]
     pairs = {}
     for k in range(1, top + 1):
-        dk, taken = d[k], []
+        # the pairs of d_(k-1) took their cells out of d_k's live rows
+        d.append(_Incidence(C.boundary(k), alive[k - 1]))
+        dk, faces_alive, image, taken = d[k], alive[k - 1], images[k - 1], []
+        set_aside(k - 1, np.flatnonzero(faces_alive & (np.diff(dk.row_ptr) == 0)).tolist())
+        low = 0   # no (k-1)-cell below it is live
         candidates = np.flatnonzero(alive[k] & (dk.live == 1))
-        while candidates.size:
-            # each candidate's one live entry, in candidate order
+        while True:
+            if not candidates.size:
+                # every live (k-1)-cell has an empty live boundary by now
+                if low < len(faces_alive):
+                    low += int(faces_alive[low:].argmax())
+                if low == len(faces_alive) or not faces_alive[low]:
+                    break
+                set_aside(k - 1, [low])
+                hit = dk.kill_rows(np.array([low]))
+                candidates = hit[(dk.live[hit] == 1) & alive[k][hit]]
+                continue
             pos = _segments(dk.col_ptr, candidates)
-            pos = pos[alive[k - 1][dk.col_rows[pos]]]
-            unit = np.abs(dk.col_vals[pos]) == 1
-            cells, pos = candidates[unit], pos[unit]
-            order = np.lexsort((cells, dk.col_rows[pos]))
-            cells, faces, lams = cells[order], dk.col_rows[pos[order]], dk.col_vals[pos[order]]
+            rows = dk.col_rows[pos]
+            # each candidate's one live entry, in candidate order
+            live = pos[faces_alive[rows]]
+            unit = (np.abs(dk.col_vals[live]) == 1).nonzero()[0]
+            faces = dk.col_rows[live[unit]]
+            order = np.lexsort((candidates[unit], faces))
+            faces = faces[order]
             first = np.ones(len(faces), dtype=bool)
             first[1:] = faces[1:] != faces[:-1]
-            cells, faces = cells[first], faces[first]
-            taken.append((cells, faces, lams[first]))
+            pick = unit[order[first]]
+            cells, faces, lams = candidates[pick], faces[first], dk.col_vals[live[pick]]
+            if has_image[k - 1][rows].any():
+                # the face b of (b, a, lam) maps to -lam^-1 = -lam times a's critical part
+                for i, part in _pull(dk, image, has_image[k - 1], cells).items():
+                    lam = int(lams[i])
+                    if part := {x: -lam * v for x, v in part.items() if v}:
+                        image[int(faces[i])] = part
+                        has_image[k - 1][faces[i]] = True
+            taken.append((cells, faces, lams))
             alive[k][cells] = False
-            alive[k - 1][faces] = False
-            if k < top:
-                d[k + 1].kill_rows(cells)
+            faces_alive[faces] = False
             hit = dk.kill_rows(faces)
             candidates = hit[(dk.live[hit] == 1) & alive[k][hit]]
-        pairs[k] = (taken, dk.row_ptr, *dk.arrays[1:])
-    return alive, seeded, pairs
+        pairs[k] = (taken, dk.row_ptr, dk.row_cols, dk.row_vals)
+    set_aside(top, np.flatnonzero(alive[top]).tolist())
+    morse = {}
+    for k in range(1, top + 1):
+        cells = np.flatnonzero(critical[k])
+        columns = _pull(d[k], images[k - 1], has_image[k - 1], cells)
+        morse[k] = SparseIntMatrix(C.ranks[k - 1], C.ranks[k], [
+            (x, int(cells[i]), v) for i, column in columns.items() for x, v in column.items()])
+    return critical, morse, pairs, images
 
 
 def _reduction(C: ChainComplexZ, p: int | None = None, log: bool = False):
-    """The residual of C after its coreduction pairs and then its unit
-    pivots, and whether vertex 0 was set aside (see the module docstring).
+    """The residual of C: its Morse complex on the critical cells of
+    :func:`_coreduce`, reduced by its unit pivots (see the module
+    docstring).
 
-    Each boundary, from the top down, over Z or as residues mod p, is
-    reduced by :func:`_reduce` on the cells that :func:`_coreduce` and the
-    pivots above left; its work is released before the next is built.
-    Returns ``(residual, seeded, log)``; ``log`` is None unless asked for,
-    and then holds what phi and psi need, ``(index, pairs, units)``: the
-    residual generator of each cell left in each degree, the coreduction
-    pairs, and the unit pivots of each d_k as :func:`_reduce` logs them.
+    Each Morse boundary, from the top down, over Z or as residues mod p, is
+    reduced by :func:`_reduce` on the critical cells that the pivots above
+    left.  Returns ``(residual, log)``; ``log`` is None unless asked for,
+    and then holds what phi and psi need, ``(index, pairs, units, images)``:
+    the residual generator of each cell left in each degree, the pairs and
+    the images of :func:`_coreduce`, and the unit pivots of each Morse
+    boundary as :func:`_reduce` logs them.
     """
-    alive, seeded, pairs = _coreduce(C)
+    alive, morse, pairs, images = _coreduce(C)
     left, units = {}, {}
     for k in range(C.top_degree, 0, -1):
-        work = _work(C.boundary(k), p, alive[k - 1], alive[k])
+        work = _work(morse[k], p, alive[k - 1], alive[k])
         units[k] = _reduce(work, p, log)
         left[k] = work.entries()
-        del work
         for r, c, *_ in units[k]:
             alive[k - 1][r] = alive[k][c] = False
     index = [{g: i for i, g in enumerate(np.flatnonzero(a).tolist())} for a in alive]
@@ -909,28 +989,27 @@ def _reduction(C: ChainComplexZ, p: int | None = None, log: bool = False):
         k: SparseIntMatrix(len(index[k - 1]), len(index[k]), [
             (index[k - 1][r], index[k][c], v) for r, c, v in entries if r in index[k - 1]])
         for k, entries in left.items()}, truncated=C.truncated)
-    return residual, seeded, ((index, pairs, units) if log else None)
+    return residual, ((index, pairs, units, images) if log else None)
 
 
 def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     """Homology groups of a complex over Z (default) or F_p (``mod=p``).
 
-    :func:`_reduction` shrinks C to its residual, setting vertex 0 aside
-    when C is augmented (see the module docstring).  The rank and torsion
-    of each residual boundary come from :func:`invariant_factors`; over
-    F_p the residual boundaries vanish.  The top degree of a truncated
-    complex is flagged unreliable unless its chain group vanishes.
+    :func:`_reduction` shrinks C to its residual (see the module
+    docstring).  The rank and torsion of each residual boundary come from
+    :func:`invariant_factors`; over F_p the residual boundaries vanish.
+    The top degree of a truncated complex is flagged unreliable unless its
+    chain group vanishes.
     """
     if mod is not None:
         _check_modulus(mod)
     top = C.top_degree
-    R, seeded, _ = _reduction(C, mod)
+    R, _ = _reduction(C, mod)
     ranks, factors = {}, {}
     for k, M in R.boundaries.items():
         ranks[k], diag = invariant_factors(M)
         factors[k] = tuple(d for d in diag if d > 1)
-    groups = [HomologyGroup(k, R.ranks[k] + (seeded and k == 0)
-                            - ranks.get(k, 0) - ranks.get(k + 1, 0),
+    groups = [HomologyGroup(k, R.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
                             factors.get(k + 1, ()))
               for k in range(top + 1)]
     unreliable = frozenset({top} if (C.truncated and C.ranks[top] > 0) else set())
@@ -977,15 +1056,14 @@ class HomologyCoordinates:
     once, by :func:`_reduction` as for :func:`homology`; ``residual`` is
     the reduced complex, on whose boundaries alone the Smith forms run, and
     cycles cross the reduction by the chain equivalences phi and psi of the
-    module docstring.  When vertex 0 was set aside, it is the last
-    generator of H_0.  Each free generator's cycle is positive on its least
+    module docstring.  Each free generator's cycle is positive on its least
     cell.
     """
 
     def __init__(self, C: ChainComplexZ):
         self.complex = C
-        self.residual, self._seeded, log = _reduction(C, log=True)
-        self._index, self._pairs, self._units = log
+        self.residual, log = _reduction(C, log=True)
+        self._index, self._pairs, self._units, self._images = log
         self._data: dict[int, _DegreeData] = {}
 
     def _degree(self, k: int) -> _DegreeData:
@@ -1006,7 +1084,7 @@ class HomologyCoordinates:
         data.pres = smith_normal_form(X, transforms="left")
         diag = data.pres.diagonal
         kept = [i for i, d in enumerate(diag) if d > 1]
-        data.kept = kept + list(range(data.pres.rank, data.z)) + [None] * (self._seeded and k == 0)
+        data.kept = kept + list(range(data.pres.rank, data.z))
         data.betti = len(data.kept) - len(kept)
         data.moduli = tuple([diag[i] for i in kept] + [0] * data.betti)
         cycles = [self._lift(k, data, pos) for pos in data.kept]
@@ -1015,11 +1093,9 @@ class HomologyCoordinates:
         self._data[k] = data
         return data
 
-    def _lift(self, k: int, data: _DegreeData, pos) -> dict[int, int]:
+    def _lift(self, k: int, data: _DegreeData, pos: int) -> dict[int, int]:
         """The cycle of C for the generator at ``pos`` of the presentation
-        of H_k of the residual, or for the vertex set aside when None."""
-        if pos is None:
-            return {0: 1}
+        of H_k of the residual."""
         z = data.snf_bnd.V.matvec({data.r + r: v for r, v in
                                    data.pres.U_inv.columns().get(pos, ())})
         kept = list(self._index[k])
@@ -1042,8 +1118,6 @@ class HomologyCoordinates:
                 dense[cells] = -lams * sums
             cells = np.flatnonzero(dense)
             z = dict(zip(cells.tolist(), dense[cells].tolist()))
-        if self._seeded and k == 0 and (eps := sum(z.values())):
-            z[0] = -eps
         return z
 
     def generator_count(self, k: int) -> int:
@@ -1068,8 +1142,12 @@ class HomologyCoordinates:
         if self.complex.boundary(k).matvec(vec):
             raise HomologyError("vector is not a cycle")
         data = self._degree(k)
-        # phi_k: forward across the unit pivots of d_(k+1), then onto the residual
-        v = dict(vec)
+        # phi_k: onto the critical cells, forward across the unit pivots of
+        # the Morse d_(k+1), then onto the residual
+        v: dict[int, int] = {}
+        for y, a in vec.items():
+            for x, w in self._images[k].get(y, {}).items():
+                v[x] = v.get(x, 0) + a * w
         for r, _, lam, col, _ in self._units.get(k + 1, ()):
             t = v.pop(r, 0) * lam
             if t:
@@ -1084,7 +1162,6 @@ class HomologyCoordinates:
         index = self._index[k] if n_k else {}
         w = data.snf_bnd.V_inv.matvec({index[g]: a for g, a in v.items() if g in index})
         y = data.pres.U.matvec({r - data.r: a for r, a in w.items() if r >= data.r})
-        y[None] = sum(vec.values())   # eps, the coordinate of the vertex set aside
         return tuple(s * y.get(pos, 0) % m if m else s * y.get(pos, 0)
                      for pos, m, s in zip(data.kept, data.moduli, data.signs))
 

@@ -24,6 +24,7 @@ and fifth call ``invariant_factors``, ``rank_mod_p`` and
 placement, but not the reduction of the complex.
 """
 
+import random
 from fractions import Fraction
 from importlib import import_module
 from math import gcd
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finsub.constructions import CONSTRUCTIONS, cylinder_chain_model
+from finsub.constructions import CONSTRUCTIONS, cylinder_chain_model, sub3_homology_via_coproduct
 from finsub.fundamental import fundamental_presentation
 from finsub.homology import (INT64_ENTRY_BOUND, ChainComplexZ, HomologyCoordinates,
                              HomologyError, HomologyGroup, HomologyResult, SmithNormalForm,
@@ -43,6 +44,7 @@ from finsub.homology import (INT64_ENTRY_BOUND, ChainComplexZ, HomologyCoordinat
                              smith_normal_form)
 from finsub.spaces import builtin_space
 from finsub.surface import builtin_presentation, sp_chain_complex
+from conftest import import_perfbench
 from test_orbits import complexes
 
 
@@ -346,6 +348,34 @@ def test_kernel_matches_in_place_reference_on_random_matrices(rows):
     _assert_valid_kernel_run(M, reference)
 
 
+def _spread_matrix(rng):
+    """A random integer matrix on a few rows and columns whose indices are
+    spread over 37 to 1 024 times their count, so that Python's sets and
+    dicts of them iterate in an order that depends on their history."""
+    m, n, spread = rng.randint(2, 6), rng.randint(2, 6), rng.randint(37, 1024)
+    rows, cols = rng.sample(range(spread * m), m), rng.sample(range(spread * n), n)
+    values = [0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -6, 9]
+    return SparseIntMatrix(spread * m, spread * n, [
+        (r, c, v) for r in rows for c in cols if (v := rng.choice(values))])
+
+
+def test_kernel_transforms_do_not_depend_on_insertion_order():
+    # the same matrix built from shuffled entry lists gives the same U, U_inv,
+    # V and V_inv: the gcd steps visit the lines in ascending order
+    rng = random.Random(2021)
+    for _ in range(40):
+        M = _spread_matrix(rng)
+        entries = list(M.entries)
+        runs = []
+        for _ in range(3):
+            rng.shuffle(entries)
+            work = _Work(entries, M.nrows, M.ncols)
+            tr = _Transforms(M.nrows, M.ncols, "both")
+            _eliminate(work, tr)
+            runs.append([sorted(A.entries()) for A in (tr.U, tr.Uinv, tr.V, tr.Vinv)])
+        assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("construction, space, n", [
     ("sp", "torus", 2), ("sp", "rp2", 2), ("sub", "circle3", 3)])
 def test_placement_matches_swap_reference_on_boundaries(construction, space, n):
@@ -431,6 +461,30 @@ def _array_complex(value):
         1, 1, *(np.array([x], dtype=np.int64) for x in (0, 0, value)))})
 
 
+def _stalled_rp2():
+    """RP^2 from two edges e0, e1 from v0 to v1 and a face f with
+    d f = 2 (e1 - e0).  v0 is critical and e0 pairs with v1, whose image
+    is v0 by fill; then f's one live entry is the 2 on e1, so f is not
+    paired, and e1 and f are left to the Smith forms."""
+    return _complex((2, 2, 1), {1: [[-1, -1], [1, 1]], 2: [[-2], [2]]})
+
+
+def _fill_beyond_entry_bound(w):
+    """d_1 = [[w, 1], [1, w]] on v0, v1 and a, c: v0 is critical, a pairs
+    with v1, whose image is -w v0, and c's Morse boundary is 1 - w^2."""
+    return _complex((2, 2), {1: [[w, 1], [1, w]]})
+
+
+def test_stalled_and_filled_cells_reach_the_morse_boundary():
+    assert _critical_counts(_stalled_rp2()) == [1, 1, 1]
+    assert [str(g) for g in homology(_stalled_rp2())] == ["Z", "Z/2", "0"]
+    w = INT64_ENTRY_BOUND - 1
+    _, morse, _, _ = _coreduce(_fill_beyond_entry_bound(w))
+    # the entries are int64, and the fill past the bound is a Python int
+    assert morse[1].entries == ((0, 1, 1 - w * w),)
+    assert morse[1].arrays[2].dtype == object
+
+
 @pytest.mark.parametrize("make", [
     # not augmented, so not seeded: H_0 = Z/2, where a seed would give Z
     lambda: _complex((1, 1), {1: [[2]]}),
@@ -447,31 +501,45 @@ def _array_complex(value):
     lambda: _complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}),
     lambda: _array_complex(INT64_ENTRY_BOUND),
     lambda: _array_complex(-INT64_ENTRY_BOUND),
+    # a cell whose one live entry is 2 is not paired
+    _stalled_rp2,
+    # fill past INT64_ENTRY_BOUND from entries below it
+    lambda: _fill_beyond_entry_bound(INT64_ENTRY_BOUND - 1),
+    lambda: _fill_beyond_entry_bound(-(1 << 40)),
 ], ids=["d1-is-2", "cylinder-torus", "surface-sp2-torus", "degree-0-rank-3",
         "degree-0-rank-0", "top-paired-away", "sp2-circle40", "beyond-int64",
-        "at-entry-bound", "at-minus-entry-bound"])
+        "at-entry-bound", "at-minus-entry-bound", "stalled-rp2", "fill-beyond-bound",
+        "fill-beyond-int64"])
 def test_coreduction_matches_per_boundary_reference(make):
     _assert_matches_reference(make())
 
 
-def test_coreduction_seed_needs_an_augmented_complex():
+def _critical_counts(C):
+    return [int(c.sum()) for c in _coreduce(C)[0]]
+
+
+def test_vertex_zero_is_the_first_critical_cell():
+    # no augmentation is needed: d_1 = (2) pairs nothing, since its one
+    # entry is not a unit, and gives H_0 = Z/2
     assert [str(g) for g in homology(_complex((1, 1), {1: [[2]]}))] == ["Z/2", "0"]
-    assert _coreduce(_complex((1, 1), {1: [[2]]}))[1] is False
-    assert _coreduce(_complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}))[1] is True
+    assert _critical_counts(_complex((1, 1), {1: [[2]]})) == [1, 1]
+    assert _critical_counts(_complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]})) == [2, 1]
     assert [str(g) for g in homology(ChainComplexZ((3,), {}))] == ["Z^3"]
+    # the cut 2-simplex leaves vertex 0 alone
     C = _two_simplex()
-    R, seeded, _ = _reduction(C)
-    assert seeded and R.ranks == (0, 0, 0)
+    critical = _coreduce(C)[0]
+    assert [c.tolist() for c in critical] == [[True, False, False], [False] * 3, [False]]
+    R, _ = _reduction(C)
+    assert R.ranks == (1, 0, 0)
     assert homology(C).unreliable == frozenset({2})
 
 
 def test_coreduction_shrinks_what_the_unit_reduction_sees(monkeypatch):
     # homology() and HomologyCoordinates each reduce Sub_3(S^2) by one call
-    # of _reduction, whose unit pivots see the 1 096 generators that the
-    # coreductions leave alive: without the pre-pass, or without its seed,
-    # they would see (nearly) all 13 125
+    # of _reduction, whose unit pivots see only the 7 critical cells that
+    # the coreductions leave: without them they would see all 13 125
     module = import_module("finsub.homology")
-    calls, alive = [], []
+    calls, critical = [], []
     reduction, coreduce = module._reduction, module._coreduce
 
     def record_reduction(C, p=None, log=False):
@@ -480,7 +548,7 @@ def test_coreduction_shrinks_what_the_unit_reduction_sees(monkeypatch):
 
     def record_coreduce(C):
         out = coreduce(C)
-        alive.append(sum(int(a.sum()) for a in out[0]))
+        critical.append(sum(int(c.sum()) for c in out[0]))
         return out
 
     monkeypatch.setattr(module, "_reduction", record_reduction)
@@ -490,8 +558,21 @@ def test_coreduction_shrinks_what_the_unit_reduction_sees(monkeypatch):
     assert sum(C.ranks) == 13125
     assert [str(g) for g in homology(C)] == ["Z", "0", "0", "0", "Z + Z/2", "0", "Z", "0"]
     coords = HomologyCoordinates(C)
-    assert calls == [13125, 13125] and alive == [1096, 1096]
+    assert calls == [13125, 13125] and critical == [7, 7]
     assert [str(coords.group(k)) for k in (0, 4, 6)] == ["Z", "Z + Z/2", "Z"]
+
+
+def test_sp2_torus_leaves_its_betti_numbers_in_every_benchmark_labelling():
+    # the Morse complex of SP^2(T) is minimal: 1, 2, 2, 2, 1 critical cells,
+    # so the unit pivots and the Smith forms have nothing left to do
+    workloads = import_perfbench("workloads")
+    for seed in range(4):
+        for inputs in workloads.build_inputs("smith-bound", seed):
+            spec = workloads.spaces.load_complex(inputs["torus"])
+            C = normalized_chains(CONSTRUCTIONS["sp"].build(spec, 2).space, with_labels=False)
+            assert _critical_counts(C) == [1, 2, 2, 2, 1, 0]
+            R, _ = _reduction(C)
+            assert R.ranks == (1, 2, 2, 2, 1, 0) and all(M.is_zero() for M in R.boundaries.values())
 
 
 class ReferenceHomologyCoordinates:
@@ -601,8 +682,8 @@ def test_coordinates_match_whole_boundary_reference(construction, space):
 
 
 def _two_circles():
-    """Two disjoint triangles: H_0 = Z^2, vertex 0 set aside and one
-    generator left in the residual."""
+    """Two disjoint triangles: H_0 = Z^2 on the critical vertices 0 and 3,
+    to which the other vertices map by fill."""
     d1 = [[0] * 6 for _ in range(6)]
     for e, (u, v) in enumerate([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]):
         d1[u][e], d1[v][e] = -1, 1
@@ -616,10 +697,22 @@ def _two_circles():
     lambda: _complex((2, 1), {1: [[2 ** 70], [-(2 ** 70)]]}),
     lambda: _array_complex(INT64_ENTRY_BOUND),
     lambda: _array_complex(-INT64_ENTRY_BOUND),
+    _stalled_rp2,
+    lambda: _fill_beyond_entry_bound(INT64_ENTRY_BOUND - 1),
+    lambda: _fill_beyond_entry_bound(-(1 << 40)),
 ], ids=["two-circles", "d1-is-2", "top-paired-away", "beyond-int64", "at-entry-bound",
-        "at-minus-entry-bound"])
+        "at-minus-entry-bound", "stalled-rp2", "fill-beyond-bound", "fill-beyond-int64"])
 def test_coordinates_through_the_coreduction_match_reference(make):
     _assert_coordinates_match_reference(make())
+
+
+@pytest.mark.parametrize("space", ["torus", "rp2", "sphere2", "wedge_circles2"])
+def test_coordinates_on_the_coproduct_quotients_match_reference(space):
+    # each quotient is a two-term complex of torsion orders and differences
+    # diag_* - j_*, whose entries need not be units
+    model = sub3_homology_via_coproduct(builtin_space(space))
+    for coords in model.quotients.values():
+        _assert_coordinates_match_reference(coords.complex)
 
 
 @settings(max_examples=40, deadline=None)

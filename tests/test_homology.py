@@ -270,7 +270,7 @@ def test_coordinates_outside_the_degrees_have_no_generators():
 def test_coordinates_reduce_sp2_torus_to_its_homology():
     # SP^2(T) has chain ranks (28, 378, 1232, 1470, 588, 0) and Betti numbers
     # (1, 2, 2, 2, 1): the reduction leaves a residual with zero boundaries,
-    # and vertex 0, set aside, is the generator of H_0
+    # and vertex 0, the first critical cell, is the generator of H_0
     from finsub.constructions import symmetric_product
 
     C = normalized_chains(symmetric_product(builtin_space("torus"), 2).space,
@@ -278,7 +278,7 @@ def test_coordinates_reduce_sp2_torus_to_its_homology():
     coords = HomologyCoordinates(C)
     residual = coords.residual
     assert isinstance(residual, ChainComplexZ)
-    assert residual.ranks == (0, 2, 2, 2, 1, 0)
+    assert residual.ranks == (1, 2, 2, 2, 1, 0)
     assert [str(coords.group(k)) for k in range(6)] == ["Z", "Z^2", "Z^2", "Z^2", "Z", "0"]
     assert coords.generator_cycle(0, 0) == {0: 1}
 
