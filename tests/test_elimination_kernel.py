@@ -484,7 +484,7 @@ def test_stalled_and_filled_cells_reach_the_morse_boundary():
     assert morse[1].entries == ((0, 1, 1 - w * w),)
     assert morse[1].arrays[2].dtype == object
 
-
+    # not augmented: H_0 = Z/2, with vertex 0 critical and the edge not paired
 @pytest.mark.parametrize("make", [
     # not augmented, so not seeded: H_0 = Z/2, where a seed would give Z
     lambda: _complex((1, 1), {1: [[2]]}),
