@@ -11,8 +11,13 @@ shortening of relators is the fallback when no relator offers one.  Each
 move touches a few relators, so the simplifier keeps an index from each
 generator to the relators that contain it and rewrites only those; a lazy
 heap gives the next relator to eliminate by, and the generators are
-renumbered once, at the end.  The abelianization is always computed
-exactly.
+renumbered once, at the end.
+
+The abelianization is always computed exactly, as H_1 of the presentation
+complex: one vertex, a loop per generator and a 2-cell per relator.  Its
+d_2 is the exponent-sum matrix and its d_1 is 0, so the homology layer's
+``_reduction`` pairs most relators with generators by coreduction, and the
+Smith form sees only the small residual.
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from .homology import HomologyGroup, SparseIntMatrix, invariant_factors
+import numpy as np
+
+from .homology import ChainComplexZ, HomologyGroup, SparseIntMatrix, homology
 from .simplicial import SimplicialError
 
 
@@ -96,37 +104,56 @@ def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _strip_ends(word: tuple[int, ...]) -> tuple[int, ...]:
+    """A freely reduced word without its matching ends g ... g^-1."""
+    i, j = 0, len(word)
+    while j - i > 1 and word[i] == -word[j - 1]:
+        i += 1
+        j -= 1
+    return word[i:j] if i else word
+
+
 def _cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
-    word = _free_reduce(word)
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = _free_reduce(word[1:-1])
-    return word
+    return _strip_ends(_free_reduce(word))
 
 
 def _invert(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-g for g in reversed(word))
+    return tuple([-g for g in reversed(word)])
 
 
 def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Least rotation among the word and its inverse; for deduplication."""
-    candidates = []
-    for w in (word, _invert(word)):
-        candidates.extend(w[i:] + w[:i] for i in range(len(w)))
-    return min(candidates) if candidates else ()
+    """Least rotation among the word and its inverse; for deduplication.
+
+    The least rotation starts at the least letter of the two words,
+    min(word) or -max(word), so only the rotations starting there are
+    compared."""
+    if not word:
+        return ()
+    least, inverse_least = min(word), -max(word)
+    if least == inverse_least:
+        return min([w[i:] + w[:i] for w in (word, _invert(word))
+                    for i, g in enumerate(w) if g == least])
+    if inverse_least < least:
+        word, least = _invert(word), inverse_least
+    if word.count(least) > 1:
+        return min([word[i:] + word[:i] for i, g in enumerate(word) if g == least])
+    i = word.index(least)
+    return word[i:] + word[:i]
 
 
 def _substitute(word: tuple[int, ...], gen: int,
                 replacement: tuple[int, ...]) -> tuple[int, ...]:
+    """``word`` with gen replaced and gen^-1 by its inverse, freely reduced
+    as it is written out."""
     out: list[int] = []
-    inverse = _invert(replacement)
+    inverse = _invert(replacement) if -gen in word else ()
     for g in word:
-        if g == gen:
-            out.extend(replacement)
-        elif g == -gen:
-            out.extend(inverse)
-        else:
-            out.append(g)
-    return _free_reduce(tuple(out))
+        for h in (replacement if g == gen else inverse if g == -gen else (g,)):
+            if out and out[-1] == -h:
+                out.pop()
+            else:
+                out.append(h)
+    return tuple(out)
 
 
 def _shorten_with(short: tuple[int, ...], long_word: tuple[int, ...]):
@@ -159,6 +186,8 @@ def _key(word: tuple[int, ...]):
 def _once(word: tuple[int, ...]) -> list[int]:
     """The generators that occur exactly once in ``word``."""
     letters = [abs(g) for g in word]
+    if len(set(letters)) == len(letters):
+        return letters
     return [g for g in letters if letters.count(g) == 1]
 
 
@@ -170,75 +199,75 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresen
     generator g held by the fewest relators (then the least), write the
     relator as g^e rest, substitute g = rest^-e into every other relator
     and drop this one.  When no relator has such a generator, relators are
-    shortened via overlaps.  Moves run until stable or the budget runs out.
+    shortened via overlaps.  Moves run until stable or ``budget`` moves
+    have been made; a negative budget raises ValueError.
 
     The relators are kept one per class of rotations and inversions, the
-    least under :func:`_key`, with an index from each generator to the
-    relators that contain it.  Eliminating a generator rewrites only the
-    relators in its index entry; a lazy heap yields the least relator with
-    a generator that occurs once.  Generators keep their input numbers
-    until one order- and sign-preserving renumbering at the end, so every
-    choice is the one a scan of the whole renumbered presentation would
-    make.
+    least under :func:`_key`, each with the generators that occur once in
+    it, and with an index from each generator to the relators that contain
+    it.  Eliminating a generator rewrites only the relators in its index
+    entry; a lazy heap yields the least relator with a generator that
+    occurs once.  Generators keep their input numbers until one order- and
+    sign-preserving renumbering at the end, so every choice is the one a
+    scan of the whole renumbered presentation would make.
     """
+    if budget < 0:
+        raise ValueError(f"negative budget {budget}")
     count = pres.generator_count
-    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}    # canonical form -> relator
-    canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # relator -> canonical form
+    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}   # canonical form -> relator
+    stored: dict[tuple[int, ...], tuple] = {}   # relator -> (canonical form, _once)
     holders: list[set[tuple[int, ...]]] = [set() for _ in range(count + 1)]
     ready: list[tuple] = []    # _key(w) of relators with a letter once, lazily stale
 
-    def add(canon, word):
-        rep_of[canon] = word
-        canon_of[word] = canon
-        for g in word:
-            holders[abs(g)].add(word)
-        if _once(word):
-            heapq.heappush(ready, _key(word))
-
     def remove(word):
-        del rep_of[canon_of.pop(word)]
+        del rep_of[stored.pop(word)[0]]
         for g in word:
             holders[abs(g)].discard(word)
 
-    def reduced(words):
-        return [w for w in map(_cyclic_reduce, words) if w]
-
     eliminated: set[int] = set()
-    pending = reduced(pres.relators)    # new relators, merged at the next move
+    pending = [w for w in map(_cyclic_reduce, pres.relators) if w]   # merged at the next move
     moves = 0
     while moves < budget:
         for word in pending:
             canon = _canonical(word)
             old = rep_of.get(canon)
-            if old is None:
-                add(canon, word)
-            elif _key(word) < _key(old):
+            if old is not None:
+                if (len(word), word) >= (len(old), old):
+                    continue
                 remove(old)
-                add(canon, word)
+            rep_of[canon] = word
+            stored[word] = (canon, once := _once(word))
+            for g in word:
+                holders[abs(g)].add(word)
+            if once:
+                heapq.heappush(ready, (len(word), word))
         pending = []
 
-        while ready and ready[0][1] not in canon_of:
+        while ready and ready[0][1] not in stored:
             heapq.heappop(ready)
         if ready:
             word = ready[0][1]
-            g = min(_once(word), key=lambda h: (len(holders[h]), h))
-            j = next(i for i, h in enumerate(word) if abs(h) == g)
-            rotated = word[j:] + word[:j]
+            g = min(stored[word][1], key=lambda h: (len(holders[h]), h))
+            j = word.index(g) if g in word else word.index(-g)
             # g^e rest = 1, so g = rest^-1 for e = +1 and g = rest for e = -1
-            rest = rotated[1:]
-            replacement = _invert(rest) if rotated[0] > 0 else rest
-            others = holders[g] - {word}
-            for w in (word, *others):
+            rest = word[j + 1:] + word[:j]
+            replacement = _invert(rest) if word[j] > 0 else rest
+            others, holders[g] = holders[g], set()
+            others.discard(word)
+            remove(word)
+            for w in others:
                 remove(w)
-            pending = reduced(_substitute(w, g, replacement) for w in others)
+                if w := _strip_ends(_substitute(w, g, replacement)):
+                    pending.append(w)
             eliminated.add(g)
         else:
-            shortened = _shorten_once(sorted(canon_of, key=_key))
+            shortened = _shorten_once(sorted(stored, key=_key))
             if shortened is None:
                 break
             target, candidate = shortened
             remove(target)
-            pending = reduced([candidate])
+            if candidate := _cyclic_reduce(candidate):
+                pending.append(candidate)
         moves += 1
 
     number = {}
@@ -246,7 +275,7 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresen
         if g not in eliminated:
             number[g] = len(number) + 1
     relators = {tuple(number[g] if g > 0 else -number[-g] for g in w)
-                for w in (*canon_of, *pending)}
+                for w in (*stored, *pending)}
     return GroupPresentation(len(number), tuple(sorted(relators)))
 
 
@@ -262,10 +291,11 @@ def _shorten_once(relators: list[tuple[int, ...]]):
 
 
 def abelianization(pres: GroupPresentation) -> HomologyGroup:
-    """Abelianized group computed exactly from the exponent-sum matrix,
-    whose entries the matrix sums letter by letter."""
-    entries = [(abs(g) - 1, j, 1 if g > 0 else -1)
-               for j, w in enumerate(pres.relators) for g in w]
-    M = SparseIntMatrix(pres.generator_count, len(pres.relators), entries)
-    rank, diagonal = invariant_factors(M)
-    return HomologyGroup(1, pres.generator_count - rank, tuple(d for d in diagonal if d > 1))
+    """H_1 of the presentation complex (see the module docstring); d_2 sums
+    the letters of each relator into its column of exponent sums."""
+    count, relators = pres.generator_count, pres.relators
+    letters = np.fromiter(chain.from_iterable(relators), dtype=np.int64)
+    relator_of = np.repeat(np.arange(len(relators)), [len(w) for w in relators])
+    d2 = SparseIntMatrix.from_arrays(count, len(relators), np.abs(letters) - 1, relator_of,
+                                     np.sign(letters))
+    return homology(ChainComplexZ((1, count, len(relators)), {2: d2})).group(1)

@@ -118,6 +118,10 @@ PRODUCT_BLOCK = 1 << 19
 # absolute value (see SparseIntMatrix)
 INT64_ENTRY_BOUND = 1 << 16
 
+# the constructor sums and sorts up to this many entries in plain Python,
+# which costs a few microseconds where numpy's per-call overhead costs tens
+SMALL_ENTRIES = 32
+
 
 def _ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions start[i], ..., start[i] + lengths[i] - 1 of each i, in order."""
@@ -156,6 +160,23 @@ def _normalized(nrows: int, ncols: int, rows, cols, vals) -> tuple[np.ndarray, .
     return key // ncols, key % ncols, _entry_values(vals[nonzero])
 
 
+def _normalized_small(nrows: int, ncols: int, table) -> tuple[np.ndarray, ...]:
+    """:func:`_normalized` of at most ``SMALL_ENTRIES`` triples (row, col,
+    value), summed, sorted and typed in plain Python."""
+    acc: dict[tuple[int, int], int] = {}
+    for r, c, v in table:
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            raise HomologyError("entry out of range")
+        key = (int(r), int(c))
+        acc[key] = acc.get(key, 0) + int(v)
+    keys = sorted(key for key, v in acc.items() if v)
+    vals = [acc[key] for key in keys]
+    small = all(-INT64_ENTRY_BOUND < v < INT64_ENTRY_BOUND for v in vals)
+    return (np.array([r for r, _ in keys], dtype=np.int64),
+            np.array([c for _, c in keys], dtype=np.int64),
+            np.array(vals, dtype=np.int64 if small else object))
+
+
 class SparseIntMatrix:
     """Immutable sparse matrix with arbitrary-precision integer entries.
 
@@ -181,8 +202,12 @@ class SparseIntMatrix:
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         table = list(entries)
-        rows, cols, vals = zip(*table) if table else ((), (), ())
-        self.arrays = _normalized(self.nrows, self.ncols, rows, cols, np.array(vals, dtype=object))
+        if len(table) <= SMALL_ENTRIES:
+            self.arrays = _normalized_small(self.nrows, self.ncols, table)
+        else:
+            rows, cols, vals = zip(*table)
+            self.arrays = _normalized(self.nrows, self.ncols, rows, cols,
+                                      np.array(vals, dtype=object))
         self._by_column = self._cols = None
 
     @classmethod

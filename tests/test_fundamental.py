@@ -18,7 +18,7 @@ from finsub.fundamental import (GroupPresentation, abelianization,
                                 fundamental_presentation, tietze_simplify,
                                 _canonical, _cyclic_reduce, _free_reduce, _invert,
                                 _shorten_with, _substitute)
-from finsub.homology import homology_of_sset
+from finsub.homology import SparseIntMatrix, homology_of_sset, invariant_factors
 from finsub.constructions import finite_subset_space, symmetric_product
 from finsub.simplicial import SimplicialError, from_ordered_complex
 from finsub.spaces import builtin_space
@@ -105,6 +105,40 @@ def test_free_and_cyclic_reduction():
     assert _cyclic_reduce((2, 1, -2)) == (1,)
 
 
+_words = st.lists(st.integers(1, 4).flatmap(lambda g: st.sampled_from((g, -g))),
+                  max_size=9).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words)
+def test_canonical_is_the_least_rotation_of_the_word_or_its_inverse(word):
+    rotations = [w[i:] + w[:i] for w in (word, _invert(word)) for i in range(len(w))]
+    assert _canonical(word) == (min(rotations) if word else ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words, st.integers(1, 4), _words)
+def test_substitute_is_the_expansion_freely_reduced(word, gen, replacement):
+    expanded = []
+    for g in word:
+        expanded += replacement if g == gen else _invert(replacement) if g == -gen else (g,)
+    assert _substitute(word, gen, replacement) == _free_reduce(tuple(expanded))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words)
+def test_cyclic_reduce_strips_cancelling_ends_up_to_conjugacy(word):
+    out = _cyclic_reduce(word)
+    assert _free_reduce(out) == out
+    assert len(out) < 2 or out[0] != -out[-1]
+    # the free reduction of word is u out u^-1, so out = u^-1 word u
+    reduced = _free_reduce(word)
+    k = (len(reduced) - len(out)) // 2
+    assert reduced[k:len(reduced) - k] == out
+    u = reduced[:k]
+    assert _free_reduce(_invert(u) + word + u) == out
+
+
 def test_circle_gives_free_group_of_rank_one():
     S = from_ordered_complex(builtin_space("circle3"), 2)
     pres = fundamental_presentation(S)
@@ -176,6 +210,11 @@ def test_presentation_validation():
         GroupPresentation(1, ((2,),))
     with pytest.raises(ValueError, match="generator_count"):
         GroupPresentation(-1, ())
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="budget"):
+        tietze_simplify(GroupPresentation(2, ((1, 2),)), budget=-3)
 
 
 def test_budget_zero_returns_input_shape():
@@ -263,7 +302,8 @@ def _real_presentation(key):
 
 @pytest.mark.parametrize("key", [("sp2-torus", 0), ("sp2-torus", 1), ("sp2-torus", 2),
                                  ("sub3", "wedge_circles2"), ("sub3", "circle3"),
-                                 ("sub3", "sphere2")])
+                                 ("sub3", "sphere2"), ("sp2", "rp2"), ("sp3", "circle3"),
+                                 ("sp2", "wedge_circles2")])
 @pytest.mark.parametrize("budget", [0, 1, 5, 20000])
 def test_tietze_matches_reference_on_real_presentations(key, budget):
     pres = _real_presentation(key)
@@ -280,3 +320,40 @@ def test_tietze_reaches_a_minimal_presentation(key):
     pres = _real_presentation(key)
     betti, torsion = _abelian(pres)
     assert tietze_simplify(pres).generator_count == betti + len(torsion)
+
+
+def _exponent_sum_group(pres):
+    """(betti, torsion) of the whole exponent-sum matrix's Smith form."""
+    M = SparseIntMatrix(pres.generator_count, len(pres.relators), [
+        (abs(g) - 1, j, 1 if g > 0 else -1) for j, w in enumerate(pres.relators) for g in w])
+    rank, diagonal = invariant_factors(M)
+    return pres.generator_count - rank, tuple(d for d in diagonal if d > 1)
+
+
+_ABELIAN_EDGE_CASES = [
+    (GroupPresentation(0, ()), (0, ())),
+    (GroupPresentation(3, ()), (3, ())),
+    (GroupPresentation(1, ((1, -1),)), (1, ())),
+    (GroupPresentation(2, ((1, 2, -1, -2),)), (2, ())),
+    (GroupPresentation(1, ((1, 1),)), (0, (2,))),
+    (GroupPresentation(2, ((1,) * 6, (2,) * 4)), (0, (2, 12))),
+    (GroupPresentation(3, ((1, 1), (3, 2, -3, -2))), (2, (2,))),
+]
+
+
+@pytest.mark.parametrize("pres, group", _ABELIAN_EDGE_CASES)
+def test_abelianization_of_edge_cases(pres, group):
+    assert _abelian(pres) == _exponent_sum_group(pres) == group
+
+
+@settings(max_examples=300, deadline=None)
+@given(_presentations())
+def test_abelianization_matches_the_exponent_sum_smith_form(pres):
+    assert _abelian(pres) == _exponent_sum_group(pres)
+
+
+@pytest.mark.parametrize("key", [("sp2-torus", 0), ("sub3", "wedge_circles2"),
+                                 ("sp2", "rp2"), ("sp3", "circle3")])
+def test_abelianization_matches_the_exponent_sum_smith_form_on_real_presentations(key):
+    pres = _real_presentation(key)
+    assert _abelian(pres) == _exponent_sum_group(pres)

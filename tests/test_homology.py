@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsub.homology import (ChainComplexZ, HomologyError, HomologyGroup,
-                             HomologyCoordinates, SparseIntMatrix,
+from finsub.homology import (INT64_ENTRY_BOUND, SMALL_ENTRIES, ChainComplexZ, HomologyError,
+                             HomologyGroup, HomologyCoordinates, SparseIntMatrix, _normalized,
                              euler_characteristic, homology, homology_of_sset,
                              induced_map, invariant_factors, normalized_chains,
                              SmithNormalForm, rank_mod_p, smith_normal_form,
@@ -322,6 +322,40 @@ def test_sparse_matrix_ops():
             SparseIntMatrix.from_dense([[1, -1]]).matvec(stray)
     with pytest.raises(HomologyError):
         SparseIntMatrix(1, 1, [(0, 5, 3)])
+
+
+_EDGE_VALUES = (INT64_ENTRY_BOUND - 1, INT64_ENTRY_BOUND, 1 << 70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_short_entry_lists_normalize_as_the_numpy_path(nrows, ncols, data):
+    """Up to SMALL_ENTRIES entries are summed, sorted and typed in plain
+    Python; the arrays and their dtypes are those of ``_normalized``.
+    Entries cancel, sit at the int64 bound or beyond int64, come as numpy
+    ints, or fall outside the matrix."""
+    value = st.integers(-3, 3) | st.sampled_from(_EDGE_VALUES).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    entry = st.tuples(st.integers(-1, nrows), st.integers(-1, ncols), value)
+    entries = data.draw(st.lists(entry, max_size=SMALL_ENTRIES // 2))
+    entries += [(r, c, -v) for r, c, v in data.draw(st.lists(st.sampled_from(entries),
+                                                             max_size=len(entries)))
+                ] if entries else []
+    if data.draw(st.booleans()):
+        # numpy's int64 + a Python int beyond int64 overflows, so those stay Python ints
+        wide = any(abs(v) >= 1 << 63 for _, _, v in entries)
+        entries = [(np.int64(r), np.int32(c), v if wide else np.int64(v))
+                   for r, c, v in entries]
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    try:
+        want = _normalized(nrows, ncols, rows, cols, np.array(vals, dtype=object))
+    except HomologyError:
+        with pytest.raises(HomologyError, match="entry out of range"):
+            SparseIntMatrix(nrows, ncols, entries)
+        return
+    got = SparseIntMatrix(nrows, ncols, entries).arrays
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_induced_map_functoriality_on_composite():
