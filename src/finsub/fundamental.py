@@ -143,8 +143,8 @@ def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def _substitute(word: tuple[int, ...], gen: int,
                 replacement: tuple[int, ...]) -> tuple[int, ...]:
-    """``word`` with gen replaced and gen^-1 by its inverse, freely reduced
-    as it is written out."""
+    """``word`` with gen replaced by ``replacement`` and gen^-1 by its
+    inverse, freely reduced as it is written out."""
     out: list[int] = []
     inverse = _invert(replacement) if -gen in word else ()
     for g in word:
@@ -257,6 +257,7 @@ def tietze_simplify(pres: GroupPresentation, budget: int = 20000) -> GroupPresen
             remove(word)
             for w in others:
                 remove(w)
+                # _substitute reduces freely, so stripping the ends reduces cyclically
                 if w := _strip_ends(_substitute(w, g, replacement)):
                     pending.append(w)
             eliminated.add(g)

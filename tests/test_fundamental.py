@@ -126,8 +126,9 @@ def test_substitute_is_the_expansion_freely_reduced(word, gen, replacement):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_words)
-def test_cyclic_reduce_strips_cancelling_ends_up_to_conjugacy(word):
+@given(_words, _words)
+def test_cyclic_reduce_strips_cancelling_ends_up_to_conjugacy(core, conjugator):
+    word = conjugator + core + _invert(conjugator)
     out = _cyclic_reduce(word)
     assert _free_reduce(out) == out
     assert len(out) < 2 or out[0] != -out[-1]
@@ -337,6 +338,7 @@ _ABELIAN_EDGE_CASES = [
     (GroupPresentation(2, ((1, 2, -1, -2),)), (2, ())),
     (GroupPresentation(1, ((1, 1),)), (0, (2,))),
     (GroupPresentation(2, ((1,) * 6, (2,) * 4)), (0, (2, 12))),
+    (GroupPresentation(2, ((1, 1),)), (1, (2,))),
     (GroupPresentation(3, ((1, 1), (3, 2, -3, -2))), (2, (2,))),
 ]
 
