@@ -3,17 +3,15 @@
 Builds symmetric products SP^n(X), finite subset spaces Sub_n(X) and
 their relatives of finite simplicial complexes from their nondegenerate
 cells, and computes integral and mod-p homology, induced maps and
-fundamental-group presentations, all over exact integers.  The levelwise
-quotients of X^n they are checked against live in ``finsub.reference``,
-which ``import finsub`` does not load.
+fundamental-group presentations, all over exact integers.  X^n is never
+built: the levelwise quotients of X^n that the constructions equal are a
+test-only oracle (``tests/xn_reference.py``).
 """
 
 from .spaces import ComplexError, OrderedComplexSpec, builtin_space, load_complex
 from .simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
-                         SSetMap, SimplicialError,
-                         TruncatedSimplicialSet, cell_cap, collapse,
-                         compose_maps, from_ordered_complex,
-                         power, quotient, sub_object)
+                         SimplicialError, TruncatedSimplicialSet, cell_cap,
+                         from_ordered_complex)
 from .homology import (ChainComplexZ, HomologyCoordinates,
                        HomologyError, HomologyGroup, HomologyResult,
                        SmithNormalForm, SparseIntMatrix, chain_map_matrices,

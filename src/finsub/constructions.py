@@ -5,11 +5,11 @@ SP^n(X), Sub_n(X), Sub_3(X, x0), the fat diagonal and the reduced
 nondegenerate cells: multisets or sets of cells of X whose ascent masks
 cover every position, with no X^n and no quotient.  Each result is an
 ``orbits.OrbitSpace`` with its structure maps as ``NondegenerateMap``s,
-which normalized chains, induced maps and pi_1 read directly.  The
-quotient constructions these replace stay in ``reference`` as their
-oracle.  Two further models of the based three-fold subset space
-Sub_3(X, x0), a cylinder chain model (the mapping cone of j_2 - diag) and
-a coproduct model on homology, are checked against the quotient model.
+which normalized chains, induced maps and pi_1 read directly; the tests
+check them against the quotients of X^n they equal.  Two further models
+of the based three-fold subset space Sub_3(X, x0), a cylinder chain model
+(the mapping cone of j_2 - diag) and a coproduct model on homology, are
+checked against the quotient model.
 
 ``CONSTRUCTIONS`` is the one registry from a construction name (the
 ``--construction`` choices of the command line, and the constructions

@@ -138,7 +138,11 @@ def _entry_values(vals: np.ndarray) -> np.ndarray:
     """vals in int64 when every |v| is below ``INT64_ENTRY_BOUND``, and as
     Python ints in an object array otherwise."""
     small = vals.size == 0 or (-INT64_ENTRY_BOUND < vals.min() and vals.max() < INT64_ENTRY_BOUND)
-    return vals.astype(np.int64 if small else object, copy=False)
+    if small:
+        return vals.astype(np.int64, copy=False)
+    # an object array may hold numpy ints, and np.int64 + a Python int
+    # beyond int64 overflows
+    return np.frompyfunc(int, 1, 1)(vals) if vals.dtype == object else vals.astype(object)
 
 
 def _normalized(nrows: int, ncols: int, rows, cols, vals) -> tuple[np.ndarray, ...]:
@@ -1195,7 +1199,7 @@ def chain_map_matrices(f) -> dict[int, SparseIntMatrix]:
     """Normalized chain map of a simplicial map.
 
     ``f`` is a :class:`NondegenerateMap` or anything with a
-    ``nondegenerate_form()`` (an :class:`SSetMap`).  A nondegenerate source
+    ``nondegenerate_form()``.  A nondegenerate source
     cell maps to its image when that image is nondegenerate and to zero
     otherwise.
     """

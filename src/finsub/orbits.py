@@ -13,12 +13,13 @@ keeps nondegenerate cells nondegenerate.  So chains, structure maps and
 pi_1 need only these cells.
 
 Per level, :class:`Sequences` tables the k-cells of X (ascent masks,
-simplices and d_i lookups); the reference path reads the same table
-(``simplicial.from_ordered_complex``).  A cell of a construction is a row
-of member indices, its canonical payload: sorted for a multiset, the
-support padded with its least member for a set.  Rows are kept in
-lexicographic order, the order of the quotient construction in
-``reference``, so both give the same chain complexes entry for entry.  A
+simplices and d_i lookups); ``simplicial.from_ordered_complex`` reads the
+same table.  A cell of a construction is a row of member indices, its
+canonical payload: sorted for a multiset, the support padded with its
+least member for a set.  Rows are kept in lexicographic order, the order
+of the quotient of X^n by the same relation (whose least member
+represents each class), so the chain complexes match that quotient's
+entry for entry; the tests hold it as the engine's oracle.  A
 :class:`Form` says which rows are cells: the based and reduced spaces are
 quotients (a row goes to its class's representative, and a collapsed
 subobject to the point's cell, degenerate above level 0), the fat
@@ -43,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
-                         SimplicialError, _recompose, cell_cap)
+                         SimplicialError, cell_cap)
 from .spaces import OrderedComplexSpec
 
 
@@ -53,6 +54,16 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def _recompose(comps, base: int) -> np.ndarray:
+    """Big-endian mixed-radix keys of the component arrays ``comps[0], ...``
+    in the given base."""
+    out = np.array(comps[0], dtype=np.int64)
+    for c in comps[1:]:
+        out *= base
+        out += c
+    return out
 
 
 def sequence_counts(spec: OrderedComplexSpec, truncation: int) -> list[int]:
@@ -238,6 +249,9 @@ def _collapsing(in_sub: Rows, point: Callable[[Sequences, int, int], list[int]])
     return canon
 
 
+# collapses the rows with a repeated member to the point, n copies of cell 0
+_collapse_repeated = _collapsing(_repeated, lambda X, n, level: [0] * n)
+
 BASE = Form(1, lambda N: N, bare=True)
 
 
@@ -278,8 +292,13 @@ def reduced_sp_form(n: int) -> Form:
 
 def reduced_sub_form(n: int) -> Form:
     """Sub_n(X)/Sub_(n-1)(X): the sets of exactly n members, and the point."""
-    canon = _collapsing(_repeated, lambda X, n, level: [0] * n)
-    return Form(n, lambda N: comb(N, n) + 1, sets=True, canon=canon)
+    return Form(n, lambda N: comb(N, n) + 1, sets=True, canon=_collapse_repeated)
+
+
+def sp_over_fat_form(n: int) -> Form:
+    """SP^n(X) modulo its fat diagonal: the multisets of n distinct members,
+    and the point."""
+    return Form(n, lambda N: comb(N, n) + 1, canon=_collapse_repeated)
 
 
 class OrbitSpace(NondegenerateComplex):

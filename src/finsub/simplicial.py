@@ -4,32 +4,20 @@
 simplicial set and their faces, a degenerate face stored as -1; with
 :class:`NondegenerateMap` it is all that normalized chains, chain maps and
 pi_1 presentations read (``homology``, ``fundamental``).  The orbit engine
-(``orbits``) builds the constructions in this form directly.
+(``orbits``) builds every construction in this form directly.
 
 :class:`TruncatedSimplicialSet` holds every cell up to a truncation, with
-dense face and degeneracy tables, and reaches the reader through one
-conversion (:meth:`TruncatedSimplicialSet.nondegenerate_form`).  Its
-operations (products, quotients, subobjects, collapses) make the
-reference path X^n -> quotient (``reference``).  X itself comes from the
-orbit engine's table of its cells (:func:`from_ordered_complex` reads
-``orbits.Sequences``), so X's cells are listed in one place, and product
-cells of both paths share one mixed-radix key (:func:`_recompose`).
-Cells at each level are indexed ``0..N_k-1`` and every constructor keeps
-the invariant that index order equals lexicographic order on the canonical
-cell payloads.  Because of this, the minimum index inside an equivalence
-class is also its lexicographically minimal payload, and quotients stay
-deterministic without ever materializing payloads.  All bulk work
-(validation, product assembly, quotients) is vectorized with numpy.  A
-quotient labels the connected components of its generating pairs level by
-level and adds the pairs that closure under faces and degeneracies forces,
-in rounds, until a round forces none.
+dense face and degeneracy tables whose simplicial identities are validated
+on construction, and reaches the reader through one conversion
+(:meth:`TruncatedSimplicialSet.nondegenerate_form`).  It is the view of an
+ordered complex X that :func:`from_ordered_complex` reads off the orbit
+engine's table of X's cells (``orbits.Sequences``), so X's cells are
+listed in one place.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -248,25 +236,6 @@ class TruncatedSimplicialSet:
         """The nondegenerate cells and their faces (validated as a whole)."""
         return self._positions()[0]
 
-    def degenerate_tower(self, vertex: int, level: int) -> int:
-        """Index of the ``level``-fold degeneracy of a 0-cell."""
-        cell = int(vertex)
-        for k in range(level):
-            cell = int(self.degens[k][cell, 0])
-        return cell
-
-    def same_cells(self, other: "TruncatedSimplicialSet") -> bool:
-        """True when both objects carry identical cell tables."""
-        if self.truncation != other.truncation or self.counts != other.counts:
-            return False
-        for k in range(1, self.truncation + 1):
-            if not np.array_equal(self.faces[k], other.faces[k]):
-                return False
-        for k in range(self.truncation):
-            if not np.array_equal(self.degens[k], other.degens[k]):
-                return False
-        return True
-
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
@@ -335,61 +304,6 @@ class TruncatedSimplicialSet:
                 print(f"  [{i}] {self.payload(k, i)}{row}{flag}")
 
 
-@dataclass(frozen=True)
-class SSetMap:
-    """A simplicial map given by per-level cell assignments.
-
-    The source truncation may be lower than the target's; commutation with
-    every face and degeneracy operator is checked on construction.
-    """
-
-    source: TruncatedSimplicialSet
-    target: TruncatedSimplicialSet
-    assignment: tuple[np.ndarray, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        src, dst = self.source, self.target
-        if src.truncation > dst.truncation:
-            raise SimplicialError("source truncation exceeds target truncation")
-        if len(self.assignment) != src.truncation + 1:
-            raise SimplicialError("assignment must cover all source levels")
-        object.__setattr__(self, "assignment",
-                           tuple(_frozen(a) for a in self.assignment))
-        for k, a in enumerate(self.assignment):
-            if a.shape != (src.counts[k],):
-                raise SimplicialError(f"assignment at level {k} has wrong length")
-            if a.size and (a.min() < 0 or a.max() >= dst.counts[k]):
-                raise SimplicialError(f"assignment out of range at level {k}")
-        for k in range(1, src.truncation + 1):
-            fa = dst.faces[k][self.assignment[k]]
-            for i in range(k + 1):
-                if not np.array_equal(fa[:, i], self.assignment[k - 1][src.faces[k][:, i]]):
-                    raise SimplicialError(f"map does not commute with d_{i} at level {k}")
-        for k in range(src.truncation):
-            sa = dst.degens[k][self.assignment[k]]
-            for j in range(k + 1):
-                if not np.array_equal(sa[:, j], self.assignment[k + 1][src.degens[k][:, j]]):
-                    raise SimplicialError(f"map does not commute with s_{j} at level {k}")
-
-    def nondegenerate_form(self) -> NondegenerateMap:
-        """The map on nondegenerate cells, between the nondegenerate forms."""
-        src, src_pos = self.source._positions()
-        dst, dst_pos = self.target._positions()
-        assignment = [dst_pos[k][self.assignment[k][src_pos[k] >= 0]]
-                      for k in range(src.truncation + 1)]
-        return NondegenerateMap(src, dst, assignment, name=self.name, check=False)
-
-
-def compose_maps(g: SSetMap, f: SSetMap, name: str = "") -> SSetMap:
-    """The composite ``g after f``; levels follow the source of ``f``."""
-    if f.target is not g.source:
-        raise SimplicialError("compose_maps: target of f is not the source of g")
-    assignment = tuple(g.assignment[k][f.assignment[k]]
-                       for k in range(f.source.truncation + 1))
-    return SSetMap(f.source, g.target, assignment, name=name or f"{g.name}*{f.name}")
-
-
 # ----------------------------------------------------------------------
 # generation from an ordered complex
 # ----------------------------------------------------------------------
@@ -420,283 +334,3 @@ def from_ordered_complex(spec: OrderedComplexSpec, truncation: int) -> Truncated
         degens.append(table)
     return TruncatedSimplicialSet(truncation, X.counts, X.faces, degens, X.label,
                                   name=spec.name)
-
-
-# ----------------------------------------------------------------------
-# products
-# ----------------------------------------------------------------------
-
-def _recompose(comps, base: int) -> np.ndarray:
-    """Big-endian mixed-radix keys of the component arrays ``comps[0], ...``
-    in the given base, the inverse of :func:`_decompose`."""
-    out = np.array(comps[0], dtype=np.int64)
-    for c in comps[1:]:
-        out *= base
-        out += c
-    return out
-
-
-def _decompose(indices: np.ndarray, base: int, n: int) -> np.ndarray:
-    """Big-endian mixed-radix components of product-cell indices, shape (n, len)."""
-    comps = np.empty((n, len(indices)), dtype=np.int64)
-    rest = indices
-    for t in range(n - 1, 0, -1):
-        comps[t] = rest % base
-        rest = rest // base
-    comps[0] = rest
-    return comps
-
-
-def power(S: TruncatedSimplicialSet, n: int):
-    """n-fold levelwise product of a simplicial set with itself.
-
-    Returns ``(P, coordinates)`` where ``coordinates[k][t]`` is the t-th
-    coordinate of every level-k cell of P, an ``(n, counts[k])`` array per
-    level.  Raises :class:`CellCapExceeded` before allocating anything if
-    the enumeration would exceed the cap.
-    """
-    if n < 1:
-        raise SimplicialError("power requires n >= 1")
-    D = S.truncation
-    total = sum(c ** n for c in S.counts)
-    cap = cell_cap()
-    if total > cap:
-        raise CellCapExceeded(
-            f"product would enumerate {total} cells (cap {cap}; "
-            "raise FINSUB_CELL_CAP to override)")
-
-    counts = [c ** n for c in S.counts]
-    coordinates = tuple(_decompose(np.arange(counts[k], dtype=np.int64), S.counts[k], n)
-                        for k in range(D + 1))
-
-    faces: list[np.ndarray | None] = [None]
-    for k in range(1, D + 1):
-        comps = coordinates[k]
-        table = np.empty((counts[k], k + 1), dtype=np.int64)
-        for i in range(k + 1):
-            table[:, i] = _recompose([S.faces[k][c, i] for c in comps], S.counts[k - 1])
-        faces.append(table)
-    degens: list[np.ndarray] = []
-    for k in range(D):
-        comps = coordinates[k]
-        table = np.empty((counts[k], k + 1), dtype=np.int64)
-        for j in range(k + 1):
-            table[:, j] = _recompose([S.degens[k][c, j] for c in comps], S.counts[k + 1])
-        degens.append(table)
-
-    def payload(level: int, index: int):
-        comps = []
-        for _ in range(n):
-            index, c = divmod(index, S.counts[level])
-            comps.append(c)
-        return tuple(S.payload(level, c) for c in reversed(comps))
-
-    P = TruncatedSimplicialSet(D, counts, faces, degens, payload,
-                               name=f"{S.name}^{n}")
-    return P, coordinates
-
-
-# ----------------------------------------------------------------------
-# quotients
-# ----------------------------------------------------------------------
-
-def _normalize_pairs(S, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Pairs ``level -> (a, b)`` as int64 arrays, checked against ``S``.
-
-    Indices are checked explicitly: numpy and list indexing would wrap a
-    negative index round to the last cells instead of rejecting it.
-    """
-    out = {}
-    for level, (a, b) in pairs.items():
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if a.shape != b.shape:
-            raise SimplicialError("pair arrays must have equal length")
-        if not 0 <= level <= S.truncation:
-            raise SimplicialError(f"pair level {level} outside 0..{S.truncation}")
-        for arr in (a, b):
-            if arr.size and (arr.min() < 0 or arr.max() >= S.counts[level]):
-                raise SimplicialError(
-                    f"pair index out of range 0..{S.counts[level] - 1} at level {level}")
-        out[int(level)] = (a, b)
-    return out
-
-
-def _hook_and_jump(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge the classes of every pair ``(a[i], b[i])`` into ``label``.
-
-    ``label`` maps each cell to the least member of its class, so the least
-    members are the roots of a forest.  Each round hooks the larger root of
-    every pair still apart onto the smaller one, then jumps pointers
-    (``label = label[label]``) until every cell points at a root again
-    (Shiloach-Vishkin, J. Algorithms 1982, with min-label hooking).
-    """
-    while True:
-        la, lb = label[a], label[b]
-        apart = la != lb
-        if not apart.any():
-            return label
-        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-
-
-def _closure_pairs(S: TruncatedSimplicialSet, labels: list[np.ndarray]
-                   ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Pairs the current classes still owe to faces and degeneracies.
-
-    A cell and the least member of its class must have faces, and
-    degeneracies, in equal classes; each operator on which they differ
-    yields a pair one level down, or up.
-    """
-    D = S.truncation
-    found: dict[int, tuple[list, list]] = {}
-
-    def compare(table, target, label, level):
-        for i in range(table.shape[1]):
-            col = target[table[:, i]]
-            cells = np.flatnonzero(col != col[label])
-            if cells.size:
-                pair = found.setdefault(level, ([], []))
-                pair[0].append(table[cells, i])
-                pair[1].append(table[label[cells], i])
-
-    for k in range(D + 1):
-        label = labels[k]
-        if np.array_equal(label, np.arange(len(label), dtype=np.int64)):
-            continue
-        if k > 0:
-            compare(S.faces[k], labels[k - 1], label, k - 1)
-        if k < D:
-            compare(S.degens[k], labels[k + 1], label, k + 1)
-    return {k: (np.concatenate(a), np.concatenate(b)) for k, (a, b) in found.items()}
-
-
-def quotient(S: TruncatedSimplicialSet, pairs, name: str = ""):
-    """Quotient by the closure of generating cell identifications.
-
-    ``pairs`` maps a level to arrays ``(a, b)``: cell ``a[i]`` is glued to
-    cell ``b[i]`` at that level.  The relation is closed under faces and
-    degeneracies in rounds: each round labels the connected components of
-    the pending pairs level by level (:func:`_hook_and_jump`), then
-    compares the faces and degeneracies of every cell with those of its
-    class's least member; the mismatches are the next round's pairs.  The
-    result's cells are the equivalence classes, represented by their
-    lexicographically minimal members.
-
-    Returns ``(Q, projection)``.
-    """
-    D = S.truncation
-    pending = _normalize_pairs(S, pairs)
-    labels = [np.arange(n, dtype=np.int64) for n in S.counts]
-    while pending:
-        for level, (a, b) in pending.items():
-            labels[level] = _hook_and_jump(labels[level], a, b)
-        pending = _closure_pairs(S, labels)
-
-    # classes are numbered in the order of their least members
-    class_of: list[np.ndarray] = []
-    reps: list[np.ndarray] = []
-    for label in labels:
-        is_rep = label == np.arange(len(label), dtype=np.int64)
-        rank = np.cumsum(is_rep, dtype=np.int64) - 1
-        class_of.append(rank[label])
-        reps.append(_frozen(np.flatnonzero(is_rep)))
-    del labels, label, is_rep, rank   # before Q and the projection are validated
-
-    faces_q: list[np.ndarray | None] = [None]
-    for k in range(1, D + 1):
-        faces_q.append(class_of[k - 1][S.faces[k][reps[k]]])
-    degens_q: list[np.ndarray] = []
-    for k in range(D):
-        degens_q.append(class_of[k + 1][S.degens[k][reps[k]]])
-
-    def payload(level: int, index: int):
-        return S.payload(level, int(reps[level][index]))
-
-    Q = TruncatedSimplicialSet(D, [len(r) for r in reps], faces_q, degens_q, payload,
-                               name=name or f"{S.name}/~")
-    projection = SSetMap(S, Q, tuple(class_of), name="proj")
-    return Q, projection
-
-
-# ----------------------------------------------------------------------
-# subobjects and collapses
-# ----------------------------------------------------------------------
-
-def sub_object(S: TruncatedSimplicialSet, predicate: Callable[[int, object], bool],
-               name: str = ""):
-    """Subobject spanned by the cells satisfying ``predicate(level, payload)``.
-
-    The selected set must be closed under faces and degeneracies; a
-    violation is reported with the offending cell.  Returns
-    ``(A, inclusion)``.
-    """
-    D = S.truncation
-    selected: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
-    for k in range(D + 1):
-        mask = np.fromiter((predicate(k, S.payload(k, i)) for i in range(S.counts[k])),
-                           dtype=bool, count=S.counts[k])
-        masks.append(mask)
-        selected.append(np.nonzero(mask)[0].astype(np.int64))
-    for k in range(1, D + 1):
-        mask_faces = masks[k - 1][S.faces[k][selected[k]]]
-        if not mask_faces.all():
-            c = selected[k][np.nonzero(~mask_faces.all(axis=1))[0][0]]
-            raise SimplicialError(
-                f"selection is not closed under faces: cell {S.payload(k, int(c))} "
-                f"at level {k} has an unselected face")
-    for k in range(D):
-        mask_deg = masks[k + 1][S.degens[k][selected[k]]]
-        if not mask_deg.all():
-            c = selected[k][np.nonzero(~mask_deg.all(axis=1))[0][0]]
-            raise SimplicialError(
-                f"selection is not closed under degeneracies: cell "
-                f"{S.payload(k, int(c))} at level {k}")
-
-    sub_index: list[np.ndarray] = []
-    for k in range(D + 1):
-        back = np.full(S.counts[k], -1, dtype=np.int64)
-        back[selected[k]] = np.arange(len(selected[k]), dtype=np.int64)
-        sub_index.append(back)
-
-    counts_a = [len(s) for s in selected]
-    faces_a: list[np.ndarray | None] = [None]
-    for k in range(1, D + 1):
-        faces_a.append(sub_index[k - 1][S.faces[k][selected[k]]])
-    degens_a: list[np.ndarray] = []
-    for k in range(D):
-        degens_a.append(sub_index[k + 1][S.degens[k][selected[k]]])
-
-    sel_frozen = [_frozen(s) for s in selected]
-
-    def payload(level: int, index: int):
-        return S.payload(level, int(sel_frozen[level][index]))
-
-    A = TruncatedSimplicialSet(D, counts_a, faces_a, degens_a, payload,
-                               name=name or f"{S.name}|sub")
-    inclusion = SSetMap(A, S, tuple(sel_frozen), name="incl")
-    return A, inclusion
-
-
-def collapse(S: TruncatedSimplicialSet, inclusion: SSetMap, name: str = ""):
-    """Collapse a subobject to a point; returns ``(Q, projection)``.
-
-    ``inclusion`` must be the inclusion of a subobject of ``S`` (as
-    produced by :func:`sub_object`) containing at least one vertex.
-    """
-    if inclusion.target is not S:
-        raise SimplicialError("collapse: inclusion does not land in S")
-    if inclusion.source.counts[0] == 0:
-        raise SimplicialError("collapse: subobject is empty")
-    pairs = {}
-    for k in range(inclusion.source.truncation + 1):
-        sel = inclusion.assignment[k]
-        if len(sel) > 1:
-            pairs[k] = (sel[:-1], sel[1:])
-    return quotient(S, pairs, name=name or f"{S.name}/A")

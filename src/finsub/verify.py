@@ -5,9 +5,8 @@ tolerances anywhere).  Each case names its invariant, which picks the one
 runner that computes and compares it, and, where it has one, a construction
 of the registry ``constructions.CONSTRUCTIONS`` on a built-in space with its
 n; cases over several constructions list them as labelled
-``(label, construction, space, n)`` models.  The cross-check cases build
-the quotient constructions of ``reference`` as well.  A memo per run, keyed
-by registry name, space and n, lets cases that need the same construction
+``(label, construction, space, n)`` models.  A memo per run, keyed by
+registry name, space and n, lets cases that need the same construction
 reuse it.  Reports are deterministic, JSON-serializable, and the suite
 fails exactly when a required case does.
 """
@@ -21,13 +20,13 @@ from fnmatch import fnmatch
 
 import numpy as np
 
+from . import orbits
 from .constructions import CONSTRUCTIONS
 from .fundamental import abelianization, fundamental_presentation, tietze_simplify
 from .homology import (HomologyCoordinates, HomologyGroup, SparseIntMatrix,
                        euler_characteristic, homology, induced_map, normalized_chains,
                        smith_normal_form, universal_coefficients_consistent)
-from .reference import REFERENCE_BUILDERS, direct_subset_quotient, engine_mismatches
-from .simplicial import CellCapExceeded, collapse, compose_maps
+from .simplicial import CellCapExceeded
 from .spaces import builtin_space
 
 STATUSES = ("pass", "fail", "inconclusive", "skipped", "error")
@@ -173,12 +172,6 @@ def _chains(cache, construction, space, n=None):
                    lambda: entry.chains(_built(cache, construction, space, n)))
 
 
-def _reference(cache, construction, space, n=None):
-    """The quotient construction of ``reference`` (X^n and a quotient)."""
-    return _cached(cache, ("reference", construction, space, n),
-                   lambda: REFERENCE_BUILDERS[construction](builtin_space(space), n))
-
-
 def _homology(cache, construction, space, n=None, mod=None):
     chains = _chains(cache, construction, space, n)
     return _cached(cache, ("H", construction, space, n, mod), lambda: homology(chains, mod=mod))
@@ -310,35 +303,27 @@ def _run_coproduct_image_case(case, cache, report):
 
 
 def _run_same_cells_case(case, cache, report):
-    """Sub_n(X) and SP^n(X) have the same cells (quotient constructions)."""
-    sub = _reference(cache, "sub", case.space, case.n).space
-    same = sub.same_cells(_reference(cache, "sp", case.space, case.n).space)
+    """Sub_n(X) and SP^n(X) have the same cells: as many of all cells, and
+    the same nondegenerate cells with the same faces."""
+    sub = _built(cache, "sub", case.space, case.n).space
+    sp = _built(cache, "sp", case.space, case.n).space
+    same = (sub.counts == sp.counts and sub.ranks == sp.ranks
+            and all(np.array_equal(a, b) for a, b in zip(sub.faces[1:], sp.faces[1:])))
     report.cells = sub.total_cells()
     report.computed = {"cell_isomorphic": same}
     report.status = _verdict(same)
 
 
 def _run_relative_case(case, cache, report):
-    """SP^n(X) modulo its fat diagonal (collapsed in the quotient
-    construction) has the homology of Sub_n / Sub_(n-1)."""
-    fat = _reference(cache, "fat", case.space, case.n)
-    sp_over_fat, _ = collapse(fat.parts["sp"], fat.maps["incl_fat"])
+    """SP^n(X) modulo its fat diagonal (collapsed to a point) has the
+    homology of Sub_n / Sub_(n-1)."""
+    spec = builtin_space(case.space)
+    form = orbits.sp_over_fat_form(case.n)
+    _, (sp_over_fat,) = orbits.build(spec, case.n, [(form, f"SP^{case.n}({spec.name})/fat")])
     a = _groups_to_list(homology(normalized_chains(sp_over_fat, with_labels=False)).groups)
     b = _groups_to_list(_groups(cache, "reduced_sub", case.space, case.n))
     report.computed = {"sp_over_fat": a, "sub_over_prev": b}
     report.status = _verdict(a == b)
-
-
-def _run_quotient_composition_case(case, cache, report):
-    """X^n -> SP^n -> Sub_n equals the one-step quotient of X^n."""
-    sub = _reference(cache, "sub", case.space, case.n)
-    composite = compose_maps(sub.maps["pi"], sub.maps["q"])
-    direct, proj = direct_subset_quotient(builtin_space(case.space), case.n)
-    same_space = direct.same_cells(sub.space)
-    same_map = all(np.array_equal(a, b) for a, b in
-                   zip(composite.assignment, proj.assignment))
-    report.computed = {"same_cells": same_space, "same_map": same_map}
-    report.status = _verdict(same_space and same_map)
 
 
 def _run_snf_case(case, cache, report):
@@ -387,33 +372,17 @@ def _run_uct_case(case, cache, report):
 
 
 def _run_revalidate_case(case, cache, report):
-    """Simplicial identities and d o d = 0, re-checked explicitly on the
-    quotient constructions of the models (they also run at construction
-    time)."""
+    """Face identities and d o d = 0, re-checked explicitly on the models
+    (both also run at construction time)."""
     checked, ok = [], True
     for label, construction, space, n in case.param_dict["models"]:
-        sset = _reference(cache, construction, space, n).space
-        sset.validate()
-        chains = normalized_chains(sset, with_labels=False)
+        _built(cache, construction, space, n).space.check()
+        chains = _chains(cache, construction, space, n)
         ok = ok and all(chains.boundary(k - 1).matmul(chains.boundary(k)).is_zero()
                         for k in range(2, chains.top_degree + 1))
         checked.append([label, space, n])
     report.computed = {"revalidated": checked}
     report.status = _verdict(ok)
-
-
-def _run_engine_reference_case(case, cache, report):
-    """The orbit engine and the quotient construction give the same chain
-    complexes, chain maps and pi_1 presentations."""
-    matched, mismatched = [], []
-    for construction, space, n in case.param_dict["models"]:
-        diffs = engine_mismatches(construction, builtin_space(space), n)
-        if diffs:
-            mismatched.append([construction, space, n, diffs])
-        else:
-            matched.append([construction, space, n])
-    report.computed = {"matched": matched, "mismatched": mismatched}
-    report.status = _verdict(not mismatched)
 
 
 def _run_poincare_failure_case(case, cache, report):
@@ -451,12 +420,10 @@ _RUNNERS = {
     "coproduct_image": _run_coproduct_image_case,
     "same_cells": _run_same_cells_case,
     "relative": _run_relative_case,
-    "quotient_composition": _run_quotient_composition_case,
     "snf": _run_snf_case,
     "dimension_bound": _run_dimension_bound_case,
     "uct": _run_uct_case,
     "revalidate": _run_revalidate_case,
-    "engine_reference": _run_engine_reference_case,
     "poincare_failure": _run_poincare_failure_case,
     "euler": _run_euler_case,
     "mismatch_selftest": _run_mismatch_selftest_case,
@@ -499,13 +466,6 @@ def _three_models(space):
                         ("coproduct", "coproduct", space, None))),)
 
 
-def _engine_models():
-    circle = [(c, "circle3", n) for n in (2, 3, 4)
-              for c in ("sp", "sub", "fat", "reduced_sp", "reduced_sub")]
-    sphere = [(c, "sphere2", 2) for c in ("sp", "sub", "fat", "reduced_sp", "reduced_sub")]
-    return tuple(circle + sphere + [("based_sub3", "torus", None)])
-
-
 def catalog() -> list[VerificationCase]:
     Z, Z2, O = (1, ()), (0, (2,)), (0, ())
     V = VerificationCase
@@ -541,7 +501,7 @@ def catalog() -> list[VerificationCase]:
         V("sub3-s2-pi1", "pi_1(Sub_3 S^2) trivializes",
           "pi1", "sub", "sphere2", 3, inconclusive_fails=False),
         # 7. SP^2 of the torus, two independent models
-        V("sp2-torus-two-models", "quotient and surface models agree on SP^2(torus)",
+        V("sp2-torus-two-models", "orbit-engine and surface models agree on SP^2(torus)",
           "agreement", expected=_h(Z, (2, ()), (2, ()), (2, ()), Z),
           params=(("models", (("quotient", "sp", "torus", 2),
                               ("surface", "surface", "torus", 2))),)),
@@ -611,8 +571,6 @@ def catalog() -> list[VerificationCase]:
         V("triangulation-invariance", "Sub_3 homology agrees for 3- and 4-vertex circles",
           "agreement", params=(("models", (("circle3", "sub", "circle3", 3),
                                            ("circle4", "sub", "circle4", 3))),)),
-        V("quotient-composition", "X^3 -> SP^3 -> Sub_3 equals the one-step quotient",
-          "quotient_composition", space="circle3", n=3),
         V("poincare-failure-sub3-s2",
           "torsion in H_4 with trivial H_1 rules out a closed manifold",
           "poincare_failure", "sub", "sphere2", 3),
@@ -625,9 +583,6 @@ def catalog() -> list[VerificationCase]:
           "pi1", "sp", "torus", 2, [2, []]),
         V("expected-mismatch-selftest", "harness reports a deliberate torsion mismatch",
           "mismatch_selftest", "space", "rp2", None, _h(Z, (0, (4,)), O)),
-        V("orbit-engine-matches-reference",
-          "orbit engine and quotient construction give the same chains and maps",
-          "engine_reference", params=(("models", _engine_models()),)),
         # stretch cases
         V("stretch-sub5-s1", "Sub_5(S^1) has the homology of S^5",
           "homology", "sub", "circle3", 5, _h(Z, O, O, O, O, Z), tag="stretch"),

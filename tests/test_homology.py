@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from finsub.homology import (INT64_ENTRY_BOUND, SMALL_ENTRIES, ChainComplexZ, HomologyError,
                              HomologyGroup, HomologyCoordinates, SparseIntMatrix, _normalized,
-                             euler_characteristic, homology, homology_of_sset,
+                             _normalized_small, euler_characteristic, homology, homology_of_sset,
                              induced_map, invariant_factors, normalized_chains,
                              SmithNormalForm, rank_mod_p, smith_normal_form,
                              universal_coefficients_consistent)
-from finsub.simplicial import SSetMap, compose_maps, from_ordered_complex, power
+from finsub.simplicial import from_ordered_complex
 from finsub.spaces import builtin_space
-
-
-def _identity(S):
-    return SSetMap(S, S, tuple(np.arange(n, dtype=np.int64) for n in S.counts), name="id")
+from xn_reference import (SSetMap, compose_maps, identity_map, power,
+                          reference_finite_subset_space)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +198,7 @@ def test_induced_map_identity():
     C = normalized_chains(S, with_labels=False)
     coords = HomologyCoordinates(C)
     for k in (0, 1, 2):
-        m = induced_map(_identity(S), k, coords, coords)
+        m = induced_map(identity_map(S), k, coords, coords)
         n = coords.generator_count(k)
         assert m == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -212,7 +210,7 @@ def test_induced_map_functoriality():
     coords_p = HomologyCoordinates(normalized_chains(P, with_labels=False))
     coords_s = HomologyCoordinates(normalized_chains(S, with_labels=False))
     # composing with the identity reproduces the projection matrix
-    comp = compose_maps(_identity(S), proj)
+    comp = compose_maps(identity_map(S), proj)
     a = induced_map(proj, 1, coords_p, coords_s)
     b = induced_map(comp, 1, coords_p, coords_s)
     assert a == b
@@ -225,7 +223,7 @@ def test_induced_map_checks_degree_first(monkeypatch):
     def no_chains(*args, **kwargs):
         raise AssertionError("chains built before the degree check")
 
-    f = _identity(from_ordered_complex(builtin_space("circle3"), 2))
+    f = identity_map(from_ordered_complex(builtin_space("circle3"), 2))
     coords = HomologyCoordinates(normalized_chains(f.source, with_labels=False))
     for name in ("normalized_chains", "chain_map_matrices"):
         monkeypatch.setattr(homology_module, name, no_chains)
@@ -330,10 +328,11 @@ _EDGE_VALUES = (INT64_ENTRY_BOUND - 1, INT64_ENTRY_BOUND, 1 << 70)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_short_entry_lists_normalize_as_the_numpy_path(nrows, ncols, data):
-    """Up to SMALL_ENTRIES entries are summed, sorted and typed in plain
-    Python; the arrays and their dtypes are those of ``_normalized``.
-    Entries cancel, sit at the int64 bound or beyond int64, come as numpy
-    ints, or fall outside the matrix."""
+    """``_normalized_small`` sums, sorts and types entries in plain Python;
+    the arrays and their dtypes are those of ``_normalized``, which
+    ``SparseIntMatrix`` takes past SMALL_ENTRIES entries.  Entries cancel,
+    sit at the int64 bound or beyond int64, come as numpy ints next to
+    Python ints beyond int64, or fall outside the matrix."""
     value = st.integers(-3, 3) | st.sampled_from(_EDGE_VALUES).flatmap(
         lambda v: st.sampled_from((v, -v)))
     entry = st.tuples(st.integers(-1, nrows), st.integers(-1, ncols), value)
@@ -341,28 +340,37 @@ def test_short_entry_lists_normalize_as_the_numpy_path(nrows, ncols, data):
     entries += [(r, c, -v) for r, c, v in data.draw(st.lists(st.sampled_from(entries),
                                                              max_size=len(entries)))
                 ] if entries else []
+    if nrows and ncols and data.draw(st.booleans()):
+        inside = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), value)
+        entries += data.draw(st.lists(inside, min_size=SMALL_ENTRIES + 1,
+                                      max_size=SMALL_ENTRIES + 4))
     if data.draw(st.booleans()):
-        # numpy's int64 + a Python int beyond int64 overflows, so those stay Python ints
-        wide = any(abs(v) >= 1 << 63 for _, _, v in entries)
-        entries = [(np.int64(r), np.int32(c), v if wide else np.int64(v))
+        entries = [(np.int64(r), np.int32(c), np.int64(v) if abs(v) < 1 << 63 else v)
                    for r, c, v in entries]
     rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    paths = (lambda: SparseIntMatrix(nrows, ncols, entries).arrays,
+             lambda: _normalized(nrows, ncols, rows, cols, np.array(vals, dtype=object)))
     try:
-        want = _normalized(nrows, ncols, rows, cols, np.array(vals, dtype=object))
+        want = _normalized_small(nrows, ncols, entries)
     except HomologyError:
-        with pytest.raises(HomologyError, match="entry out of range"):
-            SparseIntMatrix(nrows, ncols, entries)
+        for path in paths:
+            with pytest.raises(HomologyError, match="entry out of range"):
+                path()
         return
-    got = SparseIntMatrix(nrows, ncols, entries).arrays
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for path in paths:
+        for a, b in zip(path(), want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_numpy_ints_sum_with_big_ints_past_the_short_path():
+    for big in (1 << 70, -(1 << 70)):
+        entries = [(0, 0, np.int64(5)), (0, 0, big)] + [(1, i, 1) for i in range(40)]
+        assert SparseIntMatrix(2, 40, entries).entries[0] == (0, 0, big + 5)
 
 
 def test_induced_map_functoriality_on_composite():
     # pi o q through SP^3 equals the matrix product of the induced maps
     from finsub.homology import chain_map_matrices, induced_matrix_from_chain_map
-    from finsub.reference import reference_finite_subset_space
-    from finsub.simplicial import compose_maps
 
     sub = reference_finite_subset_space(builtin_space("circle3"), 3, with_filtration=False)
     q, pi = sub.maps["q"], sub.maps["pi"]

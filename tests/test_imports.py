@@ -3,6 +3,9 @@ each local name it stores, and the package each private module-level
 function, class and constant it defines.  The module-level relative
 imports of the package form an acyclic graph.
 
+No module defines or imports the X^n-quotient oracle of the orbit engine
+(``tests/xn_reference.py``), and none is named ``reference``.
+
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.  A name counts as read when the syntax tree loads it
 anywhere: in the module for an import, in the function or a function nested
@@ -101,6 +104,46 @@ def import_cycle(sources: dict[str, str]) -> list[str]:
         if module not in done and (cycle := visit(module)):
             return cycle
     return []
+
+
+ORACLE = {"power", "quotient", "sub_object", "collapse", "compose_maps", "SSetMap",
+          "reference"}
+
+
+def oracle_names(source: str) -> list[str]:
+    """Names of the oracle that a module defines at its top level, or
+    imports (a module named ``reference`` counts, from any package)."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [part for alias in node.names for part in alias.name.split(".")]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found += node.module.split(".")
+    return sorted(set(found) & ORACLE)
+
+
+def test_oracle_names_are_found():
+    source = ("import numpy.reference\n"
+              "from .simplicial import power as p, cell_cap\n"
+              "def f():\n"
+              "    from .reference import engine_mismatches\n"
+              "    quotient = 1\n"
+              "class SSetMap:\n"
+              "    pass\n"
+              "collapse = None\n")
+    assert oracle_names(source) == ["SSetMap", "collapse", "power", "reference"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_keeps_the_xn_oracle_out(path):
+    assert path.stem not in ORACLE
+    assert oracle_names(path.read_text()) == []
 
 
 def test_import_cycles_are_found():

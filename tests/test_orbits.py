@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from finsub import orbits
 from finsub.cli import main
-from finsub.constructions import finite_subset_space, symmetric_product
+from finsub.constructions import finite_subset_space, reduced, symmetric_product
 from finsub.homology import SparseIntMatrix, chain_map_matrices, normalized_chains
-from finsub.reference import REFERENCE_BUILDERS, engine_mismatches
 from finsub.simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
                                SimplicialError)
 from finsub.spaces import OrderedComplexSpec, builtin_space, load_complex
+from xn_reference import (REFERENCE_BUILDERS, chain_mismatches, collapse,
+                          engine_mismatches, reference_fat_diagonal)
 
 # the package's homology() function shadows the submodule as an attribute
 homology = import_module("finsub.homology")
@@ -67,14 +68,50 @@ def test_engine_matches_reference_on_the_torus(construction):
     assert engine_mismatches(construction, builtin_space("torus"), 2) == []
 
 
+FORMS = ("sp", "sub", "fat", "reduced_sp", "reduced_sub")
+
+
+@pytest.mark.parametrize("construction, space, n",
+                         [(c, "circle3", n) for n in (2, 3, 4) for c in FORMS]
+                         + [(c, "sphere2", 2) for c in FORMS] + [("based_sub3", "torus", None)])
+def test_engine_matches_reference_on_the_suite_models(construction, space, n):
+    assert engine_mismatches(construction, builtin_space(space), n) == []
+
+
+@pytest.mark.parametrize("space, n", [("circle3", 2), ("circle3", 3), ("sphere2", 2)])
+def test_sp_modulo_the_fat_diagonal(space, n):
+    """The engine's SP^n/fat is the collapse of the quotient's fat diagonal,
+    whose homology is that of the engine's Sub_n/Sub_(n-1)."""
+    spec = builtin_space(space)
+    fat = reference_fat_diagonal(spec, n)
+    collapsed, _ = collapse(fat.parts["sp"], fat.maps["incl_fat"])
+    _, (engine,) = orbits.build(spec, n, [(orbits.sp_over_fat_form(n), "SP/fat")])
+    assert chain_mismatches(engine, collapsed, "SP/fat") == []
+    assert homology.homology_of_sset(collapsed).groups == \
+        homology.homology_of_sset(reduced(spec, n, "sub").space).groups
+
+
+@pytest.mark.parametrize("construction, space, n", [("sp", "circle3", 2), ("sub", "circle3", 3),
+                                                    ("sp", "sphere2", 2),
+                                                    ("based_sub3", "torus", None)])
+def test_quotient_constructions_revalidate(construction, space, n):
+    S = REFERENCE_BUILDERS[construction](builtin_space(space), n).space
+    S.validate()
+    C = normalized_chains(S, with_labels=False)
+    assert all(C.boundary(k - 1).matmul(C.boundary(k)).is_zero()
+               for k in range(2, C.top_degree + 1))
+
+
 def test_engine_builds_no_product_and_no_quotient(monkeypatch):
+    """No module of the package builds X^n or a quotient of it
+    (tests/test_imports.py); the engine builds no TruncatedSimplicialSet
+    either."""
     from finsub import simplicial
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the engine reached the X^n -> quotient path")
+        raise AssertionError("the engine built every cell of a simplicial set")
 
-    for name in ("power", "quotient", "from_ordered_complex"):
-        monkeypatch.setattr(simplicial, name, refuse)
+    monkeypatch.setattr(simplicial, "from_ordered_complex", refuse)
     monkeypatch.setattr(simplicial.TruncatedSimplicialSet, "validate", refuse)
     sub = finite_subset_space(builtin_space("sphere2"), 3)
     assert sub.space.nondeg_counts() == (14, 161, 1014, 3040, 4576, 3360, 960, 0)

@@ -9,6 +9,8 @@ presentations or the homology of the spaces finsub builds:
 - Macdonald: chi(SP^n X) = C(chi(X) + n - 1, n);
 - Sub_n(X) is simply connected for n >= 3 and connected X, and Tietze moves
   reach the empty presentation of its pi_1, so no pi_1 is inconclusive;
+- Tuffley (*AGT* 2002): Sub_k(S^1) is homotopy equivalent to
+  S^(2 ceil(k/2) - 1), on circles of 3 to 7 vertices;
 - Sub_n(X) is (n + r - 2)-connected when X is r-connected (the source
   paper; Tuffley, "Connectivity of finite subset spaces of cell
   complexes"), so its reduced homology vanishes in degrees up to n + r - 2;
@@ -90,6 +92,17 @@ def test_sub3_of_the_2_sphere_is_2_connected():
     # S^2 simply connected: r = 1, so H~_i(Sub_3 S^2) = 0 for i <= 2
     space = finite_subset_space(builtin_space("sphere2"), 3, with_filtration=False).space
     _assert_reduced_homology_vanishes(space, 2)
+
+
+@pytest.mark.parametrize("vertices", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_subset_spaces_of_the_circle_are_odd_spheres(k, vertices):
+    circle = _complex(f"circle{vertices}", vertices,
+                      [[v, (v + 1) % vertices] for v in range(vertices)])
+    groups = homology_of_sset(finite_subset_space(circle, k, with_filtration=False).space).groups
+    top = 2 * ((k + 1) // 2) - 1
+    assert [(h.betti, h.torsion) for h in groups] == \
+        [(int(degree in (0, top)), ()) for degree in range(len(groups))]
 
 
 def _macdonald_betti(g, n):
