@@ -6,10 +6,12 @@ nondegenerate cells: multisets or sets of cells of X whose ascent masks
 cover every position, with no X^n and no quotient.  Each result is an
 ``orbits.OrbitSpace`` with its structure maps as ``NondegenerateMap``s,
 which normalized chains, induced maps and pi_1 read directly; the tests
-check them against the quotients of X^n they equal.  Two further models
-of the based three-fold subset space Sub_3(X, x0), a cylinder chain model
-(the mapping cone of j_2 - diag) and a coproduct model on homology, are
-checked against the quotient model.
+check them against the quotients of X^n they equal.  Only the space is
+built with the result: each map and part, with the spaces only it needs
+(X, or SP^n for ``pi`` and ``alpha``), is built on its first read.  Two
+further models of the based three-fold subset space Sub_3(X, x0), a
+cylinder chain model (the mapping cone of j_2 - diag) and a coproduct
+model on homology, are checked against the quotient model.
 
 ``CONSTRUCTIONS`` is the one registry from a construction name (the
 ``--construction`` choices of the command line, and the constructions
@@ -18,8 +20,9 @@ verification cases name) to its builder of (space, n).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import orbits
 from .homology import (ChainComplexZ, HomologyCoordinates, HomologyGroup,
@@ -32,11 +35,22 @@ from .surface import load_surface, sp_chain_complex
 
 @dataclass
 class ConstructionResult:
-    """A constructed space together with its named structure maps."""
+    """A constructed space together with its named structure maps and parts.
+
+    ``space`` is built with the result; the engine builders give ``maps``
+    and ``parts`` as :class:`orbits.Lazy` mappings, whose entries (and the
+    spaces they alone need) are built on their first read.  A map whose
+    face check fails raises :class:`SimplicialError` there.
+    """
 
     space: object
-    maps: dict[str, object]
-    parts: dict[str, object] = field(default_factory=dict)
+    maps: Mapping[str, object]
+    parts: Mapping[str, object] = field(default_factory=dict)
+
+
+def _parts(spaces: orbits.Lazy, *keys: str) -> orbits.Lazy:
+    """The spaces of these keys as the parts of a result, each on first read."""
+    return orbits.Lazy({key: partial(spaces.__getitem__, key) for key in keys})
 
 
 def symmetric_product(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
@@ -47,10 +61,11 @@ def symmetric_product(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
     """
     if n < 1:
         raise SimplicialError("symmetric_product requires n >= 1")
-    X, (SP,) = orbits.build(spec, n, [(orbits.sp_form(n), f"SP^{n}({spec.name})")])
-    maps = {"j_n": orbits.orbit_map(X, SP, "j_n", orbits.with_tower),
-            "diag": orbits.orbit_map(X, SP, "diag", orbits.repeat)}
-    return ConstructionResult(SP, maps, parts={"base": X})
+    spaces = orbits.build(spec, n, {"sp": (orbits.sp_form(n), f"SP^{n}({spec.name})")})
+    SP = spaces["sp"]
+    maps = {"j_n": lambda: orbits.orbit_map(spaces["base"], SP, "j_n", orbits.with_tower),
+            "diag": lambda: orbits.orbit_map(spaces["base"], SP, "diag", orbits.repeat)}
+    return ConstructionResult(SP, orbits.Lazy(maps), _parts(spaces, "base"))
 
 
 def finite_subset_space(spec: OrderedComplexSpec, n: int,
@@ -64,31 +79,32 @@ def finite_subset_space(spec: OrderedComplexSpec, n: int,
     """
     if n < 1:
         raise SimplicialError("finite_subset_space requires n >= 1")
-    forms = [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
-             (orbits.sub_form(n), f"Sub_{n}({spec.name})")]
+    forms = {"sp": (orbits.sp_form(n), f"SP^{n}({spec.name})"),
+             "sub": (orbits.sub_form(n), f"Sub_{n}({spec.name})")}
     filtration = with_filtration and n >= 2
     if filtration:
-        forms.append((orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"))
-    X, (SP, Sub, *prev) = orbits.build(spec, n, forms)
-    maps = {"pi": orbits.orbit_map(SP, Sub, "pi"),
-            "j": orbits.orbit_map(X, Sub, "j", orbits.repeat),
-            "j_n": orbits.orbit_map(X, Sub, "pi*j_n", orbits.with_tower)}
-    result = ConstructionResult(Sub, maps, parts={"base": X})
+        forms["filtration_sub"] = (orbits.prev_form(n), f"Sub_{n - 1}({spec.name})")
+    spaces = orbits.build(spec, n, forms)
+    Sub = spaces["sub"]
+    maps = {"pi": lambda: orbits.orbit_map(spaces["sp"], Sub, "pi"),
+            "j": lambda: orbits.orbit_map(spaces["base"], Sub, "j", orbits.repeat),
+            "j_n": lambda: orbits.orbit_map(spaces["base"], Sub, "pi*j_n", orbits.with_tower)}
+    parts = ("base",)
     if filtration:
-        result.maps["incl_sub_prev"] = orbits.orbit_map(prev[0], Sub, "incl")
-        result.parts["filtration_sub"] = prev[0]
-    return result
+        maps["incl_sub_prev"] = lambda: orbits.orbit_map(spaces["filtration_sub"], Sub, "incl")
+        parts += ("filtration_sub",)
+    return ConstructionResult(Sub, orbits.Lazy(maps), _parts(spaces, *parts))
 
 
 def fat_diagonal(spec: OrderedComplexSpec, n: int) -> ConstructionResult:
     """Multisets with a repeated member, with their inclusion into SP^n."""
     if n < 2:
         raise SimplicialError("fat_diagonal requires n >= 2")
-    X, (SP, fat) = orbits.build(spec, n,
-                                [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
-                                 (orbits.fat_form(n), f"fat_diagonal_{n}({spec.name})")])
-    return ConstructionResult(fat, {"incl_fat": orbits.orbit_map(fat, SP, "incl")},
-                              parts={"base": X, "sp": SP})
+    spaces = orbits.build(spec, n, {"sp": (orbits.sp_form(n), f"SP^{n}({spec.name})"),
+                                    "fat": (orbits.fat_form(n), f"fat_diagonal_{n}({spec.name})")})
+    fat = spaces["fat"]
+    maps = {"incl_fat": lambda: orbits.orbit_map(fat, spaces["sp"], "incl")}
+    return ConstructionResult(fat, orbits.Lazy(maps), _parts(spaces, "base", "sp"))
 
 
 def based_subset3(spec: OrderedComplexSpec) -> ConstructionResult:
@@ -99,13 +115,14 @@ def based_subset3(spec: OrderedComplexSpec) -> ConstructionResult:
     Maps: ``alpha`` (SP^2 -> quotient), ``j_x0`` (x -> {x, x0}) and
     ``diag_based`` (x -> {x, x}), which is the same map.
     """
-    X, (SP, B) = orbits.build(spec, 2,
-                              [(orbits.sp_form(2), f"SP^2({spec.name})"),
-                               (orbits.based_form(), f"Sub_3({spec.name},x0)")])
-    maps = {"alpha": orbits.orbit_map(SP, B, "alpha"),
-            "j_x0": orbits.orbit_map(X, B, "j_x0", orbits.with_tower),
-            "diag_based": orbits.orbit_map(X, B, "alpha*diag", orbits.repeat)}
-    return ConstructionResult(B, maps, parts={"base": X})
+    spaces = orbits.build(spec, 2, {"sp": (orbits.sp_form(2), f"SP^2({spec.name})"),
+                                    "based": (orbits.based_form(), f"Sub_3({spec.name},x0)")})
+    B = spaces["based"]
+    maps = {"alpha": lambda: orbits.orbit_map(spaces["sp"], B, "alpha"),
+            "j_x0": lambda: orbits.orbit_map(spaces["base"], B, "j_x0", orbits.with_tower),
+            "diag_based": lambda: orbits.orbit_map(spaces["base"], B, "alpha*diag",
+                                                   orbits.repeat)}
+    return ConstructionResult(B, orbits.Lazy(maps), _parts(spaces, "base"))
 
 
 def _sp2_chains(spec: OrderedComplexSpec):
@@ -159,17 +176,18 @@ def reduced(spec: OrderedComplexSpec, n: int, kind: str) -> ConstructionResult:
     if kind not in KINDS:
         raise SimplicialError(f"kind must be one of {KINDS}")
     if kind == "sp":
-        forms = [(orbits.sp_form(n), f"SP^{n}({spec.name})"),
-                 (orbits.tower_form(n), f"SP^{n - 1}({spec.name})"),
-                 (orbits.reduced_sp_form(n), f"SP^{n}({spec.name})/SP^{n - 1}")]
+        forms = {"total": (orbits.sp_form(n), f"SP^{n}({spec.name})"),
+                 "sub": (orbits.tower_form(n), f"SP^{n - 1}({spec.name})"),
+                 "quotient": (orbits.reduced_sp_form(n), f"SP^{n}({spec.name})/SP^{n - 1}")}
     else:
-        forms = [(orbits.sub_form(n), f"Sub_{n}({spec.name})"),
-                 (orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"),
-                 (orbits.reduced_sub_form(n), f"Sub_{n}({spec.name})/Sub_{n - 1}")]
-    _, (total, sub, Q) = orbits.build(spec, n, forms)
-    return ConstructionResult(Q, {"proj": orbits.orbit_map(total, Q, "proj"),
-                                  "incl": orbits.orbit_map(sub, total, "incl")},
-                              parts={"total": total})
+        forms = {"total": (orbits.sub_form(n), f"Sub_{n}({spec.name})"),
+                 "sub": (orbits.prev_form(n), f"Sub_{n - 1}({spec.name})"),
+                 "quotient": (orbits.reduced_sub_form(n), f"Sub_{n}({spec.name})/Sub_{n - 1}")}
+    spaces = orbits.build(spec, n, forms)
+    Q = spaces["quotient"]
+    maps = {"proj": lambda: orbits.orbit_map(spaces["total"], Q, "proj"),
+            "incl": lambda: orbits.orbit_map(spaces["sub"], spaces["total"], "incl")}
+    return ConstructionResult(Q, orbits.Lazy(maps), _parts(spaces, "total"))
 
 
 @dataclass
@@ -256,7 +274,7 @@ class Construction:
 
 CONSTRUCTIONS: dict[str, Construction] = {
     "space": Construction(lambda spec, n: ConstructionResult(
-        orbits.build(spec, 1, [])[0], {})),
+        orbits.build(spec, 1, {})["base"], {})),
     "sp": Construction(lambda spec, n: symmetric_product(spec, n), maps=("diag", "j_n")),
     "sub": Construction(lambda spec, n: finite_subset_space(spec, n, with_filtration=False),
                         maps=("j", "pi")),

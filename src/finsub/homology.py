@@ -334,8 +334,10 @@ class SparseIntMatrix:
             m = meets[lo:hi]
             owner = np.repeat(np.arange(lo, hi), m)
             at = _segments(start, b_rows[lo:hi])
-            key = a_rows[at] * other.ncols + b_cols[owner]
-            order = np.argsort(key)
+            # column-major keys arrive in runs already sorted, which a
+            # stable (merge) sort takes cheaply
+            key = b_cols[owner] * self.nrows + a_rows[at]
+            order = np.argsort(key, kind="stable")
             key, val = key[order], (a_vals[at] * b_vals[owner])[order]
             if key.size:
                 first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])

@@ -32,14 +32,16 @@ construction.
 The number of all cells, degenerate ones included, is known in closed
 form from N_k = sum over simplices F of C(k, |F| - 1), the number of
 k-cells of X.  :func:`build` compares it with the cell cap before anything
-is enumerated.
+is enumerated, tables X's cells once and builds each space on its first
+read (:class:`Lazy`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -372,25 +374,50 @@ def _cell_counts(forms: list[tuple[Form, str]], N: list[int], cap: int) -> list[
     return counts
 
 
-def build(spec: OrderedComplexSpec, n: int, forms: list[tuple[Form, str]]):
-    """X and the spaces of the given (form, name) pairs of n members, as
-    OrbitSpaces up to level ``default_truncation(spec, n)``.
+class Lazy(Mapping):
+    """A read-only mapping whose values are built on their first read, by
+    the thunk given for each key, and then kept."""
+
+    def __init__(self, thunks: dict[str, Callable[[], object]]):
+        self._thunks = thunks
+        self._values: dict[str, object] = {}
+
+    def __getitem__(self, key):
+        if key not in self._values:
+            self._values[key] = self._thunks[key]()
+        return self._values[key]
+
+    def __contains__(self, key):
+        return key in self._thunks
+
+    def __iter__(self):
+        return iter(self._thunks)
+
+    def __len__(self):
+        return len(self._thunks)
+
+
+def build(spec: OrderedComplexSpec, n: int, forms: dict[str, tuple[Form, str]]) -> Lazy:
+    """X (key ``"base"``) and the spaces of the given forms of n members,
+    ``{key: (form, name)}``, as OrbitSpaces up to level
+    ``default_truncation(spec, n)``, each built on its first read.
 
     Raises :class:`CellCapExceeded` before anything is enumerated when the
-    spaces together have more cells, degenerate ones included, than the cap.
-    Every count grows with N_k, and X has at least the C(d+k+1, k+1) k-cells
-    of its largest simplex, so that bound is checked first: it needs no
-    downward closure of X, which has 2^(d+1) - 1 faces per d-simplex.
+    spaces together have more cells, degenerate ones included, than the cap,
+    whether or not they are read.  Every count grows with N_k, and X has at
+    least the C(d+k+1, k+1) k-cells of its largest simplex, so that bound is
+    checked first: it needs no downward closure of X, which has 2^(d+1) - 1
+    faces per d-simplex.
     """
     truncation = default_truncation(spec, n)
-    forms = [(BASE, spec.name)] + forms
+    forms = {"base": (BASE, spec.name), **forms}
     cap = cell_cap()
     d = spec.dimension
-    _cell_counts(forms, [comb(d + k + 1, k + 1) for k in range(truncation + 1)], cap)
-    counts = _cell_counts(forms, sequence_counts(spec, truncation), cap)
+    _cell_counts(list(forms.values()), [comb(d + k + 1, k + 1) for k in range(truncation + 1)], cap)
+    counts = _cell_counts(list(forms.values()), sequence_counts(spec, truncation), cap)
     X = Sequences(spec, truncation)
-    spaces = [OrbitSpace(X, form, name, c) for (form, name), c in zip(forms, counts)]
-    return spaces[0], spaces[1:]
+    return Lazy({key: partial(OrbitSpace, X, form, name, c)
+                 for (key, (form, name)), c in zip(forms.items(), counts)})
 
 
 def repeat(rows: np.ndarray, level: int, X: Sequences, n: int) -> np.ndarray:

@@ -25,6 +25,9 @@ from .spaces import OrderedComplexSpec
 
 DEFAULT_CELL_CAP = 20_000_000
 
+# face-identity entries NondegenerateComplex.check gathers at a time
+CHECK_BLOCK = 2 ** 18
+
 
 class SimplicialError(ValueError):
     """A simplicial-set invariant was violated."""
@@ -101,13 +104,20 @@ class NondegenerateComplex:
                 raise SimplicialError(f"face index out of range at level {k}")
         for k in range(2, self.truncation + 1):
             f = self.faces[k]
-            g = np.vstack([self.faces[k - 1], np.full(k, -1)])   # row -1: degenerate
-            for j in range(1, k + 1):
-                for i in range(j):
-                    both = (f[:, j] >= 0) & (f[:, i] >= 0)
-                    if (both & (g[f[:, j], i] != g[f[:, i], j - 1])).any():
-                        raise SimplicialError(
-                            f"{self.name}: face identity fails at level {k} (i={i}, j={j})")
+            g = np.vstack([self.faces[k - 1], np.full(k, -1)]).ravel()   # row -1: degenerate
+            # every pair i < j at once, j-major, so the first failing pair is
+            # reported; rows in blocks of about CHECK_BLOCK gathered entries
+            j, i = np.array([(j, i) for j in range(1, k + 1) for i in range(j)]).T
+            step = max(1, CHECK_BLOCK // len(j))
+            failing = np.zeros(len(j), dtype=bool)
+            for lo in range(0, len(f), step):
+                fj, fi = f[lo:lo + step, j], f[lo:lo + step, i]
+                failing |= ((fj >= 0) & (fi >= 0)
+                            & (g[fj * k + i] != g[fi * k + j - 1])).any(axis=0)
+            if failing.any():
+                p = int(np.flatnonzero(failing)[0])
+                raise SimplicialError(f"{self.name}: face identity fails at level {k} "
+                                      f"(i={i[p]}, j={j[p]})")
 
 
 class NondegenerateMap:

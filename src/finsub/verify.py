@@ -319,7 +319,7 @@ def _run_relative_case(case, cache, report):
     homology of Sub_n / Sub_(n-1)."""
     spec = builtin_space(case.space)
     form = orbits.sp_over_fat_form(case.n)
-    _, (sp_over_fat,) = orbits.build(spec, case.n, [(form, f"SP^{case.n}({spec.name})/fat")])
+    sp_over_fat = orbits.build(spec, case.n, {"q": (form, f"SP^{case.n}({spec.name})/fat")})["q"]
     a = _groups_to_list(homology(normalized_chains(sp_over_fat, with_labels=False)).groups)
     b = _groups_to_list(_groups(cache, "reduced_sub", case.space, case.n))
     report.computed = {"sp_over_fat": a, "sub_over_prev": b}

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finsub import orbits
+from finsub import orbits, simplicial
 from finsub.cli import main
-from finsub.constructions import finite_subset_space, reduced, symmetric_product
+from finsub.constructions import based_subset3, finite_subset_space, reduced, symmetric_product
 from finsub.homology import SparseIntMatrix, chain_map_matrices, normalized_chains
 from finsub.simplicial import (CellCapExceeded, NondegenerateComplex, NondegenerateMap,
                                SimplicialError)
@@ -85,7 +85,7 @@ def test_sp_modulo_the_fat_diagonal(space, n):
     spec = builtin_space(space)
     fat = reference_fat_diagonal(spec, n)
     collapsed, _ = collapse(fat.parts["sp"], fat.maps["incl_fat"])
-    _, (engine,) = orbits.build(spec, n, [(orbits.sp_over_fat_form(n), "SP/fat")])
+    engine = orbits.build(spec, n, {"q": (orbits.sp_over_fat_form(n), "SP/fat")})["q"]
     assert chain_mismatches(engine, collapsed, "SP/fat") == []
     assert homology.homology_of_sset(collapsed).groups == \
         homology.homology_of_sset(reduced(spec, n, "sub").space).groups
@@ -156,6 +156,68 @@ def test_cap_counts_all_cells(monkeypatch):
     finite_subset_space(spec, 3, with_filtration=False)
 
 
+@pytest.mark.parametrize("build, space, sp_map", [
+    (lambda spec: finite_subset_space(spec, 3, with_filtration=False), "circle3", "pi"),
+    (based_subset3, "torus", "alpha")])
+def test_cap_counts_the_spaces_no_query_reads(monkeypatch, build, space, sp_map):
+    """SP^n, built only for pi or alpha, still counts: with the cap at the
+    cells of X and of the space, the unread SP^n puts the construction over
+    it."""
+    result = build(builtin_space(space))
+    read = result.parts["base"].total_cells() + result.space.total_cells()
+    monkeypatch.setenv("FINSUB_CELL_CAP", str(read))
+    with pytest.raises(CellCapExceeded):
+        build(builtin_space(space))
+    monkeypatch.setenv("FINSUB_CELL_CAP", str(read + result.maps[sp_map].source.total_cells()))
+    build(builtin_space(space))
+
+
+def _count_orbit_spaces(monkeypatch) -> list:
+    built = []
+    init = orbits.OrbitSpace.__init__
+
+    def counting(self, X, form, name, counts):
+        built.append(name)
+        init(self, X, form, name, counts)
+
+    monkeypatch.setattr(orbits.OrbitSpace, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("build, reads", [
+    (lambda spec: symmetric_product(spec, 2), [("j_n", "sphere2"), ("diag", None)]),
+    (based_subset3, [("alpha", "SP^2(sphere2)"), ("j_x0", "sphere2"), ("diag_based", None)]),
+    (lambda spec: finite_subset_space(spec, 3, with_filtration=False),
+     [("pi", "SP^3(sphere2)"), ("j", "sphere2"), ("j_n", None)])])
+def test_maps_are_built_on_first_read(monkeypatch, build, reads):
+    """Reading ``.space`` builds that one space; a map's first read builds
+    the spaces only it needs, once, and the next read is the same object."""
+    built = _count_orbit_spaces(monkeypatch)
+    result = build(builtin_space("sphere2"))
+    assert built == [result.space.name]
+    assert all(name in result.maps for name, _ in reads) and len(built) == 1
+    for name, new in reads:
+        before = list(built)
+        f = result.maps[name]
+        assert built == before + ([new] if new else [])
+        assert result.maps[name] is f
+    assert result.parts["base"] is f.source and len(built) == len(set(built))
+
+
+def test_a_map_is_checked_when_first_read(monkeypatch, capsys):
+    """A map whose faces do not commute raises on its first read, which the
+    command line reports with exit status 2; a failed read keeps nothing."""
+    result = symmetric_product(builtin_space("circle3"), 2)
+    monkeypatch.setattr(orbits, "with_tower",
+                        lambda rows, level, X, n: np.hstack([rows, rows[::-1]]))
+    with pytest.raises(SimplicialError, match="commute"):
+        result.maps["j_n"]
+    assert main(["map", "--name", "j_n", "--space", "builtin:circle3", "--degree", "1"]) == 2
+    assert "commute" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert result.maps["j_n"].name == "j_n"
+
+
 def test_cap_stops_counting_once_passed():
     """SP^10000 of a circle has a cell count of thousands of digits; the
     check stops at the cap instead of summing and printing it."""
@@ -220,7 +282,7 @@ def _form(faces, ranks):
     return NondegenerateComplex("t", ranks, [None] + faces, ranks, lambda k, i: i)
 
 
-def test_face_identity_is_checked():
+def test_face_identity_is_checked(monkeypatch):
     # the 2-simplex: vertices 0, 1, 2; edges 01, 02, 12; faces d0, d1, d2
     edges = np.array([[1, 0], [2, 0], [2, 1]])
     _form([edges, np.array([[2, 1, 0]])], (3, 3, 1))
@@ -228,6 +290,60 @@ def test_face_identity_is_checked():
         _form([edges, np.array([[2, 0, 1]])], (3, 3, 1))
     with pytest.raises(SimplicialError, match="out of range"):
         _form([edges, np.array([[3, 1, 0]])], (3, 3, 1))
+    # d_1 of edge 01 made 2: the pairs (0, 1) and (0, 2) hold, (1, 2) fails
+    bent = np.array([[1, 2], [2, 0], [2, 1]])
+    with pytest.raises(SimplicialError, match=r"at level 2 \(i=1, j=2\)"):
+        _form([bent, np.array([[2, 1, 0]])], (3, 3, 1))
+    # two bent 3-cells of SP^2(S^2): cell 0 fails (0, 3) and (1, 3), cell 1
+    # fails (1, 2) and (1, 3); (1, 2) comes first, j outer and i inner,
+    # also when each cell is a block of its own
+    S = symmetric_product(builtin_space("sphere2"), 2).space
+    faces = [f.copy() for f in S.faces[1:]]
+    faces[2][0, 3], faces[2][1, 1] = 1, 12
+    for block in (simplicial.CHECK_BLOCK, 1):
+        monkeypatch.setattr(simplicial, "CHECK_BLOCK", block)
+        with pytest.raises(SimplicialError, match=r"at level 3 \(i=1, j=2\)"):
+            _form(faces, S.ranks)
+
+
+def _first_failing_pair(S):
+    """The face identity d_i d_j = d_(j-1) d_i that fails first, j outer
+    and i inner, one pair at a time, or None."""
+    for k in range(2, S.truncation + 1):
+        f, g = S.faces[k], np.vstack([S.faces[k - 1], np.full(k, -1)])
+        for j in range(1, k + 1):
+            for i in range(j):
+                both = (f[:, j] >= 0) & (f[:, i] >= 0)
+                if (both & (g[f[:, j], i] != g[f[:, i], j - 1])).any():
+                    return k, i, j
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.integers(2, 4), block=st.sampled_from([1, 5, simplicial.CHECK_BLOCK]),
+       bends=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 4)),
+                      min_size=1, max_size=3))
+def test_face_identity_names_the_first_failing_pair(level, block, bends):
+    """Faces of SP^2(S^2) bent at a few cells fail where the pair-at-a-time
+    loop says, whichever blocks of rows the check gathers."""
+    S = symmetric_product(builtin_space("sphere2"), 2).space
+    faces = [None] + [f.copy() for f in S.faces[1:]]
+    f = faces[level]
+    for c, column in bends:
+        row, column = c % len(f), column % (level + 1)
+        f[row, column] = (f[row, column] + 1 + c) % S.ranks[level - 1]
+    bent = NondegenerateComplex("bent", S.ranks, faces, S.counts, lambda k, i: i, check=False)
+    expected = _first_failing_pair(bent)
+    old, simplicial.CHECK_BLOCK = simplicial.CHECK_BLOCK, block
+    try:
+        if expected is None:
+            bent.check()
+        else:
+            k, i, j = expected
+            with pytest.raises(SimplicialError, match=rf"at level {k} \(i={i}, j={j}\)"):
+                bent.check()
+    finally:
+        simplicial.CHECK_BLOCK = old
 
 
 def test_map_is_checked_to_commute_with_faces():
@@ -289,6 +405,8 @@ def _matrix_entries(nrows, ncols):
 @example(entries=[(0, 0, 2 ** 70), (0, 1, BOUND - 1)],
          other=[(0, 0, BOUND - 1), (1, 0, -(2 ** 70))])
 @example(entries=[(1, 2, BOUND - 1), (1, 3, BOUND - 1)], other=[(2, 1, 1), (3, 1, -1)])
+# the products at (2, 0) and (0, 1) cancel if a key stride of 2 joins them
+@example(entries=[(2, 0, 1), (0, 1, 1)], other=[(0, 0, 1), (1, 1, -1)])
 def test_from_arrays_matches_the_constructor(entries, other):
     total = {}
     for r, c, v in entries:
