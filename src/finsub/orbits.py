@@ -413,8 +413,9 @@ def build(spec: OrderedComplexSpec, n: int, forms: dict[str, tuple[Form, str]]) 
     forms = {"base": (BASE, spec.name), **forms}
     cap = cell_cap()
     d = spec.dimension
-    _cell_counts(list(forms.values()), [comb(d + k + 1, k + 1) for k in range(truncation + 1)], cap)
-    counts = _cell_counts(list(forms.values()), sequence_counts(spec, truncation), cap)
+    named = list(forms.values())
+    _cell_counts(named, [comb(d + k + 1, k + 1) for k in range(truncation + 1)], cap)
+    counts = _cell_counts(named, sequence_counts(spec, truncation), cap)
     X = Sequences(spec, truncation)
     return Lazy({key: partial(OrbitSpace, X, form, name, c)
                  for (key, (form, name)), c in zip(forms.items(), counts)})
