@@ -16,8 +16,8 @@ renumbered once, at the end.
 The abelianization is always computed exactly, as H_1 of the presentation
 complex: one vertex, a loop per generator and a 2-cell per relator.  Its
 d_2 is the exponent-sum matrix and its d_1 is 0, so the homology layer's
-``_reduction`` pairs most relators with generators by coreduction, and the
-Smith form sees only the small residual.
+coreduction (``_coreduce``) pairs most relators with generators, and the
+Smith form sees only the small Morse complex that is left.
 """
 
 from __future__ import annotations

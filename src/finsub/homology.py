@@ -6,88 +6,77 @@ eliminations run on Python ints: sparse Smith normal form with unimodular
 transforms (and their inverses) yields Betti numbers, torsion
 coefficients, homology coordinate systems, and induced maps.
 
-One unit-pivot reduction, ``_reduce``, serves every elimination.  Almost
-every pivot of a simplicial boundary matrix is a unit, so pivots come from
-a lazy min-heap of columns keyed by occupancy: the shortest column that
-holds a unit (+-1 over Z, anything nonzero over F_p), at its entry in the
-shortest row.  ``rank_mod_p`` counts its pivots, ``_reduction`` reduces
-chain complexes with it (below), and the Smith form kernel ``_eliminate``
-records each logged pivot's row and column operations on its transforms.
-Only when no unit is left does the kernel turn to a Markowitz scan of the
-small non-unit residual, where the gcd steps of ``_eliminate_at`` may
-create new units for the next ``_reduce``.  Each step of the kernel is one
+The pipeline is chains -> coreduction -> Smith kernel.  ``_coreduce``
+shrinks the complex, for ``homology`` and ``HomologyCoordinates`` alike,
+by Gaussian elimination of chain complexes (Kaczynski-Mischaikow-Mrozek,
+*Computational Homology*, 2004; Harker-Mischaikow-Mrozek-Nanda, *FoCM*
+2014).  A reduction pair (b, a, lam) is a k-cell a and a (k-1)-cell b with
+lam = <d_k a, b> a unit.  Write d_k = [[lam, beta], [alpha, D]] on
+C_k = <a> + C'_k and C_(k-1) = <b> + C'_(k-1).  The pair is eliminated by
+clearing column a with row operations and dropping row b, which leaves the
+Schur complement d'_k = D - alpha lam^-1 beta; d_(k+1) loses row a and
+d_(k-1) loses column b.
+
+The pairs are coreductions (Mrozek-Batko, *DCG* 2009), taken in numpy
+rounds: a is a live cell whose boundary, among the live cells, is a single
++-1 on b.  A cell is live until it is paired or made critical.  The
+degrees are swept once, from 1 up; within a degree, only the columns whose
+live count a round brings down to 1 are looked at in the next round.  When
+no such a is left in degree k, the least live (k-1)-cell, whose live
+boundary is empty by then, is made critical: it stays in the complex but
+leaves the live rows of d_k, which may free new pairs.  So vertex 0 is the
+first critical cell, and no complex needs a special case in H_0.  When no
+(k-1)-cell is live the sweep goes up a degree, and the top cells still
+live at the end are critical.  A pair's column a holds only b and critical
+rows, so its Schur complement changes critical rows only and a live row is
+never filled; the pairs of one round do not meet, since a_j's only live
+face is b_j; and a critical k-cell is chosen only after the pairs of d_k,
+when its column is final.  What is left is the algebraic Morse complex on
+the critical cells (Harker-Mischaikow-Mrozek-Nanda), whose boundary is
+phi o d with phi as below.  It has the homology of C, and the Smith forms
+see only it.
+
+The Smith form kernel ``_eliminate`` takes unit pivots from ``_reduce``,
+whose pivots come from a lazy min-heap of columns keyed by occupancy: the
+shortest column that holds a unit (+-1 over Z, anything nonzero over F_p),
+at its entry in the shortest row.  ``rank_mod_p`` counts those pivots, on
+a Morse boundary for ``homology`` over F_p; the kernel records each
+logged pivot's row and column operations on its transforms.  Only when no
+unit is left does the kernel turn to a Markowitz scan of the small
+non-unit residual, where the gcd steps of ``_eliminate_at`` may create new
+units for the next ``_reduce``.  Each step of the kernel is one
 combination (x, y, z, w) with xw - yz = 1 of two rows or two columns,
 (i, j) <- (x*i + y*j, z*i + w*j), whose inverse is (w, -z, -y, x).  No
 pivot is moved: the divisibility pass d_1 | d_2 | ... works on the pivots
 where the elimination left them, and the transforms of ``smith_normal_form``
 are relabelled and signed once, when the result is built.
 
-Before any Smith form, ``_reduction`` reduces the complex, for ``homology``
-and ``HomologyCoordinates`` alike, by Gaussian elimination of chain
-complexes (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004;
-Harker-Mischaikow-Mrozek-Nanda, *FoCM* 2014).  A reduction pair
-(b, a, lam) is a k-cell a and a (k-1)-cell b with lam = <d_k a, b> a unit.
-Write d_k = [[lam, beta], [alpha, D]] on C_k = <a> + C'_k and
-C_(k-1) = <b> + C'_(k-1).  The pair is eliminated by clearing column a
-with row operations and dropping row b, which leaves the Schur complement
-d'_k = D - alpha lam^-1 beta; d_(k+1) loses row a and d_(k-1) loses
-column b.
-
-The pairs come in two passes.  First ``_coreduce`` takes coreductions
-(Mrozek-Batko, *DCG* 2009) in numpy rounds: a is a live cell whose
-boundary, among the live cells, is a single +-1 on b.  A cell is live
-until it is paired or made critical.  The degrees are swept once, from 1
-up; within a degree, only the columns whose live count a round brings
-down to 1 are looked at in the next round.  When no such a is left in
-degree k, the least live (k-1)-cell, whose live boundary is empty by
-then, is made critical: it stays in the complex but leaves the live rows
-of d_k, which may free new pairs.  So vertex 0 is the first critical
-cell, and no complex needs a special case in H_0.  When no (k-1)-cell is
-live the sweep goes up a degree, and the top cells still live at the end
-are critical.  A pair's column a holds only b and critical rows, so its
-Schur complement changes critical rows only and a live row is never
-filled; the pairs of one round do not meet, since a_j's only live face is
-b_j; and a critical k-cell is chosen only after the pairs of d_k, when its
-column is final.  What is left is the algebraic Morse complex on the
-critical cells (Harker-Mischaikow-Mrozek-Nanda), whose boundary is
-phi o d with phi as below.  Then ``_reduce`` takes the unit pivots of
-each Morse boundary, from the top down, so each d_k drops the columns
-that d_(k+1) paired before its own pivots are taken; only a cell whose
-live entry was not a unit, such as the edge of d_1 = (2), reaches it
-beyond the homology's own generators.  The residual complex has the
-homology of C, and the Smith forms see only it; over F_p every nonzero
-entry is a unit, so its boundaries vanish.
-
-The reduction is a chain equivalence, which ``HomologyCoordinates``
+The coreduction is a chain equivalence, which ``HomologyCoordinates``
 crosses both ways with the log of its pairs.  Between cycles of C and of
-the residual it maps by
+the Morse complex it maps by
 
-- phi_k (C to residual): first v goes to the critical k-cells by the
-  image of each cell: a critical cell is its own image, the cell a of a
-  pair of d_k has none, and the face b of a pair (b, a, lam) of d_(k+1)
-  maps to -lam^-1 times the critical part of a's column as the pair found
-  it, which is phi of the rest of that column.  No pair changes v[b] of
-  another, so all images apply at once.  Then for each unit pivot
-  (b, a, lam) of the Morse d_(k+1), in order, v[x] -= col[x] * lam^-1 *
-  v[b] for every row x != b of its column just before it was cleared, and
-  v[b] is dropped; then v is restricted to the residual's generators;
-- psi_k (residual to C): for each pair (b, a, lam) of d_k, the unit
-  pivots and then the coreductions, each in reverse order,
-  z[a] = -lam^-1 * sum over x != a of row[x] * z[x], with row b of d_k as
-  the pivot found it.  For a coreduction, row b of C's d_k will do: a
-  live row is never filled, and its cells that were no longer alive still
-  have z = 0 at that point.
+- phi_k (C to Morse): v goes to the critical k-cells by the image of each
+  cell: a critical cell is its own image, the cell a of a pair of d_k has
+  none, and the face b of a pair (b, a, lam) of d_(k+1) maps to -lam^-1
+  times the critical part of a's column as the pair found it, which is phi
+  of the rest of that column.  No pair changes v[b] of another, so all
+  images apply at once;
+- psi_k (Morse to C): for each pair (b, a, lam) of d_k, in reverse order,
+  z[a] = -lam^-1 * sum over x != a of row[x] * z[x], with row b of C's d_k:
+  a live row is never filled, and its cells that were no longer alive
+  still have z = 0 at that point.
 
-phi o psi is the identity of the residual, and psi o phi is homotopic to
-the identity, so the two induce inverse isomorphisms on homology.  Each
+phi o psi is the identity of the Morse complex, and psi o phi is homotopic
+to the identity, so the two induce inverse isomorphisms on homology.  Each
 free generator is oriented so that its cycle is positive on its least
-cell, which fixes a generator of Z whichever pairs the reduction took.
+cell, which fixes a generator of Z whichever pairs the coreduction took.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -582,8 +571,7 @@ def _eliminate(work: _Work, tr: _Transforms) -> list[tuple[int, int, int]]:
             if log:
                 col, row = log
                 for rr, b in col.items():
-                    if rr != r:
-                        tr.row_combine(rr, r, 1, -b * lam, 0, 1)
+                    tr.row_combine(rr, r, 1, -b * lam, 0, 1)
                 for cc, b in row.items():
                     if cc != c:
                         tr.col_combine(cc, c, 1, -b * lam, 0, 1)
@@ -606,7 +594,9 @@ def _unit_z(v: int) -> bool:
 
 
 def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]:
-    """Eliminate the unit pivots of a boundary, leaving its Schur complement.
+    """Eliminate the unit pivots of a matrix, leaving its Schur complement;
+    the pivot step of :func:`rank_mod_p` and of the Smith kernel
+    :func:`_eliminate`, its only callers.
 
     Pivots come from a :class:`_PivotQueue` until no queued column holds a
     unit: +-1 over Z (``p`` None), any entry over F_p (the entries of
@@ -614,8 +604,9 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
     column is cleared with multiples of its row, and the row is dropped, so
     ``work`` ends as the residual on the rows and columns no pivot took.
     Returns the pivots ``(r, c, lam)`` with their values in order, or with
-    ``log`` the records ``(r, c, lam, col, row)``: also the pivot column
-    just before it was cleared and the pivot row (see the module docstring).
+    ``log`` the records ``(r, c, lam, col, row)``: also the other entries
+    of the pivot column just before it was cleared, and the pivot row, for
+    the kernel to record on its transforms.
     """
     rows, cols = work.rows, work.cols
     queue = _PivotQueue(work, _unit_z if p is None else bool)
@@ -627,7 +618,7 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
             cols[cc].discard(r)
         lam = row[c]
         inv = lam if p is None else pow(lam, -1, p)
-        pivots.append((r, c, lam, {r: lam, **{rr: rows[rr][c] for rr in cols[c]}}, row)
+        pivots.append((r, c, lam, {rr: rows[rr][c] for rr in cols[c]}, row)
                       if log else (r, c, lam))
         for rr in list(cols[c]):
             target = rows[rr]
@@ -648,12 +639,11 @@ def _reduce(work: _Work, p: int | None = None, log: bool = False) -> list[tuple]
     return pivots
 
 
-def _work(M: SparseIntMatrix, p: int | None = None, rows=None, cols=None) -> _Work:
-    """M over Z or as residues mod p; with the boolean arrays ``rows`` and
-    ``cols``, only on the rows and columns they mark."""
+def _work(M: SparseIntMatrix, p: int | None = None) -> _Work:
+    """M over Z or as residues mod p."""
     r, c, v = M.arrays
     v = v if p is None else v % p
-    keep = (v != 0) if rows is None else (v != 0) & rows[r] & cols[c]
+    keep = v != 0
     return _Work(zip(r[keep].tolist(), c[keep].tolist(), v[keep].tolist()), M.nrows, M.ncols)
 
 
@@ -738,8 +728,11 @@ def invariant_factors(M: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
 MODULUS_BOUND = 1 << 31
 
 
+@lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
-    """Trial division; moduli are below ``MODULUS_BOUND``."""
+    """Trial division; moduli are below ``MODULUS_BOUND``.  Cached, since
+    ``homology`` over F_p checks its modulus once and then once more in
+    each ``rank_mod_p``."""
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
@@ -904,9 +897,9 @@ def _pull(d: _Incidence, images: dict, has_image: np.ndarray,
     return out
 
 
-def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], dict, dict, list[dict]]:
-    """The critical cells of C, its Morse boundaries on them, the pairs,
-    and phi on the cells of each degree.
+def _coreduce(C: ChainComplexZ) -> tuple[ChainComplexZ, list[np.ndarray], dict, list[dict]]:
+    """The Morse complex of C, its critical cells, the pairs, and phi on the
+    cells of each degree.
 
     A live k-cell whose live boundary is a single +-1 on a (k-1)-cell is
     paired with it (see the module docstring).  The degrees are swept from
@@ -918,15 +911,16 @@ def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], dict, dict, list[dict
     same result.  When no (k-1)-cell is live, the sweep goes up a degree;
     the live top cells become critical at the end.
 
-    ``critical[k]`` marks the critical k-cells, and ``morse[k]`` is the
-    Morse boundary on them in C's numbering.  ``pairs[k]`` lists (cells,
-    faces, entries) of the pairs of d_k round by round, then gives d_k's
-    rows as CSR arrays (row_ptr, columns, values).  ``images[k]`` holds
-    phi_k on the k-cells whose image is not 0, as ``{cell: {critical cell:
-    value}}``: 1 on itself for a critical cell, and -lam^-1 times the
-    critical part of a's column for the face b of a pair (b, a, lam).  The
-    values of C's matrices are int64 or Python ints alike; the images are
-    Python ints.
+    The Morse complex has the critical k-cells as its k-cells, numbered
+    0, 1, ... in C's order; ``critical[k]`` lists them in C's numbering, and
+    its boundary is phi o d on them.  ``pairs[k]`` lists (cells, faces,
+    entries) of the pairs of d_k round by round, then gives d_k's rows as
+    CSR arrays (row_ptr, columns, values).  ``images[k]`` holds phi_k on
+    the k-cells whose image is not 0, as ``{cell: {critical cell: value}}``
+    in C's numbering: 1 on itself for a critical cell, and -lam^-1 times
+    the critical part of a's column for the face b of a pair (b, a, lam).
+    The values of C's matrices are int64 or Python ints alike; the images
+    are Python ints.
     """
     top = C.top_degree
     alive = [np.ones(n, dtype=bool) for n in C.ranks]
@@ -985,62 +979,38 @@ def _coreduce(C: ChainComplexZ) -> tuple[list[np.ndarray], dict, dict, list[dict
             candidates = hit[(dk.live[hit] == 1) & alive[k][hit]]
         pairs[k] = (taken, dk.row_ptr, dk.row_cols, dk.row_vals)
     set_aside(top, np.flatnonzero(alive[top]).tolist())
-    morse = {}
+    cells = [np.flatnonzero(c) for c in critical]
+    boundaries = {}
     for k in range(1, top + 1):
-        cells = np.flatnonzero(critical[k])
-        columns = _pull(d[k], images[k - 1], has_image[k - 1], cells)
-        morse[k] = SparseIntMatrix(C.ranks[k - 1], C.ranks[k], [
-            (x, int(cells[i]), v) for i, column in columns.items() for x, v in column.items()])
-    return critical, morse, pairs, images
-
-
-def _reduction(C: ChainComplexZ, p: int | None = None, log: bool = False):
-    """The residual of C: its Morse complex on the critical cells of
-    :func:`_coreduce`, reduced by its unit pivots (see the module
-    docstring).
-
-    Each Morse boundary, from the top down, over Z or as residues mod p, is
-    reduced by :func:`_reduce` on the critical cells that the pivots above
-    left.  Returns ``(residual, log)``; ``log`` is None unless asked for,
-    and then holds what phi and psi need, ``(index, pairs, units, images)``:
-    the residual generator of each cell left in each degree, the pairs and
-    the images of :func:`_coreduce`, and the unit pivots of each Morse
-    boundary as :func:`_reduce` logs them.
-    """
-    alive, morse, pairs, images = _coreduce(C)
-    left, units = {}, {}
-    for k in range(C.top_degree, 0, -1):
-        work = _work(morse[k], p, alive[k - 1], alive[k])
-        units[k] = _reduce(work, p, log)
-        left[k] = work.entries()
-        for r, c, *_ in units[k]:
-            alive[k - 1][r] = alive[k][c] = False
-    index = [{g: i for i, g in enumerate(np.flatnonzero(a).tolist())} for a in alive]
-    residual = ChainComplexZ([len(i) for i in index], {
-        k: SparseIntMatrix(len(index[k - 1]), len(index[k]), [
-            (index[k - 1][r], index[k][c], v) for r, c, v in entries if r in index[k - 1]])
-        for k, entries in left.items()}, truncated=C.truncated)
-    return residual, ((index, pairs, units, images) if log else None)
+        place = {x: i for i, x in enumerate(cells[k - 1].tolist())}
+        columns = _pull(d[k], images[k - 1], has_image[k - 1], cells[k])
+        boundaries[k] = SparseIntMatrix(len(cells[k - 1]), len(cells[k]), [
+            (place[x], i, v) for i, column in columns.items() for x, v in column.items()])
+    morse = ChainComplexZ([len(c) for c in cells], boundaries, truncated=C.truncated)
+    return morse, cells, pairs, images
 
 
 def homology(C: ChainComplexZ, mod: int | None = None) -> HomologyResult:
     """Homology groups of a complex over Z (default) or F_p (``mod=p``).
 
-    :func:`_reduction` shrinks C to its residual (see the module
-    docstring).  The rank and torsion of each residual boundary come from
-    :func:`invariant_factors`; over F_p the residual boundaries vanish.
-    The top degree of a truncated complex is flagged unreliable unless its
-    chain group vanishes.
+    :func:`_coreduce` shrinks C to its Morse complex (see the module
+    docstring).  The rank and torsion of each Morse boundary come from
+    :func:`invariant_factors`, or its rank over F_p from
+    :func:`rank_mod_p`.  The top degree of a truncated complex is flagged
+    unreliable unless its chain group vanishes.
     """
     if mod is not None:
         _check_modulus(mod)
     top = C.top_degree
-    R, _ = _reduction(C, mod)
+    morse = _coreduce(C)[0]
     ranks, factors = {}, {}
-    for k, M in R.boundaries.items():
-        ranks[k], diag = invariant_factors(M)
-        factors[k] = tuple(d for d in diag if d > 1)
-    groups = [HomologyGroup(k, R.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
+    for k, M in morse.boundaries.items():
+        if mod is None:
+            ranks[k], diag = invariant_factors(M)
+            factors[k] = tuple(d for d in diag if d > 1)
+        else:
+            ranks[k] = rank_mod_p(M, mod)
+    groups = [HomologyGroup(k, morse.ranks[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
                             factors.get(k + 1, ()))
               for k in range(top + 1)]
     unreliable = frozenset({top} if (C.truncated and C.ranks[top] > 0) else set())
@@ -1084,17 +1054,16 @@ class HomologyCoordinates:
     Expresses cycles in a fixed basis of each homology group (torsion
     coordinates are reported modulo their order), and produces cycle
     representatives for the chosen generators.  The complex is reduced
-    once, by :func:`_reduction` as for :func:`homology`; ``residual`` is
-    the reduced complex, on whose boundaries alone the Smith forms run, and
-    cycles cross the reduction by the chain equivalences phi and psi of the
-    module docstring.  Each free generator's cycle is positive on its least
-    cell.
+    once, by :func:`_coreduce` as for :func:`homology`; ``residual`` is its
+    Morse complex, on whose boundaries alone the Smith forms run, and
+    cycles cross the coreduction by the chain equivalences phi and psi of
+    the module docstring.  Each free generator's cycle is positive on its
+    least cell.
     """
 
     def __init__(self, C: ChainComplexZ):
         self.complex = C
-        self.residual, log = _reduction(C, log=True)
-        self._index, self._pairs, self._units, self._images = log
+        self.residual, self._critical, self._pairs, self._images = _coreduce(C)
         self._data: dict[int, _DegreeData] = {}
 
     def _degree(self, k: int) -> _DegreeData:
@@ -1126,19 +1095,14 @@ class HomologyCoordinates:
 
     def _lift(self, k: int, data: _DegreeData, pos: int) -> dict[int, int]:
         """The cycle of C for the generator at ``pos`` of the presentation
-        of H_k of the residual."""
+        of H_k of the Morse complex."""
         z = data.snf_bnd.V.matvec({data.r + r: v for r, v in
                                    data.pres.U_inv.columns().get(pos, ())})
-        kept = list(self._index[k])
-        z = {kept[g]: v for g, v in z.items()}
-        # psi_k: back across the unit pivots of d_k, last first
-        for _, c, lam, _, row in reversed(self._units.get(k, ())):
-            t = -lam * sum(v * z.get(x, 0) for x, v in row.items() if x != c)
-            if t:
-                z[c] = t
+        cells = self._critical[k]
+        z = {int(cells[g]): v for g, v in z.items()}
         if k in self._pairs:
-            # then across the coreductions, a round at a time, last first;
-            # the pairs of one round read no cell of another pair of it
+            # psi_k: back across the coreductions, a round at a time, last
+            # first; the pairs of one round read no cell of another pair of it
             rounds, ptr, cols, vals = self._pairs[k]
             dense = np.zeros(self.complex.ranks[k], dtype=object)
             dense[list(z)] = list(z.values())
@@ -1169,29 +1133,17 @@ class HomologyCoordinates:
     def coords_of_cycle(self, k: int, vec: dict[int, int]) -> tuple[int, ...]:
         """Coordinates of a cycle in the homology basis at degree k; a
         generator index outside C_k raises HomologyError."""
-        n_k = self.complex.ranks[k] if 0 <= k <= self.complex.top_degree else 0
         if self.complex.boundary(k).matvec(vec):
             raise HomologyError("vector is not a cycle")
         data = self._degree(k)
-        # phi_k: onto the critical cells, forward across the unit pivots of
-        # the Morse d_(k+1), then onto the residual
+        # phi_k: onto the critical cells, then to their Morse numbering
         v: dict[int, int] = {}
         for y, a in vec.items():
             for x, w in self._images[k].get(y, {}).items():
                 v[x] = v.get(x, 0) + a * w
-        for r, _, lam, col, _ in self._units.get(k + 1, ()):
-            t = v.pop(r, 0) * lam
-            if t:
-                for x, a in col.items():
-                    if x == r:
-                        continue
-                    acc = v.get(x, 0) - a * t
-                    if acc:
-                        v[x] = acc
-                    else:
-                        v.pop(x, None)
-        index = self._index[k] if n_k else {}
-        w = data.snf_bnd.V_inv.matvec({index[g]: a for g, a in v.items() if g in index})
+        if v:
+            v = dict(zip(np.searchsorted(self._critical[k], list(v)).tolist(), v.values()))
+        w = data.snf_bnd.V_inv.matvec(v)
         y = data.pres.U.matvec({r - data.r: a for r, a in w.items() if r >= data.r})
         return tuple(s * y.get(pos, 0) % m if m else s * y.get(pos, 0)
                      for pos, m, s in zip(data.kept, data.moduli, data.signs))

@@ -39,7 +39,7 @@ from finsub.fundamental import fundamental_presentation
 from finsub.homology import (INT64_ENTRY_BOUND, ChainComplexZ, HomologyCoordinates,
                              HomologyError, HomologyGroup, HomologyResult, SmithNormalForm,
                              SparseIntMatrix, _coreduce, _eliminate, _eliminate_at,
-                             _PivotQueue, _reduction, _snf_core, _Transforms, _unit_z, _Work,
+                             _PivotQueue, _snf_core, _Transforms, _unit_z, _Work,
                              homology, invariant_factors, normalized_chains, rank_mod_p,
                              smith_normal_form)
 from finsub.spaces import builtin_space
@@ -471,7 +471,8 @@ def _stalled_rp2():
 
 def _fill_beyond_entry_bound(w):
     """d_1 = [[w, 1], [1, w]] on v0, v1 and a, c: v0 is critical, a pairs
-    with v1, whose image is -w v0, and c's Morse boundary is 1 - w^2."""
+    with v1, whose image is -w v0, and c's Morse boundary is 1 - w^2; v0
+    and c are the Morse complex's cells 0 in degrees 0 and 1."""
     return _complex((2, 2), {1: [[w, 1], [1, w]]})
 
 
@@ -479,14 +480,15 @@ def test_stalled_and_filled_cells_reach_the_morse_boundary():
     assert _critical_counts(_stalled_rp2()) == [1, 1, 1]
     assert [str(g) for g in homology(_stalled_rp2())] == ["Z", "Z/2", "0"]
     w = INT64_ENTRY_BOUND - 1
-    _, morse, _, _ = _coreduce(_fill_beyond_entry_bound(w))
+    morse, critical, _, _ = _coreduce(_fill_beyond_entry_bound(w))
+    assert [c.tolist() for c in critical] == [[0], [1]]
     # the entries are int64, and the fill past the bound is a Python int
-    assert morse[1].entries == ((0, 1, 1 - w * w),)
-    assert morse[1].arrays[2].dtype == object
+    assert morse.boundary(1).entries == ((0, 0, 1 - w * w),)
+    assert morse.boundary(1).arrays[2].dtype == object
 
-    # not augmented: H_0 = Z/2, with vertex 0 critical and the edge not paired
+
 @pytest.mark.parametrize("make", [
-    # not augmented, so not seeded: H_0 = Z/2, where a seed would give Z
+    # H_0 = Z/2, with vertex 0 critical and the edge not paired
     lambda: _complex((1, 1), {1: [[2]]}),
     lambda: cylinder_chain_model(builtin_space("torus")),
     lambda: sp_chain_complex(builtin_presentation("torus"), 2),
@@ -515,7 +517,7 @@ def test_coreduction_matches_per_boundary_reference(make):
 
 
 def _critical_counts(C):
-    return [int(c.sum()) for c in _coreduce(C)[0]]
+    return list(_coreduce(C)[0].ranks)
 
 
 def test_vertex_zero_is_the_first_critical_cell():
@@ -527,52 +529,53 @@ def test_vertex_zero_is_the_first_critical_cell():
     assert [str(g) for g in homology(ChainComplexZ((3,), {}))] == ["Z^3"]
     # the cut 2-simplex leaves vertex 0 alone
     C = _two_simplex()
-    critical = _coreduce(C)[0]
-    assert [c.tolist() for c in critical] == [[True, False, False], [False] * 3, [False]]
-    R, _ = _reduction(C)
-    assert R.ranks == (1, 0, 0)
+    morse, critical, _, _ = _coreduce(C)
+    assert [c.tolist() for c in critical] == [[0], [], []]
+    assert morse.ranks == (1, 0, 0)
     assert homology(C).unreliable == frozenset({2})
 
 
 def test_coreduction_shrinks_what_the_unit_reduction_sees(monkeypatch):
     # homology() and HomologyCoordinates each reduce Sub_3(S^2) by one call
-    # of _reduction, whose unit pivots see only the 7 critical cells that
-    # the coreductions leave: without them they would see all 13 125
+    # of _coreduce, and the Smith forms see only its Morse complex: the 7
+    # critical cells that the coreductions leave of all 13 125
     module = import_module("finsub.homology")
-    calls, critical = [], []
-    reduction, coreduce = module._reduction, module._coreduce
-
-    def record_reduction(C, p=None, log=False):
-        calls.append(sum(C.ranks))
-        return reduction(C, p, log)
+    calls, critical, smith = [], [], []
+    coreduce, snf_core = module._coreduce, module._snf_core
 
     def record_coreduce(C):
         out = coreduce(C)
-        critical.append(sum(int(c.sum()) for c in out[0]))
+        calls.append(sum(C.ranks))
+        critical.append(sum(out[0].ranks))
         return out
 
-    monkeypatch.setattr(module, "_reduction", record_reduction)
+    def record_snf_core(M, track):
+        smith.append(max(M.nrows, M.ncols))
+        return snf_core(M, track)
+
     monkeypatch.setattr(module, "_coreduce", record_coreduce)
+    monkeypatch.setattr(module, "_snf_core", record_snf_core)
     C = normalized_chains(CONSTRUCTIONS["sub"].build(builtin_space("sphere2"), 3).space,
                           with_labels=False)
     assert sum(C.ranks) == 13125
     assert [str(g) for g in homology(C)] == ["Z", "0", "0", "0", "Z + Z/2", "0", "Z", "0"]
     coords = HomologyCoordinates(C)
     assert calls == [13125, 13125] and critical == [7, 7]
+    assert smith and max(smith) <= 7
     assert [str(coords.group(k)) for k in (0, 4, 6)] == ["Z", "Z + Z/2", "Z"]
 
 
 def test_sp2_torus_leaves_its_betti_numbers_in_every_benchmark_labelling():
-    # the Morse complex of SP^2(T) is minimal: 1, 2, 2, 2, 1 critical cells,
-    # so the unit pivots and the Smith forms have nothing left to do
+    # the Morse complex of SP^2(T) is minimal: 1, 2, 2, 2, 1 critical cells
+    # and zero boundaries, so the Smith forms have nothing left to do
     workloads = import_perfbench("workloads")
     for seed in range(4):
         for inputs in workloads.build_inputs("smith-bound", seed):
             spec = workloads.spaces.load_complex(inputs["torus"])
             C = normalized_chains(CONSTRUCTIONS["sp"].build(spec, 2).space, with_labels=False)
-            assert _critical_counts(C) == [1, 2, 2, 2, 1, 0]
-            R, _ = _reduction(C)
-            assert R.ranks == (1, 2, 2, 2, 1, 0) and all(M.is_zero() for M in R.boundaries.values())
+            morse = _coreduce(C)[0]
+            assert morse.ranks == (1, 2, 2, 2, 1, 0)
+            assert all(M.is_zero() for M in morse.boundaries.values())
 
 
 class ReferenceHomologyCoordinates:

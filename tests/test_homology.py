@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from finsub.homology import (INT64_ENTRY_BOUND, SMALL_ENTRIES, ChainComplexZ, HomologyError,
                              HomologyGroup, HomologyCoordinates, SparseIntMatrix, _normalized,
                              _normalized_small, euler_characteristic, homology, homology_of_sset,
-                             induced_map, invariant_factors, normalized_chains,
+                             induced_map, invariant_factors, is_prime, normalized_chains,
                              SmithNormalForm, rank_mod_p, smith_normal_form,
                              universal_coefficients_consistent)
 from finsub.simplicial import from_ordered_complex
@@ -130,6 +130,15 @@ def test_rank_mod_p_rejects_a_modulus_above_the_bound():
     with pytest.raises(HomologyError, match="2\\^31"):
         rank_mod_p(SparseIntMatrix.identity(2), 2305843009213693951)
     assert rank_mod_p(SparseIntMatrix.identity(2), 2147483647) == 2
+
+
+def test_homology_mod_p_tests_its_modulus_once():
+    # homology over F_p checks the modulus, then rank_mod_p checks it again
+    # on each boundary; trial division up to 2^15.5 takes milliseconds
+    C = normalized_chains(from_ordered_complex(builtin_space("sphere2"), 3), with_labels=False)
+    is_prime.cache_clear()
+    assert [h.betti for h in homology(C, 2147483647)] == [1, 0, 1, 0]
+    assert is_prime.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("transforms", [False, True, "none", None])
@@ -267,7 +276,7 @@ def test_coordinates_outside_the_degrees_have_no_generators():
 
 def test_coordinates_reduce_sp2_torus_to_its_homology():
     # SP^2(T) has chain ranks (28, 378, 1232, 1470, 588, 0) and Betti numbers
-    # (1, 2, 2, 2, 1): the reduction leaves a residual with zero boundaries,
+    # (1, 2, 2, 2, 1): the coreduction leaves a Morse complex with zero boundaries,
     # and vertex 0, the first critical cell, is the generator of H_0
     from finsub.constructions import symmetric_product
 

@@ -22,7 +22,11 @@ presentations or the homology of the spaces finsub builds:
   and 0 in each even degree from 2 to 2n;
 - Dold (*Ann. Math.* 1958): H_*(SP^n X) depends only on H_*(X), so over Z
   and over F_2 it is the same for X, for X with its vertices relabelled and
-  for the barycentric subdivision of X, both built here from X's simplices.
+  for the barycentric subdivision of X, both built here from X's simplices;
+- Sub_n is a homotopy functor too (Handel, *Proc. AMS* 2000), so the same
+  holds for H_*(Sub_n X), and for a connected graph G, H_*(Sub_k G)
+  depends only on b_1(G): it is that of Sub_k of a wedge of b_1(G)
+  circles, or of a point when b_1(G) = 0.
 """
 
 import json
@@ -179,10 +183,18 @@ def _subdivided(spec):
     return _complex(f"sd-{spec.name}", len(faces), flags)
 
 
+def _groups(space, mod=None):
+    return [(h.betti, h.torsion) for h in homology_of_sset(space, mod=mod).groups]
+
+
 def _sp_homology(spec, n):
     space = symmetric_product(spec, n).space
-    return [[(h.betti, h.torsion) for h in homology_of_sset(space, mod=p).groups]
-            for p in (None, 2)]
+    return [_groups(space, p) for p in (None, 2)]
+
+
+def _sub_homology(spec, n):
+    space = finite_subset_space(spec, n, with_filtration=False).space
+    return [_groups(space, p) for p in (None, 2)]
 
 
 @pytest.mark.parametrize("name, n", [("circle3", 2), ("circle3", 3), ("circle4", 3),
@@ -194,3 +206,43 @@ def test_dold_homology_of_symmetric_products_is_a_homotopy_invariant(name, n):
     expected = _sp_homology(spec, n)
     assert _sp_homology(_relabelled(spec, seed=n), n) == expected
     assert _sp_homology(_subdivided(spec), n) == expected
+
+
+@pytest.mark.parametrize("name, n, subdivide", [
+    ("circle3", 3, True), ("circle3", 4, True), ("circle4", 3, True), ("circle4", 4, True),
+    ("wedge_circles2", 3, True), ("wedge_circles2", 4, True),
+    ("sphere2", 2, True), ("rp2", 2, True), ("torus", 2, True),
+    # the subdivisions of these exceed the default cell cap at n = 3
+    ("sphere2", 3, False), ("rp2", 3, False)])
+def test_homology_of_finite_subset_spaces_is_a_homotopy_invariant(name, n, subdivide):
+    spec = builtin_space(name)
+    expected = _sub_homology(spec, n)
+    assert _sub_homology(_relabelled(spec, seed=n), n) == expected
+    if subdivide:
+        assert _sub_homology(_subdivided(spec), n) == expected
+
+
+@st.composite
+def graphs(draw, vertices=6, extra=5):
+    """A connected graph on at most ``vertices`` vertices: a spanning tree
+    and up to ``extra`` more edges, with a random vertex order."""
+    count = draw(st.integers(1, vertices))
+    perm = draw(st.permutations(range(count)))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, count)}
+    if count > 1:
+        pairs = st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True)
+        edges |= {tuple(sorted(e)) for e in draw(st.lists(pairs, max_size=extra))}
+    simplices = [[v] for v in range(count)] + [sorted(perm[v] for v in e) for e in edges]
+    return _complex("graph", count, simplices), len(edges) - count + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=graphs(), k=st.sampled_from([2, 3]))
+def test_finite_subset_spaces_of_a_graph_depend_only_on_its_first_betti_number(drawn, k):
+    graph, b1 = drawn
+    groups = _groups(finite_subset_space(graph, k, with_filtration=False).space)
+    if b1 == 0:
+        assert groups == [(1, ())] + [(0, ())] * (len(groups) - 1)
+    else:
+        wedge = builtin_space(f"wedge_circles{b1}")
+        assert groups == _groups(finite_subset_space(wedge, k, with_filtration=False).space)
